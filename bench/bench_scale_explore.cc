@@ -22,20 +22,32 @@
 //      part 1, so it binds on any machine: >= 10x fewer deduplicated
 //      states, with the contract fields (outputs, racedVars, verdict
 //      bits) exactly equal — both are hard failures.
+//   5. Lock regions: a doubling series of the 3-thread
+//      `lock(L); x = x + c; unlock(L); lock(M); z = z + 1; unlock(M);`
+//      shape, timing the mutex-structure phase, the CSSAME rewrite and
+//      csan. Conflict edges grow 4x per doubling of the region count, so
+//      the rewrite and csan, which visit each edge a bounded number of
+//      times, may grow up to 5x per doubling; the mutex phase, linear in
+//      the program, at most 2.5x. Growth per doubling is taken over the
+//      whole series, (t_last / t_first)^(1 / doublings), which damps one
+//      noisy point; the all-candidates construction grew 12-14x per
+//      doubling, so a super-linear phase fails the run on any machine.
 //
 // Results go to BENCH_scale.json. The thread-parallel speedup targets of
 // parts 2 and 3 only bind when the machine has >= 4 hardware threads —
 // the JSON records that gate explicitly (speedup_target_applies), so a
 // 0.94x row measured on a 1-CPU container is not misread as a
-// regression. Exit status is nonzero when any determinism, exactness or
-// reduction-floor check fails — CI's scale-smoke job runs this on a
-// small grid (CSSAME_SCALE_SMOKE=1) and treats divergence as a build
-// breaker.
+// regression. Exit status is nonzero when any determinism, exactness,
+// reduction-floor or lock-region growth check fails — CI's scale-smoke
+// job runs this on a small grid (CSSAME_SCALE_SMOKE=1) and treats any of
+// them as a build breaker.
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -44,12 +56,15 @@
 #include "bench/bench_util.h"
 #include "src/analysis/concurrency.h"
 #include "src/analysis/dominance.h"
+#include "src/cssa/cssa.h"
+#include "src/cssa/rewrite.h"
 #include "src/driver/pipeline.h"
 #include "src/interp/explore.h"
 #include "src/ir/builder.h"
 #include "src/ir/expr.h"
 #include "src/parser/parser.h"
 #include "src/pfg/build.h"
+#include "src/sanalysis/csan.h"
 #include "src/support/memmodel.h"
 #include "src/support/threadpool.h"
 #include "src/support/timer.h"
@@ -513,10 +528,147 @@ DporScale runDporScale(support::MemoryModel model) {
 }
 
 // ---------------------------------------------------------------------------
+// Part 5 — lock-region doubling series.
+// ---------------------------------------------------------------------------
+
+constexpr double kMutexGrowthBound = 2.5;
+constexpr double kRewriteGrowthBound = 5.0;
+constexpr double kCsanGrowthBound = 5.0;
+
+struct LockRegionPoint {
+  int regions = 0;
+  std::size_t nodes = 0;
+  std::size_t conflictEdges = 0;
+  std::size_t bodies = 0;
+  double mutexSeconds = 1e30;
+  double rewriteSeconds = 1e30;
+  double csanSeconds = 1e30;
+};
+
+/// Back-to-back calls per timing sample so that one sample lasts about
+/// 2 ms: single calls of a few microseconds are too noisy to compare
+/// across a doubling series.
+int callsPerSample(double secondsPerCall) {
+  return std::max(1, static_cast<int>(2e-3 / std::max(secondsPerCall, 1e-7)));
+}
+
+/// One region count, analyzed once. Each measure() call times the three
+/// phases alone on the finished compilation with warm caches, so the
+/// series shows each phase's own growth: the MutexStructures
+/// construction (with its Section 6 warnings), cssa::rewritePiTerms on
+/// fresh copies of the unrewritten CSSA form, and sanalysis::runCsan.
+/// The point keeps the best per-call time of every phase.
+class LockRegionCase {
+ public:
+  explicit LockRegionCase(int regions)
+      : prog_(parser::parseOrDie(workload::lockRegionSource(3, regions))),
+        comp_(driver::analyze(prog_)),
+        cssa_(ssa::buildSequentialSsa(comp_.graph(), comp_.dom())) {
+    (void)comp_.heldLocks();  // csan's lazy dataflow solve is not csan's
+    cssa::placePiTerms(comp_.graph(), cssa_, comp_.mhp(), comp_.sites());
+    point_.regions = regions;
+    point_.nodes = comp_.graph().size();
+    point_.conflictEdges = comp_.graph().conflicts.size();
+    point_.bodies = comp_.mutexes().bodies().size();
+  }
+
+  void measure() {
+    const pfg::Graph& graph = comp_.graph();
+    burst(point_.mutexSeconds, mutexCalls_, [&] {
+      DiagEngine diag;
+      const mutex::MutexStructures structures(graph, comp_.dom(),
+                                              comp_.pdom(), &diag);
+      benchmark::DoNotOptimize(structures.bodies().size());
+    });
+    burst(point_.csanSeconds, csanCalls_, [&] {
+      DiagEngine diag;
+      benchmark::DoNotOptimize(
+          sanalysis::runCsan(comp_, diag).potentialRaces);
+    });
+    // The rewrite edits the form in place, so every call gets its own
+    // copy, made outside the timed burst.
+    forms_.assign(static_cast<std::size_t>(rewriteCalls_), cssa_);
+    support::Stopwatch watch;
+    for (ssa::SsaForm& form : forms_)
+      (void)cssa::rewritePiTerms(comp_.graph(), form, comp_.mutexes());
+    const double perCall = watch.seconds() / rewriteCalls_;
+    point_.rewriteSeconds = std::min(point_.rewriteSeconds, perCall);
+    rewriteCalls_ = callsPerSample(perCall);
+    forms_.clear();
+  }
+
+  [[nodiscard]] const LockRegionPoint& point() const { return point_; }
+
+ private:
+  /// Times `calls` back-to-back calls of fn, keeps the best per-call time
+  /// in `best` and sizes the next burst from it.
+  template <typename Fn>
+  static void burst(double& best, int& calls, Fn&& fn) {
+    support::Stopwatch watch;
+    for (int i = 0; i < calls; ++i) fn();
+    const double perCall = watch.seconds() / calls;
+    best = std::min(best, perCall);
+    calls = callsPerSample(perCall);
+  }
+
+  ir::Program prog_;
+  driver::Compilation comp_;
+  ssa::SsaForm cssa_;
+  std::vector<ssa::SsaForm> forms_;
+  int mutexCalls_ = 1, rewriteCalls_ = 1, csanCalls_ = 1;
+  LockRegionPoint point_;
+};
+
+struct LockRegionScale {
+  std::vector<LockRegionPoint> points;
+
+  /// Growth per doubling of one timing across the whole series: the
+  /// geometric mean of the step ratios, (last / first)^(1 / steps).
+  template <typename Field>
+  [[nodiscard]] double growth(Field field) const {
+    const double steps = static_cast<double>(points.size() - 1);
+    return std::pow(points.back().*field / points.front().*field,
+                    1.0 / steps);
+  }
+  [[nodiscard]] double mutexGrowth() const {
+    return growth(&LockRegionPoint::mutexSeconds);
+  }
+  [[nodiscard]] double rewriteGrowth() const {
+    return growth(&LockRegionPoint::rewriteSeconds);
+  }
+  [[nodiscard]] double csanGrowth() const {
+    return growth(&LockRegionPoint::csanSeconds);
+  }
+  [[nodiscard]] bool withinBounds() const {
+    return mutexGrowth() <= kMutexGrowthBound &&
+           rewriteGrowth() <= kRewriteGrowthBound &&
+           csanGrowth() <= kCsanGrowthBound;
+  }
+};
+
+/// Measures every region count once per round, round after round, so a
+/// burst of host noise inflates one sample of each point instead of every
+/// sample of one point; each point keeps its best.
+LockRegionScale runLockRegionScale() {
+  const std::vector<int> regions = smokeMode()
+                                       ? std::vector<int>{20, 40, 80}
+                                       : std::vector<int>{20, 40, 80, 160};
+  std::vector<std::unique_ptr<LockRegionCase>> cases;
+  for (int k : regions) cases.push_back(std::make_unique<LockRegionCase>(k));
+  const int rounds = smokeMode() ? 5 : 7;
+  for (int r = 0; r < rounds; ++r)
+    for (auto& c : cases) c->measure();
+  LockRegionScale out;
+  for (const auto& c : cases) out.points.push_back(c->point());
+  return out;
+}
+
+// ---------------------------------------------------------------------------
 
 void writeJson(const ConflictScale& c, const ExplorerScale& e,
                const BatchScale& b, const DporScale& dsc,
-               const DporScale& dtso, unsigned hw, const char* path) {
+               const DporScale& dtso, const LockRegionScale& lr,
+               unsigned hw, const char* path) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "bench_scale_explore: cannot write %s\n", path);
@@ -593,7 +745,31 @@ void writeJson(const ConflictScale& c, const ExplorerScale& e,
   };
   model("sc", dsc, false);
   model("tso", dtso, true);
-  out << "  }\n"
+  out << "  },\n"
+      << "  \"lock_regions\": {\n"
+      << "    \"workload\": \"3 threads x k x lock(L); x = x + c; unlock(L); "
+         "lock(M); z = z + 1; unlock(M)\",\n"
+      << "    \"hardware_threads\": " << hw << ",\n"
+      << "    \"growth_bound_mutex\": " << kMutexGrowthBound << ",\n"
+      << "    \"growth_bound_rewrite\": " << kRewriteGrowthBound << ",\n"
+      << "    \"growth_bound_csan\": " << kCsanGrowthBound << ",\n"
+      << "    \"series\": [\n";
+  for (std::size_t i = 0; i < lr.points.size(); ++i) {
+    const LockRegionPoint& p = lr.points[i];
+    out << "      {\"k\": " << p.regions << ", \"pfg_nodes\": " << p.nodes
+        << ", \"conflict_edges\": " << p.conflictEdges
+        << ", \"mutex_bodies\": " << p.bodies
+        << ", \"mutex_seconds\": " << p.mutexSeconds
+        << ", \"rewrite_seconds\": " << p.rewriteSeconds
+        << ", \"csan_seconds\": " << p.csanSeconds << "}"
+        << (i + 1 < lr.points.size() ? ",\n" : "\n");
+  }
+  out << "    ],\n"
+      << "    \"growth_x2_mutex\": " << lr.mutexGrowth() << ",\n"
+      << "    \"growth_x2_rewrite\": " << lr.rewriteGrowth() << ",\n"
+      << "    \"growth_x2_csan\": " << lr.csanGrowth() << ",\n"
+      << "    \"within_bounds\": " << (lr.withinBounds() ? "true" : "false")
+      << "\n  }\n"
       << "}\n";
 }
 
@@ -612,6 +788,7 @@ int main(int argc, char** argv) {
   const BatchScale b = runBatchScale();
   const DporScale dsc = runDporScale(support::MemoryModel::SC);
   const DporScale dtso = runDporScale(support::MemoryModel::TSO);
+  const LockRegionScale lr = runLockRegionScale();
 
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.1fx", c.speedup());
@@ -648,9 +825,18 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(dtso.peakFrontierFull),
                 static_cast<unsigned long long>(dtso.peakFrontierDpor));
   tableRowStr("  TSO peak frontier bytes", "(reported)", buf, true);
+  std::snprintf(buf, sizeof buf, "%.2fx", lr.mutexGrowth());
+  tableRowStr("lock regions: mutex growth per doubling", "<= 2.5x", buf,
+              lr.mutexGrowth() <= kMutexGrowthBound);
+  std::snprintf(buf, sizeof buf, "%.2fx", lr.rewriteGrowth());
+  tableRowStr("  cssame-rewrite growth per doubling", "<= 5x", buf,
+              lr.rewriteGrowth() <= kRewriteGrowthBound);
+  std::snprintf(buf, sizeof buf, "%.2fx", lr.csanGrowth());
+  tableRowStr("  csan growth per doubling", "<= 5x", buf,
+              lr.csanGrowth() <= kCsanGrowthBound);
   std::printf("  hardware threads: %u%s\n", hw,
               canScale ? "" : " (speedup targets not measurable here)");
-  writeJson(c, e, b, dsc, dtso, hw, "BENCH_scale.json");
+  writeJson(c, e, b, dsc, dtso, lr, hw, "BENCH_scale.json");
   std::printf("  wrote BENCH_scale.json\n\n");
 
   // Divergence anywhere is a correctness failure, independent of timing;
@@ -658,5 +844,7 @@ int main(int argc, char** argv) {
   if (!c.identical || !e.identical || !b.identical) return 1;
   if (!dsc.exact || !dtso.exact) return 1;
   if (dsc.ratio() < 10.0 || dtso.ratio() < 10.0) return 1;
+  // A lock-region phase growing faster than its bound is super-linear.
+  if (!lr.withinBounds()) return 1;
   return runBenchmarks(argc, argv);
 }

@@ -3,9 +3,11 @@
 // program size, thread count and lock count grow. The paper reports no
 // compile times; a production library must characterize its own cost.
 // Expected shape: near-linear in statement count for fixed thread count;
-// the conflict-edge/π work grows with (threads × shared accesses).
+// the conflict-edge/π work grows with (threads × shared accesses). The
+// lock-region series is the adversarial shape for mutex structures.
 #include "bench/bench_util.h"
 #include "src/driver/pipeline.h"
+#include "src/parser/parser.h"
 #include "src/workload/generator.h"
 
 namespace {
@@ -59,6 +61,31 @@ void BM_Pipeline_ByLocks(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Pipeline_ByLocks)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_Pipeline_ByLockRegions(benchmark::State& state) {
+  // The dense lock-region shape, 3 threads x k regions: conflict edges
+  // grow 4x per doubling of k, mutex bodies 2x. A phase that enumerated
+  // every (lock, unlock) candidate pair would grow 8x.
+  const std::string src =
+      workload::lockRegionSource(3, static_cast<int>(state.range(0)));
+  ir::Program prog = parser::parseOrDie(src);
+  for (auto _ : state) {
+    driver::Compilation c = driver::analyze(prog, {.warnings = true});
+    benchmark::DoNotOptimize(c.ssa().countLivePis());
+  }
+  driver::Compilation c = driver::analyze(prog, {.warnings = true});
+  state.counters["pfg_nodes"] = static_cast<double>(c.graph().size());
+  state.counters["conflict_edges"] =
+      static_cast<double>(c.graph().conflicts.size());
+  state.counters["mutex_bodies"] =
+      static_cast<double>(c.mutexes().bodies().size());
+}
+BENCHMARK(BM_Pipeline_ByLockRegions)
+    ->Arg(20)
+    ->Arg(40)
+    ->Arg(80)
+    ->Arg(160)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Pipeline_PhaseBreakdown(benchmark::State& state) {
   // Times one full pipeline on a mid-size program; compare against the

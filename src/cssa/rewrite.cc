@@ -1,7 +1,9 @@
 #include "src/cssa/rewrite.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
 
 namespace cssame::cssa {
 
@@ -22,6 +24,98 @@ bool nodeDefines(const pfg::Graph& graph, const pfg::Node& n, SymbolId var) {
   return false;
 }
 
+/// Control-path searches restricted to one mutex body. All searches of
+/// one rewrite share a single visited buffer: a node counts as visited
+/// in the current search iff its stamp equals the search's epoch, so a
+/// new search clears nothing.
+class BodySearch {
+ public:
+  explicit BodySearch(const pfg::Graph& graph)
+      : graph_(graph), stamp_(graph.size(), 0) {}
+
+  /// Theorem 2: some control path from the body's lock node reaches the
+  /// use without passing a killing definition of `var`.
+  bool upwardExposed(const mutex::MutexBody& b, SymbolId var,
+                     const ir::Stmt* useStmt, NodeId node) {
+    // A killing definition before the use in the same node ends the
+    // exposure. When the use sits in the terminator condition, every
+    // statement of the node precedes it.
+    for (const ir::Stmt* s : graph_.node(node).stmts) {
+      if (s == useStmt) break;
+      if (killsClass(graph_, s, var)) return false;
+    }
+
+    // Backward search restricted to the body (plus its lock node): exposed
+    // iff some definition-free control path reaches the lock node.
+    begin();
+    auto pushPreds = [&](NodeId id) {
+      for (NodeId p : graph_.node(id).preds)
+        if ((p == b.lockNode || b.members.test(p.index())) && visit(p))
+          work_.push_back(p);
+    };
+    pushPreds(node);
+    while (!work_.empty()) {
+      const NodeId cur = work_.back();
+      work_.pop_back();
+      if (cur == b.lockNode) return true;  // reached n with no kill
+      if (nodeDefines(graph_, graph_.node(cur), var)) continue;  // killed
+      pushPreds(cur);
+    }
+    return false;
+  }
+
+  /// Theorem 1: the definition reaches the body's unlock node along some
+  /// control path inside the body.
+  bool reachesExit(const mutex::MutexBody& b, SymbolId var,
+                   const ir::Stmt* defStmt, NodeId node) {
+    // A later killing definition in the same node kills this one.
+    bool seenDef = false;
+    for (const ir::Stmt* s : graph_.node(node).stmts) {
+      if (s == defStmt) {
+        seenDef = true;
+        continue;
+      }
+      if (seenDef && killsClass(graph_, s, var)) return false;
+    }
+
+    if (node == b.unlockNode) return true;
+
+    // Forward search restricted to the body: reaches iff some control path
+    // arrives at the unlock node without passing another definition.
+    begin();
+    auto pushSuccs = [&](NodeId id) {
+      for (NodeId s : graph_.node(id).succs)  // unlock node is a member
+        if (b.members.test(s.index()) && visit(s)) work_.push_back(s);
+    };
+    pushSuccs(node);
+    while (!work_.empty()) {
+      const NodeId cur = work_.back();
+      work_.pop_back();
+      if (cur == b.unlockNode) return true;
+      if (nodeDefines(graph_, graph_.node(cur), var)) continue;  // killed
+      pushSuccs(cur);
+    }
+    return false;
+  }
+
+ private:
+  void begin() {
+    ++epoch_;
+    work_.clear();
+  }
+  /// Marks `id` visited; false if it already was in this search.
+  bool visit(NodeId id) {
+    if (stamp_[id.index()] == epoch_) return false;
+    stamp_[id.index()] = epoch_;
+    return true;
+  }
+
+  const pfg::Graph& graph_;
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+  std::vector<NodeId> work_;
+};
+
 }  // namespace
 
 bool isUpwardExposedFromBody(const pfg::Graph& graph,
@@ -29,83 +123,22 @@ bool isUpwardExposedFromBody(const pfg::Graph& graph,
                              const ir::Expr* ref, const ir::Stmt* useStmt,
                              NodeId node) {
   (void)ref;
-  const pfg::Node& start = graph.node(node);
-
-  // A killing definition before the use in the same node ends the
-  // exposure. When the use sits in the terminator condition, every
-  // statement of the node precedes it.
-  for (const ir::Stmt* s : start.stmts) {
-    if (s == useStmt) break;
-    if (killsClass(graph, s, var)) return false;
-  }
-
-  // Backward search restricted to the body (plus its lock node): exposed
-  // iff some definition-free control path reaches the lock node.
-  std::deque<NodeId> work;
-  std::vector<bool> visited(graph.size(), false);
-  auto enqueuePreds = [&](NodeId id) {
-    for (NodeId p : graph.node(id).preds) {
-      if (p != b.lockNode && !b.members.test(p.index())) continue;
-      if (!visited[p.index()]) {
-        visited[p.index()] = true;
-        work.push_back(p);
-      }
-    }
-  };
-  enqueuePreds(node);
-  while (!work.empty()) {
-    const NodeId cur = work.front();
-    work.pop_front();
-    if (cur == b.lockNode) return true;  // reached n with no kill
-    if (nodeDefines(graph, graph.node(cur), var)) continue;  // path killed
-    enqueuePreds(cur);
-  }
-  return false;
+  return BodySearch(graph).upwardExposed(b, var, useStmt, node);
 }
 
 bool defReachesBodyExit(const pfg::Graph& graph, const mutex::MutexBody& b,
                         SymbolId var, const ir::Stmt* defStmt, NodeId node) {
-  const pfg::Node& start = graph.node(node);
-
-  // A later killing definition in the same node kills this one.
-  bool seenDef = false;
-  for (const ir::Stmt* s : start.stmts) {
-    if (s == defStmt) {
-      seenDef = true;
-      continue;
-    }
-    if (seenDef && killsClass(graph, s, var)) return false;
-  }
-
-  if (node == b.unlockNode) return true;
-
-  // Forward search restricted to the body: reaches iff some control path
-  // arrives at the unlock node without passing another definition.
-  std::deque<NodeId> work;
-  std::vector<bool> visited(graph.size(), false);
-  auto enqueueSuccs = [&](NodeId id) {
-    for (NodeId s : graph.node(id).succs) {
-      if (!b.members.test(s.index())) continue;  // unlock node is a member
-      if (!visited[s.index()]) {
-        visited[s.index()] = true;
-        work.push_back(s);
-      }
-    }
-  };
-  enqueueSuccs(node);
-  while (!work.empty()) {
-    const NodeId cur = work.front();
-    work.pop_front();
-    if (cur == b.unlockNode) return true;
-    if (nodeDefines(graph, graph.node(cur), var)) continue;  // path killed
-    enqueueSuccs(cur);
-  }
-  return false;
+  return BodySearch(graph).reachesExit(b, var, defStmt, node);
 }
 
 RewriteStats rewritePiTerms(pfg::Graph& graph, ssa::SsaForm& form,
                             const mutex::MutexStructures& structures) {
   RewriteStats stats;
+  BodySearch search(graph);
+  // Theorem 1's predicate depends only on the definition and the body b'
+  // (a definition statement has one node and one alias class), not on the
+  // π whose argument it is: memoize it per (definition, body).
+  std::unordered_map<std::uint64_t, bool> reachesExit;
 
   for (ssa::Definition& p : form.defs) {
     if (p.kind != ssa::DefKind::Pi || p.removed) continue;
@@ -121,8 +154,7 @@ RewriteStats rewritePiTerms(pfg::Graph& graph, ssa::SsaForm& form,
       if (!bId.valid()) continue;
       const mutex::MutexBody& b = structures.body(bId);
 
-      const bool exposed = isUpwardExposedFromBody(graph, b, v, p.piUse,
-                                                   p.piUseStmt, useNode);
+      const bool exposed = search.upwardExposed(b, v, p.piUseStmt, useNode);
 
       auto& args = p.piConflictArgs;
       const std::size_t before = args.size();
@@ -135,9 +167,14 @@ RewriteStats rewritePiTerms(pfg::Graph& graph, ssa::SsaForm& form,
                 if (!bpId.valid() || bpId == bId) return false;
                 const mutex::MutexBody& bp = structures.body(bpId);
                 if (!exposed) return true;  // Theorem 2
-                if (!defReachesBodyExit(graph, bp, v, a.defStmt, a.fromNode))
-                  return true;  // Theorem 1
-                return false;
+                const std::uint64_t key =
+                    std::uint64_t{a.defStmt->id.value()} << 32 |
+                    bpId.value();
+                auto [it, fresh] = reachesExit.try_emplace(key, false);
+                if (fresh)
+                  it->second = search.reachesExit(bp, v, a.defStmt,
+                                                  a.fromNode);
+                return !it->second;  // Theorem 1
               }),
           args.end());
       stats.argsRemoved += before - args.size();

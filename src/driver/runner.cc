@@ -30,14 +30,23 @@ namespace cssame::driver {
 namespace {
 
 /// printf into a growing string — output is buffered so callers (parallel
-/// batch jobs, the service) can route it wherever it belongs.
+/// batch jobs, the service) can route it wherever it belongs. The text is
+/// sized first, so a long diagnostic or printout is never cut short.
 void appendf(std::string& out, const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
-  char buf[4096];
-  std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_list sizing;
+  va_copy(sizing, args);
+  const int len = std::vsnprintf(nullptr, 0, fmt, sizing);
+  va_end(sizing);
+  if (len > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(len) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(len) + 1, fmt,
+                   args);
+    out.resize(at + static_cast<std::size_t>(len));
+  }
   va_end(args);
-  out += buf;
 }
 
 /// Writes structured output to `path` ("" = the buffered stdout stream).

@@ -29,10 +29,10 @@ DeadlockReport detectDeadlocks(const pfg::Graph& graph,
   for (const pfg::Node& n : graph.nodes()) {
     if (n.kind != pfg::NodeKind::Lock) continue;
     const SymbolId inner = n.syncStmt->sync;
-    for (const MutexBody& b : structures.bodies()) {
-      if (!b.wellFormed || b.lockVar == inner) continue;
-      if (b.members.test(n.id.index()))
-        acquisitions.push_back(Acquisition{b.lockVar, inner, n.id});
+    for (MutexBodyId id : structures.bodiesContaining(n.id)) {
+      const SymbolId outer = structures.body(id).lockVar;
+      if (outer != inner)
+        acquisitions.push_back(Acquisition{outer, inner, n.id});
     }
   }
 

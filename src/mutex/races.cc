@@ -9,16 +9,8 @@ namespace {
 
 /// Locks (lock variables) whose well-formed bodies contain `node`.
 std::set<SymbolId> locksetOf(NodeId node, const MutexStructures& structures) {
-  std::set<SymbolId> out;
-  for (MutexBodyId id : structures.bodiesContaining(node))
-    out.insert(structures.body(id).lockVar);
-  return out;
-}
-
-bool disjoint(const std::set<SymbolId>& a, const std::set<SymbolId>& b) {
-  for (SymbolId x : a)
-    if (b.contains(x)) return false;
-  return true;
+  const std::span<const SymbolId> locks = structures.locksAt(node);
+  return {locks.begin(), locks.end()};
 }
 
 std::string locksetStr(const std::set<SymbolId>& ls,
@@ -125,9 +117,9 @@ RaceReport detectRaces(const pfg::Graph& graph, const analysis::Mhp& mhp,
     for (const pfg::ConflictEdge& e : graph.conflicts) {
       if (e.var != var || raced) continue;
       if (!mhp.mayHappenInParallel(e.from, e.to)) continue;
-      const std::set<SymbolId> fromLs = locksetOf(e.from, structures);
-      const std::set<SymbolId> toLs = locksetOf(e.to, structures);
-      if (disjoint(fromLs, toLs)) {
+      if (!structures.shareLock(e.from, e.to)) {
+        const std::set<SymbolId> fromLs = locksetOf(e.from, structures);
+        const std::set<SymbolId> toLs = locksetOf(e.to, structures);
         ++report.potentialRaces;
         raced = true;
         const ir::Stmt* fromStmt = accessStmtAt(e.from, var, true, sites);

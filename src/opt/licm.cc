@@ -24,11 +24,9 @@ class Licm {
       ir::Stmt* unlockStmt;
     };
     std::vector<Span> spans;
-    for (const mutex::MutexBody& b : comp_.mutexes().bodies()) {
-      if (!b.wellFormed) continue;
+    for (const mutex::MutexBody& b : comp_.mutexes().bodies())
       spans.push_back(Span{graph_.node(b.lockNode).syncStmt,
                            graph_.node(b.unlockNode).syncStmt});
-    }
     for (const Span& span : spans)
       processBody(span.lockStmt, span.unlockStmt, stats);
     return stats;

@@ -27,11 +27,9 @@ class ExprHoister {
       ir::Stmt* unlockStmt;
     };
     std::vector<Span> spans;
-    for (const mutex::MutexBody& b : comp_.mutexes().bodies()) {
-      if (!b.wellFormed) continue;
+    for (const mutex::MutexBody& b : comp_.mutexes().bodies())
       spans.push_back(Span{graph_.node(b.lockNode).syncStmt,
                            graph_.node(b.unlockNode).syncStmt});
-    }
     for (const Span& s : spans) processBody(s.lockStmt, s.unlockStmt);
     return stats_;
   }

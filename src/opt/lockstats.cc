@@ -11,7 +11,6 @@ CriticalSectionReport analyzeCriticalSections(
   const pfg::Graph& graph = comp.graph();
 
   for (const mutex::MutexBody& b : comp.mutexes().bodies()) {
-    if (!b.wellFormed) continue;
     BodyReport br;
     br.body = b.id;
     br.lockVar = b.lockVar;

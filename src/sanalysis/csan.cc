@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/opt/lock_independence.h"
 #include "src/sanalysis/lockset.h"
@@ -11,25 +12,37 @@ namespace cssame::sanalysis {
 
 namespace {
 
-/// The access record a conflict-edge endpoint refers to, looked up in the
-/// compilation's cached (alias-class-keyed) access sites.
-const analysis::AccessSites::Def* defRecordAt(
-    NodeId node, SymbolId cls, const analysis::AccessSites& sites) {
-  auto it = sites.defs.find(cls);
-  if (it != sites.defs.end())
-    for (const auto& d : it->second)
-      if (d.node == node) return &d;
-  return nullptr;
-}
+/// The access records conflict-edge endpoints refer to: the first def and
+/// the first use of each (node, alias class) in the compilation's cached
+/// access sites, indexed once per run.
+class SiteRecords {
+ public:
+  explicit SiteRecords(const analysis::AccessSites& sites) {
+    for (const auto& [cls, defs] : sites.defs)
+      for (const auto& d : defs) defs_.emplace(key(d.node, cls), &d);
+    for (const auto& [cls, uses] : sites.uses)
+      for (const auto& u : uses) uses_.emplace(key(u.node, cls), &u);
+  }
 
-const analysis::AccessSites::Use* useRecordAt(
-    NodeId node, SymbolId cls, const analysis::AccessSites& sites) {
-  auto it = sites.uses.find(cls);
-  if (it != sites.uses.end())
-    for (const auto& u : it->second)
-      if (u.node == node) return &u;
-  return nullptr;
-}
+  [[nodiscard]] const analysis::AccessSites::Def* defAt(NodeId node,
+                                                        SymbolId cls) const {
+    auto it = defs_.find(key(node, cls));
+    return it == defs_.end() ? nullptr : it->second;
+  }
+  [[nodiscard]] const analysis::AccessSites::Use* useAt(NodeId node,
+                                                        SymbolId cls) const {
+    auto it = uses_.find(key(node, cls));
+    return it == uses_.end() ? nullptr : it->second;
+  }
+
+ private:
+  static std::uint64_t key(NodeId node, SymbolId cls) {
+    return std::uint64_t{node.value()} << 32 | cls.value();
+  }
+
+  std::unordered_map<std::uint64_t, const analysis::AccessSites::Def*> defs_;
+  std::unordered_map<std::uint64_t, const analysis::AccessSites::Use*> uses_;
+};
 
 SourceLoc locOf(const ir::Stmt* stmt) {
   return stmt != nullptr ? stmt->loc : SourceLoc{};
@@ -78,12 +91,13 @@ class Csan {
                     " of this cobegin and may interleave");
   }
 
-  RaceSite makeSite(NodeId node, SymbolId cls, bool isDef) const {
+  RaceSite makeSite(const SiteRecords& records, NodeId node, SymbolId cls,
+                    bool isDef) const {
     RaceSite s;
     s.node = node;
     s.isWrite = isDef;
     if (isDef) {
-      if (const auto* d = defRecordAt(node, cls, comp_.sites())) {
+      if (const auto* d = records.defAt(node, cls)) {
         s.stmt = d->stmt;
         s.viaDeref = d->viaDeref;
         s.accessedSym = d->accessedSym;
@@ -91,7 +105,7 @@ class Csan {
           s.indexExpr = d->stmt->lhsAddr.get();
       }
     } else {
-      if (const auto* u = useRecordAt(node, cls, comp_.sites())) {
+      if (const auto* u = records.useAt(node, cls)) {
         s.stmt = u->stmt;
         s.ref = u->ref;
         s.viaDeref = u->viaDeref;
@@ -129,12 +143,13 @@ class Csan {
   /// locksets. A strict superset of mutex::detectRaces, which reports one
   /// warning per variable under the same condition.
   void checkRaces() {
+    const SiteRecords records(comp_.sites());
     std::set<std::tuple<SymbolId, NodeId, NodeId>> seen;
     for (const pfg::ConflictEdge& e : graph_.conflicts) {
       if (!comp_.mhp().mayHappenInParallel(e.from, e.to)) continue;
-      const RaceSite def = makeSite(e.from, e.var, true);
-      const RaceSite other = makeSite(e.to, e.var, e.toIsDef);
-      if (!locksetsDisjoint(def.lockset, other.lockset)) continue;
+      if (structures_.shareLock(e.from, e.to)) continue;
+      const RaceSite def = makeSite(records, e.from, e.var, true);
+      const RaceSite other = makeSite(records, e.to, e.var, e.toIsDef);
       // Two *direct* accesses naming different members of one alias class
       // never touch the same cell — the class pairs them only because a
       // pointer elsewhere may touch both. No race between these two.
@@ -204,17 +219,17 @@ class Csan {
   /// Per-variable write-consistency check, same firing condition as the
   /// original mutex::detectRaces but with one witness note per write.
   void checkInconsistentLocking() {
+    // Variables with some conflict edge that may happen in parallel, in
+    // one pass over the edges.
+    std::unordered_set<SymbolId> concurrent;
+    for (const pfg::ConflictEdge& e : graph_.conflicts)
+      if (!concurrent.contains(e.var) &&
+          comp_.mhp().mayHappenInParallel(e.from, e.to))
+        concurrent.insert(e.var);
+
     const analysis::AccessSites& sites = comp_.sites();
     for (const auto& [var, defs] : sites.defs) {
-      if (defs.size() < 2) continue;
-      bool concurrent = false;
-      for (const pfg::ConflictEdge& e : graph_.conflicts)
-        if (e.var == var &&
-            comp_.mhp().mayHappenInParallel(e.from, e.to)) {
-          concurrent = true;
-          break;
-        }
-      if (!concurrent) continue;
+      if (defs.size() < 2 || !concurrent.contains(var)) continue;
 
       std::vector<std::set<SymbolId>> locksets;
       locksets.reserve(defs.size());
@@ -287,7 +302,6 @@ class Csan {
   void checkMutexBodies() {
     const opt::LockIndependence independence(comp_);
     for (const mutex::MutexBody& b : structures_.bodies()) {
-      if (!b.wellFormed) continue;
       const pfg::Node& lockNode = graph_.node(b.lockNode);
       const SourceLoc lockLoc = lockNode.syncStmt->loc;
       const std::string lockName = syms_.nameOf(b.lockVar);
@@ -371,28 +385,24 @@ class Csan {
     for (SsaNameId piId : ssa.livePis()) {
       const ssa::Definition& pi = ssa.def(piId);
       if (pi.piConflictArgs.empty()) continue;
-      const std::set<SymbolId> useLs = locksetAt(pi.node, structures_);
-      bool warned = false;
+      // One warning per π, witnessed by its first unprotected argument.
       for (const ssa::PiConflictArg& arg : pi.piConflictArgs) {
         if (!comp_.mhp().mayHappenInParallel(arg.fromNode, pi.node))
           continue;
-        const std::set<SymbolId> defLs =
-            locksetAt(arg.fromNode, structures_);
-        if (!locksetsDisjoint(useLs, defLs)) continue;
-        if (!warned) {
-          warned = true;
-          ++report_.unprotectedPiReads;
-          Diagnostic& d = diag_.warn(
-              DiagCode::UnprotectedPiRead, locOf(pi.piUseStmt),
-              "read of shared variable '" + syms_.nameOf(pi.var) +
-                  "' (under lockset " + locksetStr(useLs, syms_) +
-                  ") can observe a concurrent write mutual exclusion "
-                  "does not order");
-          d.note(locOf(arg.defStmt),
-                 "concurrent write under lockset " +
-                     locksetStr(defLs, syms_));
-          noteMhp(d, arg.fromNode, pi.node);
-        }
+        if (structures_.shareLock(pi.node, arg.fromNode)) continue;
+        ++report_.unprotectedPiReads;
+        const std::set<SymbolId> useLs = locksetAt(pi.node, structures_);
+        const std::set<SymbolId> defLs = locksetAt(arg.fromNode, structures_);
+        Diagnostic& d = diag_.warn(
+            DiagCode::UnprotectedPiRead, locOf(pi.piUseStmt),
+            "read of shared variable '" + syms_.nameOf(pi.var) +
+                "' (under lockset " + locksetStr(useLs, syms_) +
+                ") can observe a concurrent write mutual exclusion "
+                "does not order");
+        d.note(locOf(arg.defStmt),
+               "concurrent write under lockset " + locksetStr(defLs, syms_));
+        noteMhp(d, arg.fromNode, pi.node);
+        break;
       }
     }
   }

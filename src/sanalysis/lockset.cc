@@ -4,17 +4,8 @@ namespace cssame::sanalysis {
 
 std::set<SymbolId> locksetAt(NodeId node,
                              const mutex::MutexStructures& structures) {
-  std::set<SymbolId> out;
-  for (MutexBodyId id : structures.bodiesContaining(node))
-    out.insert(structures.body(id).lockVar);
-  return out;
-}
-
-bool locksetsDisjoint(const std::set<SymbolId>& a,
-                      const std::set<SymbolId>& b) {
-  for (SymbolId x : a)
-    if (b.contains(x)) return false;
-  return true;
+  const std::span<const SymbolId> locks = structures.locksAt(node);
+  return {locks.begin(), locks.end()};
 }
 
 std::string locksetStr(const std::set<SymbolId>& lockset,

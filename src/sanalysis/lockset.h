@@ -6,7 +6,9 @@
 //     mutex bodies (paper Definition 3/4) contain the node. This is the
 //     must-hold notion the Section 6 race warnings are defined over; csan
 //     uses it for every access-site lockset so its race verdicts agree
-//     with (and subsume) the original checks.
+//     with (and subsume) the original checks. It is read from the per-node
+//     index MutexStructures builds once; hot paths test two nodes for a
+//     common lock with MutexStructures::shareLock and build no set.
 //
 //   - HeldLocks: a forward may/must dataflow of Lock/Unlock effects over
 //     the PFG's control edges. Unlike mutex structures it also covers
@@ -30,9 +32,6 @@ namespace cssame::sanalysis {
 /// lockset for race checking).
 [[nodiscard]] std::set<SymbolId> locksetAt(
     NodeId node, const mutex::MutexStructures& structures);
-
-[[nodiscard]] bool locksetsDisjoint(const std::set<SymbolId>& a,
-                                    const std::set<SymbolId>& b);
 
 /// Renders "{L, M}" / "{}" for diagnostics and witness notes.
 [[nodiscard]] std::string locksetStr(const std::set<SymbolId>& lockset,

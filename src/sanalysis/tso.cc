@@ -7,7 +7,6 @@
 
 #include "src/dataflow/framework.h"
 #include "src/ir/expr.h"
-#include "src/sanalysis/lockset.h"
 
 namespace cssame::sanalysis {
 
@@ -148,16 +147,9 @@ class Tso {
   /// endpoint that has such a partner, keeping one witness partner each:
   /// (node, var) → the remote access that can see the stale/early value.
   void buildRacySites() {
-    std::unordered_map<NodeId, std::set<SymbolId>> locksets;
-    auto locksetOf = [&](NodeId n) -> const std::set<SymbolId>& {
-      auto it = locksets.find(n);
-      if (it == locksets.end())
-        it = locksets.emplace(n, locksetAt(n, comp_.mutexes())).first;
-      return it->second;
-    };
     for (const pfg::ConflictEdge& e : graph_.conflicts) {
       if (!comp_.mhp().mayHappenInParallel(e.from, e.to)) continue;
-      if (!locksetsDisjoint(locksetOf(e.from), locksetOf(e.to))) continue;
+      if (comp_.mutexes().shareLock(e.from, e.to)) continue;
       racy_.emplace(std::make_pair(e.from, e.var),
                     RemoteSite{e.to, e.toIsDef});
       racy_.emplace(std::make_pair(e.to, e.var), RemoteSite{e.from, true});

@@ -353,4 +353,16 @@ ir::Program makeBank(int accounts, int threads, int opsPerThread,
   return b.take();
 }
 
+std::string lockRegionSource(int threads, int regions) {
+  std::string s = "int x = 3, z = 5;\nlock L;\nlock M;\ncobegin {\n";
+  for (int t = 0; t < threads; ++t) {
+    s += "  thread T" + std::to_string(t) + " {\n";
+    for (int k = 0; k < regions; ++k)
+      s += "    lock(L); x = x + " + std::to_string((t * 31 + k) % 97 + 1) +
+           "; unlock(L); lock(M); z = z + 1; unlock(M);\n";
+    s += "  }\n";
+  }
+  return s + "}\nprint(x);\nprint(z);\n";
+}
+
 }  // namespace cssame::workload

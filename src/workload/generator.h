@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "src/ir/program.h"
 
@@ -79,5 +80,13 @@ struct GeneratorConfig {
 /// computed inside the critical section (LICM's prey).
 [[nodiscard]] ir::Program makeBank(int accounts, int threads,
                                    int opsPerThread, std::uint64_t seed);
+
+/// Source text of the dense lock-region shape: `threads` threads of
+/// `regions` straight-line `lock(L); x = x + c; unlock(L); lock(M);
+/// z = z + 1; unlock(M);` with initialised shared variables, printing x
+/// and z. Conflict edges grow with regions², so it is the adversarial
+/// input for every phase that visits them, and for mutex-structure
+/// construction.
+[[nodiscard]] std::string lockRegionSource(int threads, int regions);
 
 }  // namespace cssame::workload

@@ -2,12 +2,19 @@
 // critical-section report plumbing.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/cssa/form_printer.h"
 #include "src/driver/pipeline.h"
+#include "src/driver/runner.h"
+#include "src/ir/printer.h"
 #include "src/opt/cscc.h"
 #include "src/opt/lockstats.h"
+#include "src/opt/optimize.h"
 #include "src/parser/parser.h"
 #include "src/pfg/dot.h"
+#include "src/sanalysis/csan.h"
+#include "src/workload/generator.h"
 #include "src/workload/paper_programs.h"
 
 namespace cssame::driver {
@@ -131,6 +138,40 @@ TEST(Pipeline, PhaseTimesCoverEveryPass) {
   ASSERT_EQ(c.phaseTimes().size(), before + 2);
   EXPECT_EQ(c.phaseTimes()[before].name, "heldlocks");
   EXPECT_EQ(c.phaseTimes()[before + 1].name, "reaching");
+}
+
+TEST(Runner, DiagnosticLongerThan4KBIsNotTruncated) {
+  // The declaration writes make csan report inconsistent locking, with
+  // one note per write of x: 7.5 KB on one line at 64 regions.
+  const std::string src = workload::lockRegionSource(3, 64);
+  RunOptions opts;
+  opts.doCsan = true;
+  const RunOutput r = runSource(src, "regions.cp", opts);
+
+  ir::Program prog = parser::parseOrDie(src);
+  Compilation c = analyze(prog);
+  DiagEngine diag;
+  (void)sanalysis::runCsan(c, diag);
+  bool sawLong = false;
+  for (const Diagnostic& d : diag.diagnostics()) {
+    const std::string line = d.str() + "\n";
+    sawLong |= line.size() > 4096;
+    EXPECT_NE(r.err.find(line), std::string::npos) << d.str().size();
+  }
+  EXPECT_TRUE(sawLong);
+}
+
+TEST(Runner, OptPrintoutLongerThan4KBIsNotTruncated) {
+  const std::string src = workload::lockRegionSource(3, 64);
+  RunOptions opts;
+  opts.doOpt = true;
+  const RunOutput r = runSource(src, "regions.cp", opts);
+
+  ir::Program prog = parser::parseOrDie(src);
+  (void)opt::optimizeProgram(prog, {});
+  const std::string expect = ir::printProgram(prog);
+  EXPECT_GT(expect.size(), 4096u);
+  EXPECT_EQ(r.out, expect);
 }
 
 }  // namespace

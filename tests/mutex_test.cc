@@ -1,5 +1,6 @@
 // Unit tests for mutex structure identification (Algorithm A.1) and its
-// Section 6 warnings.
+// Section 6 warnings. Only well-formed bodies are kept; ill-formed
+// candidates surface only as warnings.
 #include <gtest/gtest.h>
 
 #include "src/driver/pipeline.h"
@@ -77,12 +78,13 @@ TEST(MutexBodies, SequentialBodiesSameLock) {
     lock(L); a = 2; unlock(L);
   )");
   driver::Compilation c = compile(p);
-  // Candidates: (l1,u1),(l1,u2),(l2,u2) by dominance; (l1,u2) is
-  // ill-formed (contains u1 and l2). Two well-formed bodies remain —
-  // and because every delimiter still bounds a real body, the discarded
-  // cross pair is structure noise, not a warning: sequential regions of
-  // the same lock are a perfectly healthy shape (and the one every
-  // wrap-with-lock repair produces).
+  // Candidate pairs by dominance: (l1,u1),(l1,u2),(l2,u2). Each lock
+  // pairs with its nearest unlock, giving the two well-formed bodies;
+  // the cross pair (l1,u2) contains u1 and l2 and is ill-formed. Because
+  // every delimiter still bounds a real body, that pair is structure
+  // noise, not a warning: sequential regions of the same lock are a
+  // perfectly healthy shape (and the one every wrap-with-lock repair
+  // produces).
   std::size_t wellFormed = 0;
   for (const MutexBody& b : c.mutexes().bodies()) wellFormed += b.wellFormed;
   EXPECT_EQ(wellFormed, 2u);
@@ -105,8 +107,10 @@ TEST(MutexBodies, NestedSameLockIsIllFormed) {
   driver::Compilation c = compile(p);
   std::size_t wellFormed = 0;
   for (const MutexBody& b : c.mutexes().bodies()) wellFormed += b.wellFormed;
-  // inner (l2,u1) is well-formed; outer (l1,u2) contains l2/u1. Pairs
-  // (l1,u1),(l2,u2) are also candidates and ill-formed.
+  // Only the inner (l2,u1) is kept. l1's nearest unlock u1 makes
+  // (l1,u1) contain l2, so l1 and u2 bound no well-formed body; the
+  // ill-formed candidates (l1,u1), (l1,u2) and (l2,u2) each warn.
+  EXPECT_EQ(c.mutexes().bodies().size(), 1u);
   EXPECT_EQ(wellFormed, 1u);
   EXPECT_GE(c.diag().countOf(DiagCode::IllFormedMutexBody), 2u);
 }
