@@ -32,6 +32,9 @@
 //      whole series, (t_last / t_first)^(1 / doublings), which damps one
 //      noisy point; the all-candidates construction grew 12-14x per
 //      doubling, so a super-linear phase fails the run on any machine.
+//      Each point also reports the cost of one mayHappenInParallel query
+//      (swept over every Ecf edge) and of the held-locks solve, and
+//      checks every Ecf pair's MHP answer against part 1's reference.
 //
 // Results go to BENCH_scale.json. The thread-parallel speedup targets of
 // parts 2 and 3 only bind when the machine has >= 4 hardware threads —
@@ -58,6 +61,7 @@
 #include "src/analysis/dominance.h"
 #include "src/cssa/cssa.h"
 #include "src/cssa/rewrite.h"
+#include "src/dataflow/heldlocks.h"
 #include "src/driver/pipeline.h"
 #include "src/interp/explore.h"
 #include "src/ir/builder.h"
@@ -543,6 +547,13 @@ struct LockRegionPoint {
   double mutexSeconds = 1e30;
   double rewriteSeconds = 1e30;
   double csanSeconds = 1e30;
+  double mhpSweepSeconds = 1e30;  ///< one query per Ecf edge
+  double heldLocksSeconds = 1e30;
+  bool mhpIdentical = false;  ///< every Ecf pair agrees with RefMhp
+
+  [[nodiscard]] double mhpNsPerQuery() const {
+    return conflictEdges > 0 ? mhpSweepSeconds * 1e9 / conflictEdges : 0.0;
+  }
 };
 
 /// Back-to-back calls per timing sample so that one sample lasts about
@@ -552,11 +563,12 @@ int callsPerSample(double secondsPerCall) {
   return std::max(1, static_cast<int>(2e-3 / std::max(secondsPerCall, 1e-7)));
 }
 
-/// One region count, analyzed once. Each measure() call times the three
+/// One region count, analyzed once. Each measure() call times the
 /// phases alone on the finished compilation with warm caches, so the
 /// series shows each phase's own growth: the MutexStructures
 /// construction (with its Section 6 warnings), cssa::rewritePiTerms on
-/// fresh copies of the unrewritten CSSA form, and sanalysis::runCsan.
+/// fresh copies of the unrewritten CSSA form, sanalysis::runCsan, a
+/// mayHappenInParallel sweep over the Ecf edges and the held-locks solve.
 /// The point keeps the best per-call time of every phase.
 class LockRegionCase {
  public:
@@ -570,6 +582,14 @@ class LockRegionCase {
     point_.nodes = comp_.graph().size();
     point_.conflictEdges = comp_.graph().conflicts.size();
     point_.bodies = comp_.mutexes().bodies().size();
+    const RefMhp ref(comp_.graph(), comp_.dom());
+    point_.mhpIdentical = true;
+    for (const pfg::ConflictEdge& e : comp_.graph().conflicts)
+      point_.mhpIdentical &=
+          comp_.mhp().mayHappenInParallel(e.from, e.to) ==
+              ref.mayHappenInParallel(e.from, e.to) &&
+          comp_.mhp().mayHappenInParallel(e.to, e.from) ==
+              ref.mayHappenInParallel(e.to, e.from);
   }
 
   void measure() {
@@ -584,6 +604,16 @@ class LockRegionCase {
       DiagEngine diag;
       benchmark::DoNotOptimize(
           sanalysis::runCsan(comp_, diag).potentialRaces);
+    });
+    burst(point_.mhpSweepSeconds, mhpCalls_, [&] {
+      std::size_t parallel = 0;
+      for (const pfg::ConflictEdge& e : graph.conflicts)
+        parallel += comp_.mhp().mayHappenInParallel(e.from, e.to) ? 1 : 0;
+      benchmark::DoNotOptimize(parallel);
+    });
+    burst(point_.heldLocksSeconds, heldLocksCalls_, [&] {
+      const dataflow::HeldLocks held(graph);
+      benchmark::DoNotOptimize(held.stats().iterations);
     });
     // The rewrite edits the form in place, so every call gets its own
     // copy, made outside the timed burst.
@@ -615,7 +645,8 @@ class LockRegionCase {
   driver::Compilation comp_;
   ssa::SsaForm cssa_;
   std::vector<ssa::SsaForm> forms_;
-  int mutexCalls_ = 1, rewriteCalls_ = 1, csanCalls_ = 1;
+  int mutexCalls_ = 1, rewriteCalls_ = 1, csanCalls_ = 1, mhpCalls_ = 1,
+      heldLocksCalls_ = 1;
   LockRegionPoint point_;
 };
 
@@ -643,6 +674,10 @@ struct LockRegionScale {
     return mutexGrowth() <= kMutexGrowthBound &&
            rewriteGrowth() <= kRewriteGrowthBound &&
            csanGrowth() <= kCsanGrowthBound;
+  }
+  [[nodiscard]] bool mhpIdentical() const {
+    return std::all_of(points.begin(), points.end(),
+                       [](const LockRegionPoint& p) { return p.mhpIdentical; });
   }
 };
 
@@ -761,13 +796,17 @@ void writeJson(const ConflictScale& c, const ExplorerScale& e,
         << ", \"mutex_bodies\": " << p.bodies
         << ", \"mutex_seconds\": " << p.mutexSeconds
         << ", \"rewrite_seconds\": " << p.rewriteSeconds
-        << ", \"csan_seconds\": " << p.csanSeconds << "}"
+        << ", \"csan_seconds\": " << p.csanSeconds
+        << ", \"mhp_ns_per_query\": " << p.mhpNsPerQuery()
+        << ", \"heldlocks_ms\": " << p.heldLocksSeconds * 1e3 << "}"
         << (i + 1 < lr.points.size() ? ",\n" : "\n");
   }
   out << "    ],\n"
       << "    \"growth_x2_mutex\": " << lr.mutexGrowth() << ",\n"
       << "    \"growth_x2_rewrite\": " << lr.rewriteGrowth() << ",\n"
       << "    \"growth_x2_csan\": " << lr.csanGrowth() << ",\n"
+      << "    \"mhp_identical_to_reference\": "
+      << (lr.mhpIdentical() ? "true" : "false") << ",\n"
       << "    \"within_bounds\": " << (lr.withinBounds() ? "true" : "false")
       << "\n  }\n"
       << "}\n";
@@ -834,6 +873,16 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof buf, "%.2fx", lr.csanGrowth());
   tableRowStr("  csan growth per doubling", "<= 5x", buf,
               lr.csanGrowth() <= kCsanGrowthBound);
+  tableRow("  MHP per Ecf pair identical to reference", "1",
+           lr.mhpIdentical(), lr.mhpIdentical());
+  for (const LockRegionPoint& p : lr.points) {
+    std::snprintf(buf, sizeof buf, "%.2f ns, %.3f ms", p.mhpNsPerQuery(),
+                  p.heldLocksSeconds * 1e3);
+    tableRowStr(("  k=" + std::to_string(p.regions) +
+                 ": MHP query, held-locks solve")
+                    .c_str(),
+                "(reported)", buf, true);
+  }
   std::printf("  hardware threads: %u%s\n", hw,
               canScale ? "" : " (speedup targets not measurable here)");
   writeJson(c, e, b, dsc, dtso, lr, hw, "BENCH_scale.json");
@@ -842,6 +891,7 @@ int main(int argc, char** argv) {
   // Divergence anywhere is a correctness failure, independent of timing;
   // so is a reduction that falls below the floor or breaks exactness.
   if (!c.identical || !e.identical || !b.identical) return 1;
+  if (!lr.mhpIdentical()) return 1;
   if (!dsc.exact || !dtso.exact) return 1;
   if (dsc.ratio() < 10.0 || dtso.ratio() < 10.0) return 1;
   // A lock-region phase growing faster than its bound is super-linear.

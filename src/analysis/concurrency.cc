@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <tuple>
 
 namespace cssame::analysis {
@@ -22,38 +23,21 @@ struct PathLess {
 
 }  // namespace
 
-Mhp::Mhp(const pfg::Graph& graph, const Dominators& dom)
-    : graph_(graph), dom_(dom) {
-  for (const pfg::Node& n : graph.nodes()) {
-    if (n.kind == pfg::NodeKind::Set) {
-      setNodes_[n.syncStmt->sync].push_back(n.id);
-    } else if (n.kind == pfg::NodeKind::Wait) {
-      waitNodes_[n.syncStmt->sync].push_back(n.id);
-    } else if (n.kind == pfg::NodeKind::Barrier) {
-      // A barrier belongs to the arm of its *innermost* cobegin.
-      if (n.threadPath.empty()) continue;  // top level: no partners
-      const pfg::ThreadPathEntry& arm = n.threadPath.back();
-      armBarriers_[ArmKey{arm.cobegin, arm.threadIndex}].push_back(n.id);
-      // A barrier on a control cycle (inside a loop) may fire repeatedly;
-      // the phase-counting argument then breaks — disable the cobegin.
-      const DynBitset& reach = reachableFrom(n.id);
-      if (reach.test(n.id.index())) barrierDisabled_.insert(arm.cobegin);
-    }
-  }
-  buildContextTables();
-  buildOrderingFacts();
+Mhp::Mhp(const pfg::Graph& graph, const Dominators& dom) {
+  buildOrderingFacts(graph, dom);
+  buildContextTables(graph);
+  buildBarrierPhases(graph, dom);
 }
 
-void Mhp::buildContextTables() {
-  const std::size_t n = graph_.size();
-  ctxOf_.assign(n, 0);
+void Mhp::buildContextTables(const pfg::Graph& graph) {
+  ctxOf_.assign(graph.size(), 0);
 
   // Intern the distinct thread paths. Real programs have one context per
   // (possibly nested) cobegin arm plus the sequential top level, so the
-  // pairwise tables stay tiny even for huge graphs.
+  // pairwise table stays tiny even for huge graphs.
   std::map<pfg::ThreadPath, std::uint32_t, PathLess> interned;
   std::vector<const pfg::ThreadPath*> paths;
-  for (const pfg::Node& node : graph_.nodes()) {
+  for (const pfg::Node& node : graph.nodes()) {
     auto [it, fresh] = interned.try_emplace(
         node.threadPath, static_cast<std::uint32_t>(paths.size()));
     if (fresh) paths.push_back(&it->first);
@@ -61,86 +45,159 @@ void Mhp::buildContextTables() {
   }
   contextCount_ = static_cast<std::uint32_t>(paths.size());
 
-  ctxConcurrent_.assign(contextCount_, DynBitset(contextCount_));
-  ctxDivergence_.assign(std::size_t{contextCount_} * contextCount_,
-                        Divergence{});
+  // Every concurrent pair is subject to the set/wait refinement as soon
+  // as any event orders anything; buildBarrierPhases adds the barrier
+  // refinement where a barrier can separate the pair.
+  const std::uint8_t refine = orderingEvents_ != 0 ? kRefineOrdering : 0;
+  pairs_.assign(std::size_t{contextCount_} * contextCount_, PairEntry{});
   for (std::uint32_t ca = 0; ca < contextCount_; ++ca) {
     for (std::uint32_t cb = 0; cb < contextCount_; ++cb) {
-      Divergence d;
-      if (pathsDiverge(*paths[ca], *paths[cb], &d)) {
-        ctxConcurrent_[ca].set(cb);
-        ctxDivergence_[std::size_t{ca} * contextCount_ + cb] = d;
-      }
+      PairEntry& p = pairs_[std::size_t{ca} * contextCount_ + cb];
+      p.concurrent =
+          pathsDiverge(*paths[ca], *paths[cb], &p.divergence, &p.level);
+      if (p.concurrent) p.refine = refine;
     }
   }
 }
 
-void Mhp::buildOrderingFacts() {
-  const std::size_t n = graph_.size();
+void Mhp::buildOrderingFacts(const pfg::Graph& graph, const Dominators& dom) {
+  // Per event variable: its Set nodes and Wait nodes.
+  std::unordered_map<SymbolId, std::vector<NodeId>> setNodes, waitNodes;
+  for (const pfg::Node& n : graph.nodes()) {
+    if (n.kind == pfg::NodeKind::Set)
+      setNodes[n.syncStmt->sync].push_back(n.id);
+    else if (n.kind == pfg::NodeKind::Wait)
+      waitNodes[n.syncStmt->sync].push_back(n.id);
+  }
   // Only events with both a Set and a Wait node can order anything.
   std::vector<std::pair<const std::vector<NodeId>*,
                         const std::vector<NodeId>*>> events;
-  for (const auto& [event, sets] : setNodes_) {
-    auto waitsIt = waitNodes_.find(event);
-    if (waitsIt != waitNodes_.end()) events.push_back({&sets, &waitsIt->second});
+  for (const auto& [event, sets] : setNodes) {
+    auto waitsIt = waitNodes.find(event);
+    if (waitsIt != waitNodes.end()) events.push_back({&sets, &waitsIt->second});
   }
   orderingEvents_ = events.size();
   if (orderingEvents_ == 0) return;
 
-  ordSrc_.assign(n, DynBitset(orderingEvents_));
-  ordDst_.assign(n, DynBitset(orderingEvents_));
+  ordSrc_.assign(graph.size(), DynBitset(orderingEvents_));
+  ordDst_.assign(graph.size(), DynBitset(orderingEvents_));
+  std::vector<NodeId> stack;
   for (std::size_t e = 0; e < events.size(); ++e) {
     // ordSrc: every dominator of a Set(e) node (the idom chain, s
     // included — dominance is reflexive).
     for (NodeId s : *events[e].first) {
-      if (!dom_.reachable(s)) continue;
+      if (!dom.reachable(s)) continue;
       for (NodeId x = s;;) {
         ordSrc_[x.index()].set(e);
-        if (x == dom_.root()) break;
-        x = dom_.idom(x);
+        if (x == dom.root()) break;
+        x = dom.idom(x);
         if (!x.valid()) break;
       }
     }
     // ordDst: every node dominated by a Wait(e) node (its dom subtree).
     for (NodeId w : *events[e].second) {
-      if (!dom_.reachable(w)) continue;
-      std::vector<NodeId> stack{w};
+      if (!dom.reachable(w)) continue;
+      stack.assign(1, w);
       while (!stack.empty()) {
         const NodeId x = stack.back();
         stack.pop_back();
         ordDst_[x.index()].set(e);
-        for (NodeId c : dom_.children(x)) stack.push_back(c);
+        for (NodeId c : dom.children(x)) stack.push_back(c);
       }
     }
   }
 }
 
-const DynBitset& Mhp::reachableFrom(NodeId from) const {
-  auto it = reachCache_.find(from);
-  if (it != reachCache_.end()) return it->second;
-  DynBitset reach(graph_.size());
-  std::vector<NodeId> work;
-  for (NodeId s : graph_.node(from).succs) {
-    if (!reach.test(s.index())) {
-      reach.set(s.index());
-      work.push_back(s);
-    }
+void Mhp::buildBarrierPhases(const pfg::Graph& graph, const Dominators& dom) {
+  // A barrier belongs to the arm of its *innermost* cobegin; one at the
+  // top level has no partners.
+  std::vector<NodeId> barriers;
+  for (const pfg::Node& n : graph.nodes())
+    if (n.kind == pfg::NodeKind::Barrier && !n.threadPath.empty())
+      barriers.push_back(n.id);
+  if (barriers.empty()) return;
+
+  phaseBase_.resize(graph.size());
+  std::size_t levels = 0;
+  for (const pfg::Node& n : graph.nodes()) {
+    phaseBase_[n.id.index()] = static_cast<std::uint32_t>(levels);
+    levels += n.threadPath.size();
   }
-  while (!work.empty()) {
-    const NodeId cur = work.back();
-    work.pop_back();
-    for (NodeId s : graph_.node(cur).succs) {
+  phases_.assign(levels, BarrierPhase{});
+
+  // Count each barrier at its own level in the phases of the nodes of
+  // its arm it dominates and reaches. A cobegin one of whose barriers
+  // sits on a control cycle (inside a loop) may pass it repeatedly; the
+  // phase-counting argument then breaks, so its refinement is disabled.
+  std::set<std::uint32_t> disabled;
+  std::set<std::pair<std::uint32_t, std::uint32_t>> barrierArms;
+  DynBitset reach(graph.size());
+  std::vector<NodeId> work;
+  for (NodeId bar : barriers) {
+    const pfg::ThreadPath& path = graph.node(bar).threadPath;
+    const std::size_t level = path.size() - 1;
+    const pfg::ThreadPathEntry arm = path.back();
+    barrierArms.insert({arm.cobegin.value(), arm.threadIndex});
+    auto inArm = [&](NodeId x) {
+      const pfg::ThreadPath& xp = graph.node(x).threadPath;
+      return xp.size() > level && xp[level] == arm;
+    };
+
+    // Dominated nodes: the barrier's dominator subtree, itself included.
+    if (dom.reachable(bar)) {
+      work.assign(1, bar);
+      while (!work.empty()) {
+        const NodeId x = work.back();
+        work.pop_back();
+        if (inArm(x)) ++phases_[phaseBase_[x.index()] + level].dominating;
+        for (NodeId c : dom.children(x)) work.push_back(c);
+      }
+    }
+
+    // Reached nodes: everything reachable from the barrier's successors.
+    reach.resetAll();
+    work.clear();
+    for (NodeId s : graph.node(bar).succs) {
       if (!reach.test(s.index())) {
         reach.set(s.index());
         work.push_back(s);
       }
     }
+    while (!work.empty()) {
+      const NodeId cur = work.back();
+      work.pop_back();
+      if (inArm(cur)) ++phases_[phaseBase_[cur.index()] + level].reaching;
+      for (NodeId s : graph.node(cur).succs) {
+        if (!reach.test(s.index())) {
+          reach.set(s.index());
+          work.push_back(s);
+        }
+      }
+    }
+    if (reach.test(bar.index())) disabled.insert(arm.cobegin.value());
   }
-  return reachCache_.emplace(from, std::move(reach)).first->second;
+
+  // A pair of sibling arms can be separated when its cobegin's
+  // refinement is enabled and either arm holds a barrier.
+  bool anyBarrierPair = false;
+  for (PairEntry& p : pairs_) {
+    if (!p.concurrent) continue;
+    const std::uint32_t c = p.divergence.cobegin.value();
+    if (disabled.contains(c)) continue;
+    if (!barrierArms.contains({c, p.divergence.armA}) &&
+        !barrierArms.contains({c, p.divergence.armB}))
+      continue;
+    p.refine |= kRefineBarrier;
+    anyBarrierPair = true;
+  }
+  if (!anyBarrierPair) {
+    phaseBase_ = {};
+    phases_ = {};
+  }
 }
 
 bool Mhp::pathsDiverge(const pfg::ThreadPath& pa, const pfg::ThreadPath& pb,
-                       Divergence* d) {
+                       Divergence* d, std::uint32_t* level) {
   const std::size_t common = std::min(pa.size(), pb.size());
   for (std::size_t i = 0; i < common; ++i) {
     if (pa[i].cobegin != pb[i].cobegin) return false;  // unrelated forks
@@ -148,46 +205,12 @@ bool Mhp::pathsDiverge(const pfg::ThreadPath& pa, const pfg::ThreadPath& pb,
       d->cobegin = pa[i].cobegin;
       d->armA = pa[i].threadIndex;
       d->armB = pb[i].threadIndex;
+      *level = static_cast<std::uint32_t>(i);
       return true;
     }
   }
   // One path is a prefix of the other: same thread lineage, sequential.
   return false;
-}
-
-bool Mhp::separatedByBarrier(NodeId a, NodeId b, StmtId cobegin,
-                             std::uint32_t armA, std::uint32_t armB) const {
-  if (barrierDisabled_.contains(cobegin)) return false;
-
-  auto barriersDominating = [&](NodeId n, std::uint32_t arm) {
-    std::size_t count = 0;
-    auto it = armBarriers_.find(ArmKey{cobegin, arm});
-    if (it == armBarriers_.end()) return count;
-    for (NodeId bar : it->second)
-      if (dom_.dominates(bar, n)) ++count;
-    return count;
-  };
-  auto barriersReaching = [&](NodeId n, std::uint32_t arm) {
-    std::size_t count = 0;
-    auto it = armBarriers_.find(ArmKey{cobegin, arm});
-    if (it == armBarriers_.end()) return count;
-    for (NodeId bar : it->second)
-      if (reachableFrom(bar).test(n.index())) ++count;
-    return count;
-  };
-
-  if (barriersDominating(a, armA) > barriersReaching(b, armB)) return true;
-  if (barriersDominating(b, armB) > barriersReaching(a, armA)) return true;
-  return false;
-}
-
-bool Mhp::mayHappenInParallel(NodeId a, NodeId b) const {
-  if (a == b) return false;  // a node does not conflict with itself
-  const std::optional<Divergence> d = divergenceOf(a, b);
-  if (!d) return false;
-  if (orderedBefore(a, b) || orderedBefore(b, a)) return false;
-  if (separatedByBarrier(a, b, d->cobegin, d->armA, d->armB)) return false;
-  return true;
 }
 
 namespace {

@@ -27,18 +27,22 @@
 // barrier inside a loop executes repeatedly, which breaks the "distinct
 // barriers reaching v" counting argument).
 //
-// Query cost: the constructor memoizes everything the hot queries need
-// (docs/PERFORMANCE.md). Thread paths are interned into *contexts* —
-// two nodes with the same (cobegin, arm) stack share one context — and
-// the pairwise divergence of all contexts is tabulated once, making
-// inConcurrentThreads / conflicting / divergenceOf O(1). The set/wait
-// ordering facts are precomputed as per-node bitsets over the ordering
-// events, making orderedBefore one bitset intersection.
+// Query cost: the constructor tabulates everything the queries need
+// (docs/PERFORMANCE.md), so every query is a few array reads that neither
+// hash nor allocate. Thread paths are interned into *contexts* — two
+// nodes with the same (cobegin, arm) stack share one context — and each
+// context pair gets one entry: sequential, concurrent, or concurrent
+// subject to the set/wait and barrier refinements, together with the
+// divergence point and its level in the thread paths. The set/wait
+// ordering facts are per-node bitsets over the ordering events (inline
+// for up to 128 events), making orderedBefore one bitset intersection.
+// The barrier refinement reads per-node phase counts: for every level of
+// a node's thread path, how many barriers of that arm dominate it and
+// how many reach it.
 #pragma once
 
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/analysis/dominance.h"
@@ -53,7 +57,16 @@ class Mhp {
   Mhp(const pfg::Graph& graph, const Dominators& dom);
 
   /// True if the two nodes may execute concurrently.
-  [[nodiscard]] bool mayHappenInParallel(NodeId a, NodeId b) const;
+  [[nodiscard]] bool mayHappenInParallel(NodeId a, NodeId b) const {
+    const PairEntry& p = pairOf(a, b);
+    if (!p.concurrent) return false;
+    if ((p.refine & kRefineOrdering) != 0 &&
+        (orderedBefore(a, b) || orderedBefore(b, a)))
+      return false;
+    if ((p.refine & kRefineBarrier) != 0 && separatedByBarrier(a, b, p.level))
+      return false;
+    return true;
+  }
 
   /// Conflict relation used for Ecf edges and π placement: thread
   /// divergence WITHOUT the set/wait refinement. A definition in a thread
@@ -75,17 +88,10 @@ class Mhp {
   }
 
   /// True if the thread paths of a and b diverge at a common cobegin
-  /// (ignoring set/wait ordering). O(1) via the context table.
+  /// (ignoring set/wait ordering). O(1) via the context-pair table.
   [[nodiscard]] bool inConcurrentThreads(NodeId a, NodeId b) const {
-    return ctxConcurrent_[ctxOf_[a.index()]].test(ctxOf_[b.index()]);
+    return pairOf(a, b).concurrent;
   }
-
-  /// True if a barrier phase separation proves the two nodes (already
-  /// known to be in concurrent arms of `cobegin`) cannot overlap.
-  [[nodiscard]] bool separatedByBarrier(NodeId a, NodeId b,
-                                        StmtId cobegin,
-                                        std::uint32_t armA,
-                                        std::uint32_t armB) const;
 
   /// The MHP justification for a concurrent pair: the cobegin where the
   /// two thread paths diverge and the sibling arms each node runs in.
@@ -100,63 +106,78 @@ class Mhp {
   /// when the nodes share one thread lineage (sequential). O(1).
   [[nodiscard]] std::optional<Divergence> divergenceOf(NodeId a,
                                                        NodeId b) const {
-    const std::uint32_t ca = ctxOf_[a.index()], cb = ctxOf_[b.index()];
-    if (!ctxConcurrent_[ca].test(cb)) return std::nullopt;
-    return ctxDivergence_[ca * contextCount_ + cb];
+    const PairEntry& p = pairOf(a, b);
+    if (!p.concurrent) return std::nullopt;
+    return p.divergence;
   }
 
  private:
-  struct ArmKey {
-    StmtId cobegin;
-    std::uint32_t arm;
-    bool operator==(const ArmKey&) const = default;
-  };
-  struct ArmKeyHash {
-    std::size_t operator()(const ArmKey& k) const {
-      return std::hash<StmtId>{}(k.cobegin) * 31 + k.arm;
-    }
+  // Refinements a concurrent context pair is still subject to.
+  static constexpr std::uint8_t kRefineOrdering = 1;  // set/wait events
+  static constexpr std::uint8_t kRefineBarrier = 2;   // barrier phases
+
+  /// One context pair: whether the paths diverge, where, and which
+  /// refinements can still separate two of its nodes.
+  struct PairEntry {
+    Divergence divergence;
+    std::uint32_t level = 0;  ///< thread-path index of the divergence
+    bool concurrent = false;
+    std::uint8_t refine = 0;
   };
 
-  /// Builds the interned-context divergence tables and the per-node
-  /// set/wait ordering bitsets (called once from the constructor).
-  void buildContextTables();
-  void buildOrderingFacts();
+  /// Barrier phase counts of one node at one level of its thread path,
+  /// over the barriers directly in that level's arm.
+  struct BarrierPhase {
+    std::uint32_t dominating = 0;  ///< barriers that dominate the node
+    std::uint32_t reaching = 0;    ///< barriers the node is reachable from
+  };
+
+  [[nodiscard]] const PairEntry& pairOf(NodeId a, NodeId b) const {
+    return pairs_[std::size_t{ctxOf_[a.index()]} * contextCount_ +
+                  ctxOf_[b.index()]];
+  }
+
+  /// Barrier refinement (see the header comment) for two nodes whose
+  /// thread paths diverge at `level`: u cannot overlap v when more arm
+  /// barriers dominate u than reach v.
+  [[nodiscard]] bool separatedByBarrier(NodeId a, NodeId b,
+                                        std::uint32_t level) const {
+    const BarrierPhase& pa = phases_[phaseBase_[a.index()] + level];
+    const BarrierPhase& pb = phases_[phaseBase_[b.index()] + level];
+    return pa.dominating > pb.reaching || pb.dominating > pa.reaching;
+  }
+
+  /// Builds the interned-context pair table and the per-node set/wait
+  /// ordering bitsets and barrier phase counts (called once from the
+  /// constructor).
+  void buildContextTables(const pfg::Graph& graph);
+  void buildOrderingFacts(const pfg::Graph& graph, const Dominators& dom);
+  void buildBarrierPhases(const pfg::Graph& graph, const Dominators& dom);
 
   /// Reference path walk the tables are built from: finds the first
-  /// divergence point of two thread paths. Returns false when the paths
-  /// share one thread lineage (sequential).
+  /// divergence point of two thread paths and its level. Returns false
+  /// when the paths share one thread lineage (sequential).
   [[nodiscard]] static bool pathsDiverge(const pfg::ThreadPath& pa,
                                          const pfg::ThreadPath& pb,
-                                         Divergence* d);
+                                         Divergence* d, std::uint32_t* level);
 
-  /// Nodes reachable from `from` along control edges (cached).
-  [[nodiscard]] const DynBitset& reachableFrom(NodeId from) const;
-
-  const pfg::Graph& graph_;
-  const Dominators& dom_;
-  // Per event variable: its Set nodes and Wait nodes.
-  std::unordered_map<SymbolId, std::vector<NodeId>> setNodes_;
-  std::unordered_map<SymbolId, std::vector<NodeId>> waitNodes_;
-  // Barrier nodes directly in each cobegin arm.
-  std::unordered_map<ArmKey, std::vector<NodeId>, ArmKeyHash> armBarriers_;
-  // Cobegins whose barrier refinement is disabled (barrier on a cycle).
-  std::unordered_set<StmtId> barrierDisabled_;
-  mutable std::unordered_map<NodeId, DynBitset> reachCache_;
-
-  // --- memoized query tables (immutable after construction) ---
+  // --- query tables (immutable after construction) ---
   // Interned thread contexts: ctxOf_[node] indexes the distinct thread
-  // paths; ctxConcurrent_[ca].test(cb) iff the contexts diverge; the
-  // divergence point for each concurrent context pair is tabulated.
+  // paths; pairs_[ca * contextCount_ + cb] describes the context pair.
   std::uint32_t contextCount_ = 0;
   std::vector<std::uint32_t> ctxOf_;
-  std::vector<DynBitset> ctxConcurrent_;
-  std::vector<Divergence> ctxDivergence_;
+  std::vector<PairEntry> pairs_;
   // Set/wait ordering facts over the `orderingEvents_` events that have
   // both a Set and a Wait node: ordSrc_[n] bit e ⟺ n dominates some
   // Set(e); ordDst_[n] bit e ⟺ some Wait(e) dominates n.
   std::size_t orderingEvents_ = 0;
   std::vector<DynBitset> ordSrc_;
   std::vector<DynBitset> ordDst_;
+  // Barrier phase counts, only built when some context pair carries
+  // kRefineBarrier: node n's thread-path level l is phases_[phaseBase_[n]
+  // + l].
+  std::vector<std::uint32_t> phaseBase_;
+  std::vector<BarrierPhase> phases_;
 };
 
 /// Definition and use sites of shared storage at statement granularity;

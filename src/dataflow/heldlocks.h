@@ -13,14 +13,14 @@
 // re-exports the class under its historical name.
 #pragma once
 
-#include <set>
-
 #include "src/dataflow/framework.h"
 #include "src/support/bitset.h"
 
 namespace cssame::dataflow {
 
-/// The paired may/must lockset lattice solved in one sweep.
+/// The paired may/must lockset lattice solved in one sweep, one bit per
+/// symbol: programs with up to DynBitset::kInlineBits symbols keep both
+/// sets inline, so the solve makes no per-node allocation.
 struct LockPair {
   DynBitset may;   ///< union over paths
   DynBitset must;  ///< intersection over paths
@@ -34,15 +34,7 @@ class HeldLocks {
  public:
   explicit HeldLocks(const pfg::Graph& graph, SolverOptions opts = {});
 
-  /// Locks some path may hold when control *enters* the node.
-  [[nodiscard]] std::set<SymbolId> mayHeldIn(NodeId n) const {
-    return toSet(solver_.inOf(n).may);
-  }
-  /// Locks every path is known to hold when control enters the node.
-  [[nodiscard]] std::set<SymbolId> mustHeldIn(NodeId n) const {
-    return toSet(solver_.inOf(n).must);
-  }
-
+  /// True when some path may hold `lock` as control *enters* the node.
   [[nodiscard]] bool mayHoldOnEntry(NodeId n, SymbolId lock) const {
     return solver_.inOf(n).may.test(lock.index());
   }
@@ -90,8 +82,6 @@ class HeldLocks {
       return out;
     }
   };
-
-  [[nodiscard]] static std::set<SymbolId> toSet(const DynBitset& bits);
 
   const pfg::Graph& graph_;
   DenseSolver<Problem> solver_;

@@ -4,48 +4,59 @@ namespace cssame::opt {
 
 namespace {
 
-void summarizeExpr(const ir::Expr& e, AccessSummary& out) {
+/// Motion constraints of one statement's own accesses.
+struct StmtShape {
+  bool movable = true;
+  bool indirection = false;  ///< see AccessSummary::indirection
+};
+
+/// Calls use(v) for every variable `e` reads by name and records pointer
+/// loads and calls in `shape`.
+template <typename UseFn>
+void visitExpr(const ir::Expr& e, StmtShape& shape, UseFn& use) {
   ir::forEachExpr(e, [&](const ir::Expr& sub) {
-    if (sub.kind == ir::ExprKind::VarRef) out.uses.insert(sub.var);
-    if (sub.kind == ir::ExprKind::Index) out.uses.insert(sub.var);
+    if (sub.kind == ir::ExprKind::VarRef) use(sub.var);
+    if (sub.kind == ir::ExprKind::Index) use(sub.var);
     if (sub.kind == ir::ExprKind::Deref) {
       // The loaded cell is statically uncertain; pin the statement and
       // tell callers their symbol-keyed barriers don't cover it.
-      out.movable = false;
-      out.indirection = true;
+      shape.movable = false;
+      shape.indirection = true;
     }
-    if (sub.kind == ir::ExprKind::Call) out.movable = false;
+    if (sub.kind == ir::ExprKind::Call) shape.movable = false;
   });
 }
 
-}  // namespace
-
-void addStmtAccesses(const ir::Stmt& s, AccessSummary& out) {
+/// Visits one statement's own accesses (no recursion): use(v) for every
+/// variable it reads, def(v) for the one it writes by name.
+template <typename UseFn, typename DefFn>
+StmtShape visitStmtAccesses(const ir::Stmt& s, UseFn&& use, DefFn&& def) {
+  StmtShape shape;
   switch (s.kind) {
     case ir::StmtKind::Assign:
       if (s.lhsKind == ir::LValueKind::Deref) {
         // A pointer store's target cell is statically uncertain.
-        out.movable = false;
-        out.indirection = true;
+        shape.movable = false;
+        shape.indirection = true;
       } else {
-        out.defs.insert(s.lhs);
+        def(s.lhs);
       }
-      if (s.lhsAddr) summarizeExpr(*s.lhsAddr, out);
-      summarizeExpr(*s.expr, out);
+      if (s.lhsAddr) visitExpr(*s.lhsAddr, shape, use);
+      visitExpr(*s.expr, shape, use);
       // Atomic accesses carry TSO ordering; moving one changes which
       // stores are visible to other threads at that point.
-      if (s.atomic) out.movable = false;
+      if (s.atomic) shape.movable = false;
       break;
     case ir::StmtKind::Print:
     case ir::StmtKind::If:
     case ir::StmtKind::While:
-      summarizeExpr(*s.expr, out);
+      visitExpr(*s.expr, shape, use);
       break;
     case ir::StmtKind::Assert:
       // Keep asserts pinned: moving one out of a critical section changes
       // which interleavings it can observe.
-      summarizeExpr(*s.expr, out);
-      out.movable = false;
+      visitExpr(*s.expr, shape, use);
+      shape.movable = false;
       break;
     case ir::StmtKind::CallStmt:
     case ir::StmtKind::Lock:
@@ -55,27 +66,40 @@ void addStmtAccesses(const ir::Stmt& s, AccessSummary& out) {
     case ir::StmtKind::Barrier:
     case ir::StmtKind::Fence:
     case ir::StmtKind::Cobegin:
-      out.movable = false;
+      shape.movable = false;
       break;
   }
+  return shape;
 }
+
+/// True when pred holds for `s` and every statement nested in it; stops
+/// at the first statement it fails on.
+template <typename Pred>
+bool allInSubtree(const ir::Stmt& s, Pred&& pred) {
+  if (!pred(s)) return false;
+  auto all = [&](const ir::StmtList& list) {
+    for (const auto& c : list)
+      if (!allInSubtree(*c, pred)) return false;
+    return true;
+  };
+  if (!all(s.thenBody) || !all(s.elseBody)) return false;
+  for (const auto& t : s.threads)
+    if (!all(t.body)) return false;
+  return true;
+}
+
+}  // namespace
 
 AccessSummary summarizeSubtree(const ir::Stmt& s) {
   AccessSummary out;
-  out.stmts.push_back(&s);
-  addStmtAccesses(s, out);
-  auto rec = [&](const ir::StmtList& list, auto&& self) -> void {
-    for (const auto& c : list) {
-      out.stmts.push_back(c.get());
-      addStmtAccesses(*c, out);
-      self(c->thenBody, self);
-      self(c->elseBody, self);
-      for (const auto& t : c->threads) self(t.body, self);
-    }
-  };
-  rec(s.thenBody, rec);
-  rec(s.elseBody, rec);
-  for (const auto& t : s.threads) rec(t.body, rec);
+  allInSubtree(s, [&](const ir::Stmt& stmt) {
+    const StmtShape shape = visitStmtAccesses(
+        stmt, [&](SymbolId v) { out.uses.insert(v); },
+        [&](SymbolId v) { out.defs.insert(v); });
+    out.movable &= shape.movable;
+    out.indirection |= shape.indirection;
+    return true;
+  });
   return out;
 }
 
@@ -113,23 +137,22 @@ bool LockIndependence::varFreeOfConcurrentAccess(SymbolId v,
 }
 
 bool LockIndependence::isLockIndependent(const ir::Stmt& s) const {
-  const AccessSummary sum = summarizeSubtree(s);
-  if (!sum.movable) return false;
-  for (const ir::Stmt* stmt : sum.stmts) {
-    const NodeId site = comp_.graph().nodeOf(stmt);
-    if (!site.valid()) return false;
-    AccessSummary one;
-    addStmtAccesses(*stmt, one);
-    if (!one.movable) return false;
+  return allInSubtree(s, [&](const ir::Stmt& stmt) {
+    const NodeId site = comp_.graph().nodeOf(&stmt);
+    bool independent = site.valid();
     // Uses need protection from concurrent writes; definitions also from
     // concurrent reads (Theorem 3: a moved write must not become visible
     // to a concurrent reader at a different time).
-    for (SymbolId v : one.uses)
-      if (!varFreeOfConcurrentDefs(v, site)) return false;
-    for (SymbolId v : one.defs)
-      if (!varFreeOfConcurrentAccess(v, site)) return false;
-  }
-  return true;
+    const StmtShape shape = visitStmtAccesses(
+        stmt,
+        [&](SymbolId v) {
+          independent = independent && varFreeOfConcurrentDefs(v, site);
+        },
+        [&](SymbolId v) {
+          independent = independent && varFreeOfConcurrentAccess(v, site);
+        });
+    return independent && shape.movable;
+  });
 }
 
 bool LockIndependence::isExprLockIndependent(const ir::Expr& e,

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <unordered_set>
-#include <vector>
 
 #include "src/driver/pipeline.h"
 
@@ -26,13 +25,9 @@ struct AccessSummary {
   /// prove motion past it safe — callers treat such a statement as a
   /// hard barrier (and `movable` is false as well).
   bool indirection = false;
-  std::vector<const ir::Stmt*> stmts;  ///< contained statements
 };
 
 [[nodiscard]] AccessSummary summarizeSubtree(const ir::Stmt& s);
-
-/// Adds one statement's own accesses (no recursion) to `out`.
-void addStmtAccesses(const ir::Stmt& s, AccessSummary& out);
 
 [[nodiscard]] bool setsIntersect(const VarSet& a, const VarSet& b);
 
@@ -44,6 +39,8 @@ class LockIndependence {
       : comp_(comp), sites_(comp.sites()) {}
 
   /// Definition 5 for a whole statement subtree located via nodeOf().
+  /// Walks the subtree and asks the MHP tables about each access in
+  /// place; it builds no summary sets.
   [[nodiscard]] bool isLockIndependent(const ir::Stmt& s) const;
 
   /// A single variable observed at `site`: true when no concurrent

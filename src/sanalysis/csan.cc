@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/opt/lock_independence.h"
 #include "src/sanalysis/lockset.h"
+#include "src/support/bitset.h"
 
 namespace cssame::sanalysis {
 
@@ -221,15 +221,15 @@ class Csan {
   void checkInconsistentLocking() {
     // Variables with some conflict edge that may happen in parallel, in
     // one pass over the edges.
-    std::unordered_set<SymbolId> concurrent;
+    DynBitset concurrent(syms_.size());
     for (const pfg::ConflictEdge& e : graph_.conflicts)
-      if (!concurrent.contains(e.var) &&
+      if (!concurrent.test(e.var.index()) &&
           comp_.mhp().mayHappenInParallel(e.from, e.to))
-        concurrent.insert(e.var);
+        concurrent.set(e.var.index());
 
     const analysis::AccessSites& sites = comp_.sites();
     for (const auto& [var, defs] : sites.defs) {
-      if (defs.size() < 2 || !concurrent.contains(var)) continue;
+      if (defs.size() < 2 || !concurrent.test(var.index())) continue;
 
       std::vector<std::set<SymbolId>> locksets;
       locksets.reserve(defs.size());

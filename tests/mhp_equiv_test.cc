@@ -6,7 +6,7 @@
 // verbatim transcription of the pre-memoization code serves as the
 // reference, and >= 100 generated workloads — random programs with and
 // without events, lock-structured sweeps, the bank workload, the paper
-// figures, and hand-written barrier programs — are checked for
+// figures, hand-written and generated barrier programs — are checked for
 //
 //   * exact equality of every pairwise query (inConcurrentThreads,
 //     orderedBefore, mayHappenInParallel, conflicting, divergenceOf),
@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -117,6 +118,21 @@ class RefMhp {
     if (orderedBefore(a, b) || orderedBefore(b, a)) return false;
     if (separatedByBarrier(a, b, cobegin, armA, armB)) return false;
     return true;
+  }
+
+  /// Coverage probe: a concurrent pair that only the barrier refinement
+  /// keeps apart (set/wait orders it in neither direction).
+  [[nodiscard]] bool separatedOnlyByBarrier(NodeId a, NodeId b) const {
+    StmtId cobegin;
+    std::uint32_t armA = 0, armB = 0;
+    if (a == b || !divergence(a, b, &cobegin, &armA, &armB)) return false;
+    if (orderedBefore(a, b) || orderedBefore(b, a)) return false;
+    return separatedByBarrier(a, b, cobegin, armA, armB);
+  }
+
+  /// Coverage probe: cobegins whose barrier refinement is disabled.
+  [[nodiscard]] std::size_t disabledCobegins() const {
+    return barrierDisabled_.size();
   }
 
  private:
@@ -300,15 +316,39 @@ ConflictKey keyOf(const pfg::ConflictEdge& e) {
   return {e.from.value(), e.to.value(), e.var.value(), e.toIsDef};
 }
 
+/// What a sweep exercised, for non-vacuity floors.
+struct Coverage {
+  std::size_t concurrentPairs = 0;   ///< thread paths diverge
+  std::size_t barrierOnlyPairs = 0;  ///< separated only by a barrier
+  std::size_t orderedPairs = 0;      ///< separated by set/wait
+  std::size_t disabledCobegins = 0;  ///< barrier refinement switched off
+};
+
 /// Builds the PFG for `prog`, runs both the production fast path and the
 /// reference, and asserts exact agreement on every query and edge list.
-void checkEquivalence(ir::Program prog, const std::string& label) {
+/// Adds what the program exercised to `coverage` when given.
+void checkEquivalence(ir::Program prog, const std::string& label,
+                      Coverage* coverage = nullptr) {
   SCOPED_TRACE(label);
   pfg::Graph graph = pfg::buildPfg(prog);
   const Dominators dom(graph, Dominators::Direction::Forward);
 
   const Mhp mhp(graph, dom);
   const RefMhp ref(graph, dom);
+
+  if (coverage != nullptr) {
+    coverage->disabledCobegins += ref.disabledCobegins();
+    for (const pfg::Node& a : graph.nodes()) {
+      for (const pfg::Node& b : graph.nodes()) {
+        if (!ref.conflicting(a.id, b.id)) continue;
+        ++coverage->concurrentPairs;
+        if (ref.orderedBefore(a.id, b.id) || ref.orderedBefore(b.id, a.id))
+          ++coverage->orderedPairs;
+        if (ref.separatedOnlyByBarrier(a.id, b.id))
+          ++coverage->barrierOnlyPairs;
+      }
+    }
+  }
 
   // All-pairs query agreement.
   for (const pfg::Node& a : graph.nodes()) {
@@ -465,6 +505,152 @@ TEST(MhpEquivalence, BarrierPrograms) {
     }
   )"),
                    "conditional barrier");
+}
+
+// ---------------------------------------------------------------------------
+// Generated barrier programs
+// ---------------------------------------------------------------------------
+
+/// The shape variants of the generated barrier sweep.
+enum class BarrierVariant {
+  Plain,   ///< straight-line arms, one barrier between phases
+  Nested,  ///< the last arm runs an inner cobegin with barriers of its own
+  Loop,    ///< one barrier inside a while loop (refinement disabled)
+  Branch,  ///< one barrier under an if
+  Events,  ///< set/wait pairs across arms next to the barriers
+  /// A one-arm cobegin with a barrier runs first: its barrier dominates
+  /// every later node, none of which is in its arm.
+  Sequence,
+};
+
+constexpr BarrierVariant kBarrierVariants[] = {
+    BarrierVariant::Plain,  BarrierVariant::Nested, BarrierVariant::Loop,
+    BarrierVariant::Branch, BarrierVariant::Events, BarrierVariant::Sequence};
+
+const char* variantName(BarrierVariant v) {
+  switch (v) {
+    case BarrierVariant::Plain: return "plain";
+    case BarrierVariant::Nested: return "nested";
+    case BarrierVariant::Loop: return "loop";
+    case BarrierVariant::Branch: return "branch";
+    case BarrierVariant::Events: return "events";
+    case BarrierVariant::Sequence: return "sequence";
+  }
+  return "?";
+}
+
+/// Source of one barrier program: `arms` threads, each running `phases`
+/// phases of 1–2 random shared updates separated by barriers, shaped by
+/// `variant`; statement choices come from `seed`. One random arm runs
+/// fewer phases, so sibling arms can differ in their barrier counts down
+/// to none at all.
+std::string barrierProgram(int arms, int phases, BarrierVariant variant,
+                           std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  const char* vars[] = {"a", "b", "c"};
+  auto updates = [&](const std::string& indent) {
+    std::string out;
+    for (int s = 0, n = 1 + pick(2); s < n; ++s) {
+      const char* v = vars[pick(3)];
+      out += indent + v + " = " + vars[pick(3)] + " + " +
+             std::to_string(1 + pick(9)) + ";\n";
+    }
+    return out;
+  };
+  // The arm and the phase boundary that the Loop / Branch / Events
+  // variants decorate.
+  const int special = pick(arms);
+  const int specialPhase = phases > 1 ? pick(phases - 1) : -1;
+  const int shortArm = pick(arms);
+  const int shortPhases = 1 + pick(phases);
+
+  std::string src = "int a; int b; int c; int i; event e;\n";
+  if (variant == BarrierVariant::Sequence)
+    src += "cobegin {\n  thread {\n" + updates("    ") + "    barrier;\n" +
+           updates("    ") + "  }\n}\n";
+  src += "cobegin {\n";
+  for (int t = 0; t < arms; ++t) {
+    src += "  thread {\n";
+    const bool nestedArm = variant == BarrierVariant::Nested && t == arms - 1;
+    if (nestedArm) {
+      // An inner cobegin whose barriers rendezvous its own two arms only.
+      src += updates("    ");
+      src += "    cobegin {\n";
+      for (int inner = 0; inner < 2; ++inner) {
+        src += "      thread {\n";
+        for (int p = 0; p < phases; ++p) {
+          src += updates("        ");
+          if (p + 1 < phases) src += "        barrier;\n";
+        }
+        src += "      }\n";
+      }
+      src += "    }\n";
+    }
+    const int armPhases = t == shortArm ? shortPhases : phases;
+    for (int p = 0; p < armPhases; ++p) {
+      src += updates("    ");
+      if (variant == BarrierVariant::Events && p == specialPhase) {
+        if (t == special) src += "    set(e);\n";
+        if (t == (special + 1) % arms) src += "    wait(e);\n";
+      }
+      if (p + 1 == armPhases) continue;
+      const bool decorated = t == special && p == specialPhase;
+      if (decorated && variant == BarrierVariant::Loop) {
+        src += "    i = 0;\n    while (i < 2) { barrier; i = i + 1; }\n";
+      } else if (decorated && variant == BarrierVariant::Branch) {
+        src += "    if (a > 0) { barrier; }\n";
+      } else {
+        src += "    barrier;\n";
+      }
+    }
+    src += "  }\n";
+  }
+  src += "}\nprint(a);\n";
+  return src;
+}
+
+TEST(MhpEquivalence, GeneratedBarrierSweep) {
+  // 1–4 phases x 2–4 arms x every variant, two seeds each: 144 programs.
+  // The hand-written programs above cover six shapes; this sweep holds
+  // the barrier phase tables to the reference across all combinations.
+  Coverage total;
+  std::size_t loopPrograms = 0;
+  std::uint64_t seed = 1;
+  for (BarrierVariant variant : kBarrierVariants) {
+    for (int arms = 2; arms <= 4; ++arms) {
+      for (int phases = 1; phases <= 4; ++phases) {
+        for (int rep = 0; rep < 2; ++rep, ++seed) {
+          const std::string src = barrierProgram(arms, phases, variant, seed);
+          const std::string label = std::string(variantName(variant)) +
+                                    " arms=" + std::to_string(arms) +
+                                    " phases=" + std::to_string(phases) +
+                                    " seed=" + std::to_string(seed) + "\n" +
+                                    src;
+          Coverage one;
+          checkEquivalence(parser::parseOrDie(src), label, &one);
+          if (HasFatalFailure()) return;
+          if (src.find("while") != std::string::npos) {
+            ++loopPrograms;
+            EXPECT_EQ(one.disabledCobegins, 1u) << label;
+          }
+          total.concurrentPairs += one.concurrentPairs;
+          total.barrierOnlyPairs += one.barrierOnlyPairs;
+          total.orderedPairs += one.orderedPairs;
+          total.disabledCobegins += one.disabledCobegins;
+        }
+      }
+    }
+  }
+  // Non-vacuity: the sweep must reach both refinements and the disabled
+  // escape hatch, not just the plain divergence table.
+  EXPECT_GT(total.concurrentPairs, 10000u);
+  EXPECT_GT(total.barrierOnlyPairs, 1000u);
+  EXPECT_GT(total.orderedPairs, 0u);
+  EXPECT_GT(loopPrograms, 0u);
+  EXPECT_GE(total.disabledCobegins, loopPrograms);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // diagnostics, the thread pool and the sharded visited set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -119,6 +121,158 @@ TEST(Bitset, ResizeKeepsBits) {
   b.resize(200);
   EXPECT_TRUE(b.test(9));
   EXPECT_EQ(b.count(), 1u);
+}
+
+// Sizes on both sides of every word boundary and of the inline/heap
+// boundary (DynBitset::kInlineBits = 128).
+constexpr std::size_t kBoundarySizes[] = {0, 1, 63, 64, 65, 127, 128, 129, 200};
+
+/// A bitset of `n` bits with every third bit and the last bit set.
+DynBitset patterned(std::size_t n) {
+  DynBitset b(n);
+  for (std::size_t i = 0; i < n; i += 3) b.set(i);
+  if (n > 0) b.set(n - 1);
+  return b;
+}
+
+std::vector<std::size_t> bitsOf(const DynBitset& b) {
+  std::vector<std::size_t> out;
+  b.forEach([&](std::size_t i) { out.push_back(i); });
+  return out;
+}
+
+TEST(Bitset, BoundarySetAllCountForEach) {
+  static_assert(DynBitset::kInlineBits == 128);
+  for (std::size_t n : kBoundarySizes) {
+    SCOPED_TRACE(n);
+    DynBitset b(n);
+    EXPECT_EQ(b.size(), n);
+    EXPECT_TRUE(b.none());
+    b.setAll();
+    EXPECT_EQ(b.count(), n);
+    EXPECT_EQ(b.any(), n > 0);
+    std::vector<std::size_t> all(n);
+    for (std::size_t i = 0; i < n; ++i) all[i] = i;
+    EXPECT_EQ(bitsOf(b), all);
+    b.resetAll();
+    EXPECT_EQ(b.count(), 0u);
+    EXPECT_TRUE(bitsOf(b).empty());
+
+    const DynBitset p = patterned(n);
+    std::vector<std::size_t> expect;
+    for (std::size_t i = 0; i < n; ++i)
+      if (i % 3 == 0 || i + 1 == n) expect.push_back(i);
+    EXPECT_EQ(bitsOf(p), expect);
+    EXPECT_EQ(p.count(), expect.size());
+  }
+}
+
+TEST(Bitset, BoundaryResizeBothWays) {
+  for (std::size_t from : kBoundarySizes) {
+    for (std::size_t to : kBoundarySizes) {
+      SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(to));
+      DynBitset b = patterned(from);
+      b.setAll();
+      b.resize(to);
+      EXPECT_EQ(b.size(), to);
+      // Bits below min(from, to) are kept; new bits start clear, and no
+      // slack bit past `to` survives a shrink.
+      EXPECT_EQ(b.count(), std::min(from, to));
+      for (std::size_t i = 0; i < to; ++i) EXPECT_EQ(b.test(i), i < from);
+      // Growing back exposes no stale bit either.
+      b.resize(200);
+      EXPECT_EQ(b.count(), std::min(from, to));
+      b.setAll();
+      EXPECT_EQ(b.count(), 200u);
+    }
+  }
+}
+
+TEST(Bitset, BoundaryCopyMoveAssign) {
+  for (std::size_t from : kBoundarySizes) {
+    for (std::size_t to : kBoundarySizes) {
+      SCOPED_TRACE(std::to_string(from) + " into " + std::to_string(to));
+      const DynBitset src = patterned(from);
+
+      DynBitset copied(src);
+      EXPECT_EQ(copied, src);
+
+      DynBitset assigned = patterned(to);
+      assigned = src;
+      EXPECT_EQ(assigned, src);
+      EXPECT_EQ(bitsOf(assigned), bitsOf(src));
+
+      DynBitset moveSource = src;
+      DynBitset moved(std::move(moveSource));
+      EXPECT_EQ(moved, src);
+
+      DynBitset moveAssigned = patterned(to);
+      DynBitset moveSource2 = src;
+      moveAssigned = std::move(moveSource2);
+      EXPECT_EQ(moveAssigned, src);
+
+      // A moved-from bitset is empty and reusable.
+      EXPECT_EQ(moveSource.size(), 0u);
+      moveSource = patterned(to);
+      EXPECT_EQ(moveSource, patterned(to));
+
+      // Copies are independent of their source.
+      if (from > 0) {
+        copied.reset(0);
+        EXPECT_TRUE(src.test(0));
+      }
+    }
+  }
+  DynBitset self = patterned(200);
+  const DynBitset& alias = self;
+  self = alias;
+  EXPECT_EQ(self, patterned(200));
+}
+
+TEST(Bitset, BoundaryEqualityAcrossStorage) {
+  for (std::size_t a : kBoundarySizes) {
+    for (std::size_t b : kBoundarySizes) {
+      SCOPED_TRACE(std::to_string(a) + " vs " + std::to_string(b));
+      // Equal only when the sizes match, whichever storage each uses.
+      EXPECT_EQ(DynBitset(a) == DynBitset(b), a == b);
+      EXPECT_EQ(patterned(a) == patterned(b), a == b);
+    }
+  }
+  // The same bits reached by shrinking a heap set into inline storage
+  // and by building inline directly compare equal.
+  for (std::size_t n : {std::size_t{1}, std::size_t{64}, std::size_t{127},
+                        std::size_t{128}}) {
+    DynBitset shrunk = patterned(200);
+    shrunk.resize(n);
+    DynBitset direct(n);
+    for (std::size_t i = 0; i < n; i += 3) direct.set(i);
+    EXPECT_EQ(shrunk, direct) << n;
+    DynBitset grown = direct;
+    grown.resize(129);
+    DynBitset heap(129);
+    for (std::size_t i = 0; i < n; i += 3) heap.set(i);
+    EXPECT_EQ(grown, heap) << n;
+  }
+}
+
+TEST(Bitset, BoundarySetAlgebra) {
+  for (std::size_t n : kBoundarySizes) {
+    SCOPED_TRACE(n);
+    DynBitset all(n);
+    all.setAll();
+    DynBitset p = patterned(n);
+    DynBitset u = p;
+    EXPECT_EQ(u.unionWith(all), p.count() != n);
+    EXPECT_EQ(u, all);
+    DynBitset i = all;
+    i.intersectWith(p);
+    EXPECT_EQ(i, p);
+    EXPECT_EQ(p.intersects(all), n > 0);
+    DynBitset d = all;
+    d.subtract(p);
+    EXPECT_EQ(d.count(), n - p.count());
+    EXPECT_FALSE(d.intersects(p));
+  }
 }
 
 TEST(Diag, CollectsInOrder) {
