@@ -24,11 +24,12 @@
 //      bits) exactly equal — both are hard failures.
 //   5. Lock regions: a doubling series of the 3-thread
 //      `lock(L); x = x + c; unlock(L); lock(M); z = z + 1; unlock(M);`
-//      shape, timing the mutex-structure phase, the CSSAME rewrite and
-//      csan. Conflict edges grow 4x per doubling of the region count, so
-//      the rewrite and csan, which visit each edge a bounded number of
-//      times, may grow up to 5x per doubling; the mutex phase, linear in
-//      the program, at most 2.5x. Growth per doubling is taken over the
+//      shape, timing parseChecked of the source, the mutex-structure
+//      phase, the CSSAME rewrite and csan. Conflict edges grow 4x per
+//      doubling of the region count, so the rewrite and csan, which
+//      visit each edge a bounded number of times, may grow up to 5x per
+//      doubling; the parse and the mutex phase, linear in the program,
+//      at most 2.5x. Growth per doubling is taken over the
 //      whole series, (t_last / t_first)^(1 / doublings), which damps one
 //      noisy point; the all-candidates construction grew 12-14x per
 //      doubling, so a super-linear phase fails the run on any machine.
@@ -536,6 +537,7 @@ DporScale runDporScale(support::MemoryModel model) {
 // ---------------------------------------------------------------------------
 
 constexpr double kMutexGrowthBound = 2.5;
+constexpr double kParseGrowthBound = 2.5;
 constexpr double kRewriteGrowthBound = 5.0;
 constexpr double kCsanGrowthBound = 5.0;
 
@@ -544,6 +546,7 @@ struct LockRegionPoint {
   std::size_t nodes = 0;
   std::size_t conflictEdges = 0;
   std::size_t bodies = 0;
+  double parseSeconds = 1e30;
   double mutexSeconds = 1e30;
   double rewriteSeconds = 1e30;
   double csanSeconds = 1e30;
@@ -563,9 +566,10 @@ int callsPerSample(double secondsPerCall) {
   return std::max(1, static_cast<int>(2e-3 / std::max(secondsPerCall, 1e-7)));
 }
 
-/// One region count, analyzed once. Each measure() call times the
-/// phases alone on the finished compilation with warm caches, so the
-/// series shows each phase's own growth: the MutexStructures
+/// One region count, analyzed once. Each measure() call times
+/// parseChecked of the source, then the phases alone on the finished
+/// compilation with warm caches, so the series shows each phase's own
+/// growth: the MutexStructures
 /// construction (with its Section 6 warnings), cssa::rewritePiTerms on
 /// fresh copies of the unrewritten CSSA form, sanalysis::runCsan, a
 /// mayHappenInParallel sweep over the Ecf edges and the held-locks solve.
@@ -573,7 +577,8 @@ int callsPerSample(double secondsPerCall) {
 class LockRegionCase {
  public:
   explicit LockRegionCase(int regions)
-      : prog_(parser::parseOrDie(workload::lockRegionSource(3, regions))),
+      : source_(workload::lockRegionSource(3, regions)),
+        prog_(parser::parseOrDie(source_)),
         comp_(driver::analyze(prog_)),
         cssa_(ssa::buildSequentialSsa(comp_.graph(), comp_.dom())) {
     (void)comp_.heldLocks();  // csan's lazy dataflow solve is not csan's
@@ -594,6 +599,10 @@ class LockRegionCase {
 
   void measure() {
     const pfg::Graph& graph = comp_.graph();
+    burst(point_.parseSeconds, parseCalls_, [&] {
+      const parser::ParseResult parsed = parser::parseChecked(source_);
+      benchmark::DoNotOptimize(parsed.program.size());
+    });
     burst(point_.mutexSeconds, mutexCalls_, [&] {
       DiagEngine diag;
       const mutex::MutexStructures structures(graph, comp_.dom(),
@@ -641,12 +650,13 @@ class LockRegionCase {
     calls = callsPerSample(perCall);
   }
 
+  std::string source_;
   ir::Program prog_;
   driver::Compilation comp_;
   ssa::SsaForm cssa_;
   std::vector<ssa::SsaForm> forms_;
-  int mutexCalls_ = 1, rewriteCalls_ = 1, csanCalls_ = 1, mhpCalls_ = 1,
-      heldLocksCalls_ = 1;
+  int parseCalls_ = 1, mutexCalls_ = 1, rewriteCalls_ = 1, csanCalls_ = 1,
+      mhpCalls_ = 1, heldLocksCalls_ = 1;
   LockRegionPoint point_;
 };
 
@@ -661,6 +671,9 @@ struct LockRegionScale {
     return std::pow(points.back().*field / points.front().*field,
                     1.0 / steps);
   }
+  [[nodiscard]] double parseGrowth() const {
+    return growth(&LockRegionPoint::parseSeconds);
+  }
   [[nodiscard]] double mutexGrowth() const {
     return growth(&LockRegionPoint::mutexSeconds);
   }
@@ -671,7 +684,8 @@ struct LockRegionScale {
     return growth(&LockRegionPoint::csanSeconds);
   }
   [[nodiscard]] bool withinBounds() const {
-    return mutexGrowth() <= kMutexGrowthBound &&
+    return parseGrowth() <= kParseGrowthBound &&
+           mutexGrowth() <= kMutexGrowthBound &&
            rewriteGrowth() <= kRewriteGrowthBound &&
            csanGrowth() <= kCsanGrowthBound;
   }
@@ -785,6 +799,7 @@ void writeJson(const ConflictScale& c, const ExplorerScale& e,
       << "    \"workload\": \"3 threads x k x lock(L); x = x + c; unlock(L); "
          "lock(M); z = z + 1; unlock(M)\",\n"
       << "    \"hardware_threads\": " << hw << ",\n"
+      << "    \"growth_bound_parse\": " << kParseGrowthBound << ",\n"
       << "    \"growth_bound_mutex\": " << kMutexGrowthBound << ",\n"
       << "    \"growth_bound_rewrite\": " << kRewriteGrowthBound << ",\n"
       << "    \"growth_bound_csan\": " << kCsanGrowthBound << ",\n"
@@ -794,6 +809,7 @@ void writeJson(const ConflictScale& c, const ExplorerScale& e,
     out << "      {\"k\": " << p.regions << ", \"pfg_nodes\": " << p.nodes
         << ", \"conflict_edges\": " << p.conflictEdges
         << ", \"mutex_bodies\": " << p.bodies
+        << ", \"parse_ms\": " << p.parseSeconds * 1e3
         << ", \"mutex_seconds\": " << p.mutexSeconds
         << ", \"rewrite_seconds\": " << p.rewriteSeconds
         << ", \"csan_seconds\": " << p.csanSeconds
@@ -802,6 +818,7 @@ void writeJson(const ConflictScale& c, const ExplorerScale& e,
         << (i + 1 < lr.points.size() ? ",\n" : "\n");
   }
   out << "    ],\n"
+      << "    \"growth_x2_parse\": " << lr.parseGrowth() << ",\n"
       << "    \"growth_x2_mutex\": " << lr.mutexGrowth() << ",\n"
       << "    \"growth_x2_rewrite\": " << lr.rewriteGrowth() << ",\n"
       << "    \"growth_x2_csan\": " << lr.csanGrowth() << ",\n"
@@ -864,8 +881,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(dtso.peakFrontierFull),
                 static_cast<unsigned long long>(dtso.peakFrontierDpor));
   tableRowStr("  TSO peak frontier bytes", "(reported)", buf, true);
+  std::snprintf(buf, sizeof buf, "%.2fx", lr.parseGrowth());
+  tableRowStr("lock regions: parse growth per doubling", "<= 2.5x", buf,
+              lr.parseGrowth() <= kParseGrowthBound);
   std::snprintf(buf, sizeof buf, "%.2fx", lr.mutexGrowth());
-  tableRowStr("lock regions: mutex growth per doubling", "<= 2.5x", buf,
+  tableRowStr("  mutex growth per doubling", "<= 2.5x", buf,
               lr.mutexGrowth() <= kMutexGrowthBound);
   std::snprintf(buf, sizeof buf, "%.2fx", lr.rewriteGrowth());
   tableRowStr("  cssame-rewrite growth per doubling", "<= 5x", buf,
@@ -876,10 +896,11 @@ int main(int argc, char** argv) {
   tableRow("  MHP per Ecf pair identical to reference", "1",
            lr.mhpIdentical(), lr.mhpIdentical());
   for (const LockRegionPoint& p : lr.points) {
-    std::snprintf(buf, sizeof buf, "%.2f ns, %.3f ms", p.mhpNsPerQuery(),
+    std::snprintf(buf, sizeof buf, "%.3f ms, %.2f ns, %.3f ms",
+                  p.parseSeconds * 1e3, p.mhpNsPerQuery(),
                   p.heldLocksSeconds * 1e3);
     tableRowStr(("  k=" + std::to_string(p.regions) +
-                 ": MHP query, held-locks solve")
+                 ": parse, MHP query, held-locks solve")
                     .c_str(),
                 "(reported)", buf, true);
   }

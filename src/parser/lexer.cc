@@ -1,8 +1,9 @@
 #include "src/parser/lexer.h"
 
-#include <cctype>
+#include <array>
+#include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <string>
 
 namespace cssame::parser {
 
@@ -59,143 +60,192 @@ const char* tokKindName(TokKind k) {
 
 namespace {
 
-const std::unordered_map<std::string_view, TokKind>& keywords() {
-  static const std::unordered_map<std::string_view, TokKind> kw = {
-      {"int", TokKind::KwInt},         {"lock", TokKind::KwLock},
-      {"event", TokKind::KwEvent},     {"if", TokKind::KwIf},
-      {"else", TokKind::KwElse},       {"while", TokKind::KwWhile},
-      {"cobegin", TokKind::KwCobegin}, {"thread", TokKind::KwThread},
-      {"unlock", TokKind::KwUnlock},   {"set", TokKind::KwSet},
-      {"wait", TokKind::KwWait},       {"print", TokKind::KwPrint},
-      {"barrier", TokKind::KwBarrier}, {"doall", TokKind::KwDoall},
-      {"assert", TokKind::KwAssert},   {"fence", TokKind::KwFence},
-      {"atomic_load", TokKind::KwAtomicLoad},
-      {"atomic_store", TokKind::KwAtomicStore},
-  };
-  return kw;
+/// Byte classes of the C locale, by table: the language is ASCII, and
+/// std::isspace and friends are out-of-line, locale-dependent calls.
+enum : std::uint8_t { kSpace = 1, kDigit = 2, kIdentStart = 4, kIdentRest = 8 };
+
+constexpr std::array<std::uint8_t, 256> kByteClass = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'}) t[c] = kSpace;
+  for (int c = '0'; c <= '9'; ++c) t[c] = kDigit | kIdentRest;
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = kIdentStart | kIdentRest;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kIdentStart | kIdentRest;
+  t['_'] = kIdentStart | kIdentRest;
+  return t;
+}();
+
+[[nodiscard]] std::uint8_t byteClass(char c) {
+  return kByteClass[static_cast<unsigned char>(c)];
+}
+
+/// Keyword kind of a word, or Ident.
+[[nodiscard]] TokKind classifyWord(std::string_view w) {
+  switch (w.front()) {
+    case 'a':
+      if (w == "assert") return TokKind::KwAssert;
+      if (w == "atomic_load") return TokKind::KwAtomicLoad;
+      if (w == "atomic_store") return TokKind::KwAtomicStore;
+      break;
+    case 'b':
+      if (w == "barrier") return TokKind::KwBarrier;
+      break;
+    case 'c':
+      if (w == "cobegin") return TokKind::KwCobegin;
+      break;
+    case 'd':
+      if (w == "doall") return TokKind::KwDoall;
+      break;
+    case 'e':
+      if (w == "else") return TokKind::KwElse;
+      if (w == "event") return TokKind::KwEvent;
+      break;
+    case 'f':
+      if (w == "fence") return TokKind::KwFence;
+      break;
+    case 'i':
+      if (w == "if") return TokKind::KwIf;
+      if (w == "int") return TokKind::KwInt;
+      break;
+    case 'l':
+      if (w == "lock") return TokKind::KwLock;
+      break;
+    case 'p':
+      if (w == "print") return TokKind::KwPrint;
+      break;
+    case 's':
+      if (w == "set") return TokKind::KwSet;
+      break;
+    case 't':
+      if (w == "thread") return TokKind::KwThread;
+      break;
+    case 'u':
+      if (w == "unlock") return TokKind::KwUnlock;
+      break;
+    case 'w':
+      if (w == "wait") return TokKind::KwWait;
+      if (w == "while") return TokKind::KwWhile;
+      break;
+  }
+  return TokKind::Ident;
 }
 
 }  // namespace
 
 LexResult lex(std::string_view src) {
   LexResult result;
-  std::uint32_t line = 1, col = 1;
+  const std::size_t n = src.size();
   std::size_t i = 0;
+  // The column is the distance from the start of the current line, so
+  // only a newline has to update position state.
+  std::uint32_t line = 1;
+  std::size_t lineStart = 0;
 
-  auto loc = [&]() { return SourceLoc{line, col}; };
-  auto advance = [&](std::size_t n = 1) {
-    for (std::size_t k = 0; k < n && i < src.size(); ++k) {
-      if (src[i] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-      ++i;
-    }
+  auto loc = [&]() {
+    return SourceLoc{line, static_cast<std::uint32_t>(i - lineStart + 1)};
+  };
+  auto newlineAt = [&](std::size_t at) {
+    ++line;
+    lineStart = at + 1;
   };
   auto peek = [&](std::size_t off = 0) -> char {
-    return i + off < src.size() ? src[i + off] : '\0';
+    return i + off < n ? src[i + off] : '\0';
   };
-  auto push = [&](TokKind kind, SourceLoc l, std::string text = {},
-                  long long v = 0) {
-    result.tokens.push_back(Token{kind, std::move(text), v, l});
+  auto push = [&](TokKind kind, SourceLoc l, std::size_t len) {
+    result.tokens.push_back(Token{kind, {}, 0, l});
+    i += len;
   };
 
-  while (i < src.size()) {
-    const char c = peek();
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      advance();
+  while (i < n) {
+    const char c = src[i];
+    const std::uint8_t cls = byteClass(c);
+    if (cls & kSpace) {
+      if (c == '\n') newlineAt(i);
+      ++i;
       continue;
     }
     // Comments: // line and /* block */.
     if (c == '/' && peek(1) == '/') {
-      while (i < src.size() && peek() != '\n') advance();
+      while (i < n && src[i] != '\n') ++i;
       continue;
     }
     if (c == '/' && peek(1) == '*') {
       const SourceLoc start = loc();
-      advance(2);
-      while (i < src.size() && !(peek() == '*' && peek(1) == '/')) advance();
-      if (i >= src.size())
+      i += 2;
+      while (i < n && !(src[i] == '*' && peek(1) == '/')) {
+        if (src[i] == '\n') newlineAt(i);
+        ++i;
+      }
+      if (i >= n)
         result.errors.emplace_back(start, "unterminated block comment");
       else
-        advance(2);
+        i += 2;
       continue;
     }
     const SourceLoc l = loc();
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::size_t start = i;
-      while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-        advance();
-      std::string_view word = src.substr(start, i - start);
-      auto it = keywords().find(word);
-      if (it != keywords().end())
-        push(it->second, l);
-      else
-        push(TokKind::Ident, l, std::string(word));
+    if (cls & kIdentStart) {
+      const std::size_t start = i;
+      while (i < n && (byteClass(src[i]) & kIdentRest)) ++i;
+      const std::string_view word = src.substr(start, i - start);
+      const TokKind kind = classifyWord(word);
+      result.tokens.push_back(
+          Token{kind, kind == TokKind::Ident ? word : std::string_view{}, 0,
+                l});
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (cls & kDigit) {
       long long v = 0;
       bool overflow = false;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) {
-        const long long digit = peek() - '0';
+      while (i < n && (byteClass(src[i]) & kDigit)) {
+        const long long digit = src[i] - '0';
         if (v > (std::numeric_limits<long long>::max() - digit) / 10)
           overflow = true;
         else
           v = v * 10 + digit;
-        advance();
+        ++i;
       }
       if (overflow) result.errors.emplace_back(l, "integer literal overflow");
-      push(TokKind::IntLit, l, {}, v);
+      result.tokens.push_back(Token{TokKind::IntLit, {}, v, l});
       continue;
     }
+    // One- and two-byte operators; `second` is the kind when the next
+    // byte is `next`.
+    auto pair = [&](char next, TokKind second, TokKind first) {
+      if (peek(1) == next)
+        push(second, l, 2);
+      else
+        push(first, l, 1);
+    };
     switch (c) {
-      case '(': push(TokKind::LParen, l); advance(); break;
-      case ')': push(TokKind::RParen, l); advance(); break;
-      case '{': push(TokKind::LBrace, l); advance(); break;
-      case '}': push(TokKind::RBrace, l); advance(); break;
-      case '[': push(TokKind::LBracket, l); advance(); break;
-      case ']': push(TokKind::RBracket, l); advance(); break;
-      case ';': push(TokKind::Semi, l); advance(); break;
-      case ',': push(TokKind::Comma, l); advance(); break;
-      case '+': push(TokKind::Plus, l); advance(); break;
-      case '-': push(TokKind::Minus, l); advance(); break;
-      case '*': push(TokKind::Star, l); advance(); break;
-      case '/': push(TokKind::Slash, l); advance(); break;
-      case '%': push(TokKind::Percent, l); advance(); break;
-      case '<':
-        if (peek(1) == '=') { push(TokKind::Le, l); advance(2); }
-        else { push(TokKind::Lt, l); advance(); }
-        break;
-      case '>':
-        if (peek(1) == '=') { push(TokKind::Ge, l); advance(2); }
-        else { push(TokKind::Gt, l); advance(); }
-        break;
-      case '=':
-        if (peek(1) == '=') { push(TokKind::EqEq, l); advance(2); }
-        else { push(TokKind::Assign, l); advance(); }
-        break;
-      case '!':
-        if (peek(1) == '=') { push(TokKind::Ne, l); advance(2); }
-        else { push(TokKind::Bang, l); advance(); }
-        break;
-      case '&':
-        if (peek(1) == '&') { push(TokKind::AndAnd, l); advance(2); }
-        else { push(TokKind::Amp, l); advance(); }
-        break;
+      case '(': push(TokKind::LParen, l, 1); break;
+      case ')': push(TokKind::RParen, l, 1); break;
+      case '{': push(TokKind::LBrace, l, 1); break;
+      case '}': push(TokKind::RBrace, l, 1); break;
+      case '[': push(TokKind::LBracket, l, 1); break;
+      case ']': push(TokKind::RBracket, l, 1); break;
+      case ';': push(TokKind::Semi, l, 1); break;
+      case ',': push(TokKind::Comma, l, 1); break;
+      case '+': push(TokKind::Plus, l, 1); break;
+      case '-': push(TokKind::Minus, l, 1); break;
+      case '*': push(TokKind::Star, l, 1); break;
+      case '/': push(TokKind::Slash, l, 1); break;
+      case '%': push(TokKind::Percent, l, 1); break;
+      case '<': pair('=', TokKind::Le, TokKind::Lt); break;
+      case '>': pair('=', TokKind::Ge, TokKind::Gt); break;
+      case '=': pair('=', TokKind::EqEq, TokKind::Assign); break;
+      case '!': pair('=', TokKind::Ne, TokKind::Bang); break;
+      case '&': pair('&', TokKind::AndAnd, TokKind::Amp); break;
       case '|':
-        if (peek(1) == '|') { push(TokKind::OrOr, l); advance(2); }
-        else {
+        if (peek(1) == '|') {
+          push(TokKind::OrOr, l, 2);
+        } else {
           result.errors.emplace_back(l, "unexpected character '|'");
-          advance();
+          ++i;
         }
         break;
       default:
         result.errors.emplace_back(
             l, std::string("unexpected character '") + c + "'");
-        advance();
+        ++i;
         break;
     }
   }

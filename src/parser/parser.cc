@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +22,15 @@ using ir::StmtKind;
 using ir::StmtList;
 using ir::SymbolKind;
 using ir::UnOp;
+
+/// Concatenates message pieces; std::string has no operator+ for
+/// string_view operands.
+template <typename... Parts>
+std::string cat(const Parts&... parts) {
+  std::string out;
+  (out.append(std::string_view(parts)), ...);
+  return out;
+}
 
 class Parser {
  public:
@@ -43,8 +54,10 @@ class Parser {
   }
   [[nodiscard]] bool at(TokKind k) const { return cur().kind == k; }
 
-  Token take() {
-    Token t = cur();
+  /// The current token, then advances (never past End). Tokens live as
+  /// long as the parser, so the reference stays valid.
+  const Token& take() {
+    const Token& t = cur();
     if (!at(TokKind::End)) ++pos_;
     return t;
   }
@@ -62,8 +75,8 @@ class Parser {
     return false;
   }
 
-  void error(const std::string& msg) {
-    diag_.error(DiagCode::SyntaxError, cur().loc, msg);
+  void error(std::string msg) {
+    diag_.error(DiagCode::SyntaxError, cur().loc, std::move(msg));
   }
 
   /// Error recovery: skip to the next ';' or '}' boundary.
@@ -78,24 +91,25 @@ class Parser {
   void pushScope() { scopes_.emplace_back(); }
   void popScope() { scopes_.pop_back(); }
 
-  SymbolId declare(const std::string& name, SymbolKind kind, SourceLoc loc,
+  SymbolId declare(std::string_view name, SymbolKind kind, SourceLoc loc,
                    std::uint32_t arraySize = 0) {
     auto& scope = scopes_.back();
-    if (scope.contains(name)) {
+    if (auto it = scope.find(name); it != scope.end()) {
       diag_.error(DiagCode::Redeclaration, loc,
-                  "redeclaration of '" + name + "' in the same scope");
-      return scope[name];
+                  cat("redeclaration of '", name, "' in the same scope"));
+      return it->second;
     }
     const bool shared = threadDepth_ == 0;
     const SymbolId id =
-        arraySize > 0
-            ? prog_.symbols.createArray(name, arraySize, shared, loc)
-            : prog_.symbols.create(name, kind, shared, loc);
-    scope[name] = id;
+        arraySize > 0 ? prog_.symbols.createArray(std::string(name),
+                                                  arraySize, shared, loc)
+                      : prog_.symbols.create(std::string(name), kind, shared,
+                                             loc);
+    scope.emplace(name, id);
     return id;
   }
 
-  [[nodiscard]] SymbolId lookup(const std::string& name) const {
+  [[nodiscard]] SymbolId lookup(std::string_view name) const {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
       auto found = it->find(name);
       if (found != it->end()) return found->second;
@@ -109,15 +123,15 @@ class Parser {
     SymbolId id = lookup(tok.text);
     if (!id.valid()) {
       diag_.error(DiagCode::UndeclaredIdentifier, tok.loc,
-                  "use of undeclared identifier '" + tok.text + "'");
-      return prog_.symbols.create(tok.text, expected,
+                  cat("use of undeclared identifier '", tok.text, "'"));
+      return prog_.symbols.create(std::string(tok.text), expected,
                                   /*shared=*/threadDepth_ == 0, tok.loc);
     }
     if (prog_.symbols[id].kind != expected) {
       diag_.error(DiagCode::WrongSymbolKind, tok.loc,
-                  "'" + tok.text + "' is a " +
-                      symbolKindName(prog_.symbols[id].kind) + ", expected " +
-                      symbolKindName(expected));
+                  cat("'", tok.text, "' is a ",
+                      symbolKindName(prog_.symbols[id].kind), ", expected ",
+                      symbolKindName(expected)));
     }
     return id;
   }
@@ -129,14 +143,14 @@ class Parser {
     if (id.valid()) {
       if (prog_.symbols[id].kind != SymbolKind::Function)
         diag_.error(DiagCode::WrongSymbolKind, tok.loc,
-                    "'" + tok.text + "' is not a function");
+                    cat("'", tok.text, "' is not a function"));
       return id;
     }
     auto it = functions_.find(tok.text);
     if (it != functions_.end()) return it->second;
-    const SymbolId fn =
-        prog_.symbols.create(tok.text, SymbolKind::Function, true, tok.loc);
-    functions_[tok.text] = fn;
+    const SymbolId fn = prog_.symbols.create(
+        std::string(tok.text), SymbolKind::Function, true, tok.loc);
+    functions_.emplace(tok.text, fn);
     return fn;
   }
 
@@ -177,7 +191,7 @@ class Parser {
         synchronize();
         return;
       }
-      const Token nameTok = take();
+      const Token& nameTok = take();
       // `int a[N];` — fixed-size array. The size must be a positive
       // integer literal (the analyses collapse all cells into one
       // abstract location, but the interpreter models each cell).
@@ -222,7 +236,7 @@ class Parser {
         synchronize();
         return;
       }
-      const Token nameTok = take();
+      const Token& nameTok = take();
       declare(nameTok.text, kind, nameTok.loc);
     } while (accept(TokKind::Comma));
     expect(TokKind::Semi);
@@ -237,7 +251,7 @@ class Parser {
       synchronize();
       return;
     }
-    const Token nameTok = take();
+    const Token& nameTok = take();
     const SymbolId sym = resolveVar(nameTok, symKind);
     expect(TokKind::RParen);
     expect(TokKind::Semi);
@@ -250,7 +264,7 @@ class Parser {
     const SourceLoc loc = cur().loc;
     switch (cur().kind) {
       case TokKind::Ident: {
-        const Token nameTok = take();
+        const Token& nameTok = take();
         // `a[i] = e;` — array-cell store.
         if (at(TokKind::LBracket)) {
           take();
@@ -260,7 +274,7 @@ class Parser {
           if (prog_.symbols[arr].kind == SymbolKind::Var &&
               !prog_.symbols[arr].isArray())
             diag_.error(DiagCode::WrongSymbolKind, nameTok.loc,
-                        "'" + nameTok.text + "' is not an array");
+                        cat("'", nameTok.text, "' is not an array"));
           expect(TokKind::Assign);
           ExprPtr value = parseExpr();
           expect(TokKind::Semi);
@@ -286,7 +300,7 @@ class Parser {
               synchronize();
               return;
             }
-            const Token srcTok = take();
+            const Token& srcTok = take();
             const SymbolId src = resolveVar(srcTok, SymbolKind::Var);
             expect(TokKind::RParen);
             expect(TokKind::Semi);
@@ -406,7 +420,7 @@ class Parser {
           synchronize();
           return;
         }
-        const Token nameTok = take();
+        const Token& nameTok = take();
         const SymbolId var = resolveVar(nameTok, SymbolKind::Var);
         expect(TokKind::Comma);
         ExprPtr value = parseExpr();
@@ -459,7 +473,7 @@ class Parser {
       synchronize();
       return;
     }
-    const Token nameTok = take();
+    const Token& nameTok = take();
     expect(TokKind::Assign);
     long long lo = 0, hi = 0;
     if (!parseIntBound(&lo)) return;
@@ -490,7 +504,7 @@ class Parser {
       if (iter > 0 && diag_.errorCount() > errsBefore) break;
       pos_ = bodyStart;  // re-parse the body for each iteration
       raw->threads.push_back(
-          ir::ThreadBody{nameTok.text + std::to_string(lo + iter), {}});
+          ir::ThreadBody{cat(nameTok.text, std::to_string(lo + iter)), {}});
       ir::StmtList& body = raw->threads.back().body;
       ++threadDepth_;
       pushScope();
@@ -514,7 +528,7 @@ class Parser {
       synchronize();
       return false;
     }
-    const Token t = take();
+    const Token& t = take();
     *out = negative ? -t.intValue : t.intValue;
     return true;
   }
@@ -591,7 +605,7 @@ class Parser {
         error("expected variable after '&'");
         return ir::makeInt(0, loc);
       }
-      const Token t = take();
+      const Token& t = take();
       const SymbolId var = resolveVar(t, SymbolKind::Var);
       ExprPtr idx;
       if (accept(TokKind::LBracket)) {
@@ -600,7 +614,7 @@ class Parser {
         if (prog_.symbols[var].kind == SymbolKind::Var &&
             !prog_.symbols[var].isArray())
           diag_.error(DiagCode::WrongSymbolKind, t.loc,
-                      "'" + t.text + "' is not an array");
+                      cat("'", t.text, "' is not an array"));
       }
       return ir::makeAddrOf(var, std::move(idx), loc);
     }
@@ -623,11 +637,11 @@ class Parser {
     const SourceLoc loc = cur().loc;
     switch (cur().kind) {
       case TokKind::IntLit: {
-        const Token t = take();
+        const Token& t = take();
         return ir::makeInt(t.intValue, loc);
       }
       case TokKind::Ident: {
-        const Token t = take();
+        const Token& t = take();
         if (at(TokKind::LParen)) {
           const SymbolId fn = resolveFunction(t);
           return parseCallArgs(fn, loc);
@@ -639,15 +653,14 @@ class Parser {
           if (prog_.symbols[var].kind == SymbolKind::Var &&
               !prog_.symbols[var].isArray())
             diag_.error(DiagCode::WrongSymbolKind, t.loc,
-                        "'" + t.text + "' is not an array");
+                        cat("'", t.text, "' is not an array"));
           return ir::makeIndex(var, std::move(idx), loc);
         }
         if (prog_.symbols[var].kind == SymbolKind::Var &&
             prog_.symbols[var].isArray())
           diag_.error(DiagCode::WrongSymbolKind, t.loc,
-                      "array '" + t.text +
-                          "' needs an index here (use " + t.text +
-                          "[i] or &" + t.text + ")");
+                      cat("array '", t.text, "' needs an index here (use ",
+                          t.text, "[i] or &", t.text, ")"));
         return ir::makeVar(var, loc);
       }
       case TokKind::LParen: {
@@ -668,8 +681,9 @@ class Parser {
   std::size_t pos_ = 0;
   DiagEngine& diag_;
   Program prog_;
-  std::vector<std::unordered_map<std::string, SymbolId>> scopes_;
-  std::unordered_map<std::string, SymbolId> functions_;
+  // Names are views into the source, which outlives the parse.
+  std::vector<std::unordered_map<std::string_view, SymbolId>> scopes_;
+  std::unordered_map<std::string_view, SymbolId> functions_;
   int threadDepth_ = 0;
 };
 

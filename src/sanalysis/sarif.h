@@ -32,4 +32,8 @@ namespace cssame::sanalysis {
 /// backslashes, control characters).
 [[nodiscard]] std::string jsonEscape(std::string_view s);
 
+/// Appends jsonEscape(s) to `out` without a temporary; runs of bytes that
+/// need no escape are copied in one append.
+void appendJsonEscaped(std::string& out, std::string_view s);
+
 }  // namespace cssame::sanalysis

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/service/json.h"
 #include "src/support/version.h"
 
 namespace cssame::service {
@@ -68,7 +69,17 @@ std::optional<std::string> DiskStore::lookup(const support::Hash128& key) {
     std::remove(path.c_str());
     return std::nullopt;
   }
-  return payload;
+  // The server splices payloads into responses unparsed, so one from the
+  // disk is parsed here, once: a payload that is not a JSON document is
+  // rejected like any corrupt entry, and one that is comes back in the
+  // writer's compact form.
+  Expected<Json> doc = parseJson(payload);
+  if (!doc) {
+    corruptRejected.inc();
+    std::remove(path.c_str());
+    return std::nullopt;
+  }
+  return doc->write();
 }
 
 void DiskStore::noteWriteFailure(int err) {

@@ -128,8 +128,10 @@ class DiskStore {
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
   /// Returns the payload for `key`, or nullopt on miss/rejection.
-  /// Rejections (wrong build, malformed header, checksum mismatch) also
-  /// delete the offending file so it is recomputed exactly once.
+  /// Rejections (wrong build, malformed header, checksum mismatch, a
+  /// payload that is not a JSON document) also delete the offending file
+  /// so it is recomputed exactly once. An accepted payload is returned
+  /// re-written in the JSON writer's compact form.
   [[nodiscard]] std::optional<std::string> lookup(
       const support::Hash128& key);
 

@@ -4,7 +4,7 @@
 #include <charconv>
 #include <cstdio>
 
-#include "src/sanalysis/sarif.h"  // jsonEscape
+#include "src/sanalysis/sarif.h"  // appendJsonEscaped
 
 namespace cssame::service {
 
@@ -137,6 +137,15 @@ class Parser {
     ++pos_;  // '"'
     out.clear();
     while (true) {
+      // The run of bytes up to the next quote, backslash or control byte
+      // is copied in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size())
         return Status(fail("unterminated string"));
       const unsigned char c = static_cast<unsigned char>(text_[pos_]);
@@ -145,11 +154,6 @@ class Parser {
         return Status::okStatus();
       }
       if (c < 0x20) return Status(fail("raw control character in string"));
-      if (c != '\\') {
-        out += static_cast<char>(c);
-        ++pos_;
-        continue;
-      }
       ++pos_;  // backslash
       if (pos_ >= text_.size()) return Status(fail("unterminated escape"));
       const char e = text_[pos_++];
@@ -257,7 +261,12 @@ void writeValue(const Json& v, std::string& out) {
   switch (v.kind()) {
     case Json::Kind::Null: out += "null"; break;
     case Json::Kind::Bool: out += v.boolValue() ? "true" : "false"; break;
-    case Json::Kind::Int: out += std::to_string(v.intValue()); break;
+    case Json::Kind::Int: {
+      char buf[24];
+      const char* end = std::to_chars(buf, buf + sizeof buf, v.intValue()).ptr;
+      out.append(buf, static_cast<std::size_t>(end - buf));
+      break;
+    }
     case Json::Kind::Double: {
       char buf[32];
       std::snprintf(buf, sizeof buf, "%.17g", v.doubleValue());
@@ -266,7 +275,7 @@ void writeValue(const Json& v, std::string& out) {
     }
     case Json::Kind::String:
       out += '"';
-      out += sanalysis::jsonEscape(v.stringValue());
+      sanalysis::appendJsonEscaped(out, v.stringValue());
       out += '"';
       break;
     case Json::Kind::Array: {
@@ -287,13 +296,14 @@ void writeValue(const Json& v, std::string& out) {
         if (!first) out += ',';
         first = false;
         out += '"';
-        out += sanalysis::jsonEscape(key);
+        sanalysis::appendJsonEscaped(out, key);
         out += "\":";
         writeValue(value, out);
       }
       out += '}';
       break;
     }
+    case Json::Kind::Raw: out += v.rawBytes(); break;
   }
 }
 

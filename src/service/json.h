@@ -28,7 +28,8 @@ namespace cssame::service {
 
 /// One JSON value. A tagged union over the seven syntactic shapes;
 /// numbers keep an integer/double distinction so 64-bit ids and sizes
-/// round-trip exactly.
+/// round-trip exactly. An eighth kind, Raw, holds an already serialized
+/// value for the writer to splice in verbatim.
 class Json {
  public:
   enum class Kind : std::uint8_t {
@@ -39,6 +40,7 @@ class Json {
     String,
     Array,
     Object,
+    Raw,
   };
 
   Json() = default;  // null
@@ -63,6 +65,16 @@ class Json {
     j.kind_ = Kind::Object;
     return j;
   }
+  /// A value that write() renders as exactly `bytes`, which must hold one
+  /// JSON value in the writer's compact form (the server splices cached
+  /// result payloads this way; docs/SERVICE.md). Shared, not copied;
+  /// parseJson never produces this kind, and lookups on it see null.
+  [[nodiscard]] static Json raw(std::shared_ptr<const std::string> bytes) {
+    Json j;
+    j.kind_ = Kind::Raw;
+    j.raw_ = std::move(bytes);
+    return j;
+  }
 
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool isNull() const { return kind_ == Kind::Null; }
@@ -83,6 +95,7 @@ class Json {
     return kind_ == Kind::Double ? double_ : static_cast<double>(int_);
   }
   [[nodiscard]] const std::string& stringValue() const { return string_; }
+  [[nodiscard]] const std::string& rawBytes() const { return *raw_; }
 
   [[nodiscard]] const std::vector<Json>& items() const { return items_; }
   [[nodiscard]] const std::vector<std::pair<std::string, Json>>& members()
@@ -126,6 +139,7 @@ class Json {
   std::string string_;
   std::vector<Json> items_;
   std::vector<std::pair<std::string, Json>> members_;
+  std::shared_ptr<const std::string> raw_;
 };
 
 /// Parses one JSON document (surrounding whitespace allowed, trailing

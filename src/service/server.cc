@@ -81,10 +81,14 @@ bool decodeOptions(const Json& options, driver::RunOptions& o,
   return true;
 }
 
-Json resultToJson(const driver::RunOutput& out) {
+/// The result payload of an analysis run. The streams are moved into the
+/// value, so they are copied once, while they are escaped.
+std::string resultPayload(driver::RunOutput out) {
   Json result = Json::object();
-  result.set("out", out.out).set("err", out.err).set("code", out.code);
-  return result;
+  result.set("out", std::move(out.out))
+      .set("err", std::move(out.err))
+      .set("code", out.code);
+  return result.write();
 }
 
 }  // namespace
@@ -205,18 +209,10 @@ Json Server::runAnalysisMethod(const std::string& method,
   fp.mixBytes(source);
   const support::Hash128 requestKey = fp.digest();
 
-  CacheTier tier = CacheTier::Miss;
-  std::shared_ptr<const std::string> cached =
-      cache_.lookupResponse(requestKey, tier);
-  std::string resultPayload;
-  if (cached) {
-    resultPayload = *cached;
-  } else {
+  const auto compute = [&](CacheTier& tier, Json&) -> std::string {
     // Read-only requests can reuse (and populate) the live-Compilation
     // tier; --opt/--run/--fix mutate, execute or repair the program and
     // always take the self-contained path.
-    driver::RunOutput out;
-    bool produced = false;
     if (!o.doOpt && !o.doRun && !o.doFix) {
       support::Fingerprinter sfp;
       sfp.mixBytes(source);
@@ -234,39 +230,23 @@ Json Server::runAnalysisMethod(const std::string& method,
             ap = std::make_shared<AnalyzedProgram>(
                 std::move(pr.program),
                 driver::PipelineOptions{.enableCssame = o.cssame});
-            for (const auto& d : pr.diag.diagnostics())
-              ap->preErr += d.str() + "\n";
+            for (const auto& d : pr.diag.diagnostics()) {
+              d.appendTo(ap->preErr);
+              ap->preErr += '\n';
+            }
             cache_.storeCompilation(sourceKey, ap);
           } catch (const InvariantError&) {
             ap = nullptr;  // degrade to the self-contained path
           }
         }
       }
-      if (ap) {
-        out = driver::runCompiled(*ap->program, ap->compilation, ap->preErr,
-                                  fileName, o);
-        produced = true;
-      }
+      if (ap)
+        return resultPayload(driver::runCompiled(
+            *ap->program, ap->compilation, ap->preErr, fileName, o));
     }
-    if (!produced) out = driver::runSource(source, fileName, o);
-    if (tier == CacheTier::Miss) cache_.counters().misses.inc();
-    resultPayload = resultToJson(out).write();
-    cache_.storeResponse(requestKey,
-                         std::make_shared<const std::string>(resultPayload));
-  }
-
-  Expected<Json> result = parseJson(resultPayload);
-  if (!result)
-    return errorEnvelope(request.get("id"), "internal", method,
-                         "cached result payload unreadable: " +
-                             result.fault().message);
-  Json env = Json::object();
-  env.set("id", request.get("id"))
-      .set("ok", true)
-      .set("method", method)
-      .set("cached", cacheTierName(tier))
-      .set("result", std::move(*result));
-  return env;
+    return resultPayload(driver::runSource(source, fileName, o));
+  };
+  return serveCached(request, method, requestKey, compute);
 }
 
 Json Server::runExplore(const Json& request) {
@@ -315,24 +295,20 @@ Json Server::runExplore(const Json& request) {
   fp.mixBytes(source);
   const support::Hash128 requestKey = fp.digest();
 
-  CacheTier tier = CacheTier::Miss;
-  std::shared_ptr<const std::string> cached =
-      cache_.lookupResponse(requestKey, tier);
-  std::string resultPayload;
-  if (cached) {
-    resultPayload = *cached;
-  } else {
-    cache_.counters().misses.inc();
+  const auto compute = [&](CacheTier&, Json& error) -> std::string {
     parser::ParseResult pr = parser::parseChecked(source);
-    if (!pr.ok())
-      return errorEnvelope(request.get("id"), "parse-error", "explore",
-                           pr.status().fault().message);
+    if (!pr.ok()) {
+      error = errorEnvelope(request.get("id"), "parse-error", "explore",
+                            pr.status().fault().message);
+      return {};
+    }
     interp::ExploreResult res;
     try {
       res = interp::exploreAllSchedules(pr.program, eo);
     } catch (const InvariantError& e) {
-      return errorEnvelope(request.get("id"), "internal", "explore",
-                           e.what());
+      error = errorEnvelope(request.get("id"), "internal", "explore",
+                            e.what());
+      return {};
     }
     // Aggregate reduction counters feed the `stats` method — the fleet
     // gateway sums them across workers to see how much pruning buys.
@@ -374,23 +350,9 @@ Json Server::runExplore(const Json& request) {
         .set("partialReexpansions", res.dpor.partialReexpansions);
     result.set("dpor", std::move(dpor))
         .set("peakFrontierBytes", res.peakFrontierBytes);
-    resultPayload = result.write();
-    cache_.storeResponse(requestKey,
-                         std::make_shared<const std::string>(resultPayload));
-  }
-
-  Expected<Json> result = parseJson(resultPayload);
-  if (!result)
-    return errorEnvelope(request.get("id"), "internal", "explore",
-                         "cached result payload unreadable: " +
-                             result.fault().message);
-  Json env = Json::object();
-  env.set("id", request.get("id"))
-      .set("ok", true)
-      .set("method", "explore")
-      .set("cached", cacheTierName(tier))
-      .set("result", std::move(*result));
-  return env;
+    return result.write();
+  };
+  return serveCached(request, "explore", requestKey, compute);
 }
 
 Json Server::runFix(const Json& request) {
@@ -422,23 +384,19 @@ Json Server::runFix(const Json& request) {
   fp.mixBytes(source);
   const support::Hash128 requestKey = fp.digest();
 
-  CacheTier tier = CacheTier::Miss;
-  std::shared_ptr<const std::string> cached =
-      cache_.lookupResponse(requestKey, tier);
-  std::string resultPayload;
-  if (cached) {
-    resultPayload = *cached;
-  } else {
-    cache_.counters().misses.inc();
+  const auto compute = [&](CacheTier&, Json& error) -> std::string {
     repair::RepairResult res;
     try {
       res = repair::repairSource(source, target);
     } catch (const std::exception& e) {
-      return errorEnvelope(request.get("id"), "internal", "fix", e.what());
+      error = errorEnvelope(request.get("id"), "internal", "fix", e.what());
+      return {};
     }
-    if (res.status == repair::RepairStatus::Error)
-      return errorEnvelope(request.get("id"), "parse-error", "fix",
-                           res.error);
+    if (res.status == repair::RepairStatus::Error) {
+      error = errorEnvelope(request.get("id"), "parse-error", "fix",
+                            res.error);
+      return {};
+    }
     // Counters accumulate on genuine runs only — a cache hit repeats a
     // result, not the work (same policy as the explore dpor counters).
     counters_.repairTargets.inc(res.stats.targets);
@@ -509,22 +467,33 @@ Json Server::runFix(const Json& request) {
         .set("report", repair::renderFixReport(res, target))
         .set("stats", std::move(stats))
         .set("code", failed ? 1 : 0);
-    resultPayload = result.write();
-    cache_.storeResponse(requestKey,
-                         std::make_shared<const std::string>(resultPayload));
-  }
+    return result.write();
+  };
+  return serveCached(request, "fix", requestKey, compute);
+}
 
-  Expected<Json> result = parseJson(resultPayload);
-  if (!result)
-    return errorEnvelope(request.get("id"), "internal", "fix",
-                         "cached result payload unreadable: " +
-                             result.fault().message);
+Json Server::serveCached(const Json& request, std::string_view method,
+                         const support::Hash128& requestKey,
+                         const ComputeResult& compute) {
+  CacheTier tier = CacheTier::Miss;
+  std::shared_ptr<const std::string> payload =
+      cache_.lookupResponse(requestKey, tier);
+  if (!payload) {
+    Json error;
+    std::string fresh = compute(tier, error);
+    if (tier == CacheTier::Miss) cache_.counters().misses.inc();
+    if (!error.isNull()) return error;
+    payload = std::make_shared<const std::string>(std::move(fresh));
+    cache_.storeResponse(requestKey, payload);
+  }
+  // The payload is this server's own compact rendering — fresh, or from
+  // a tier that only admits such bytes — so it is spliced as is.
   Json env = Json::object();
   env.set("id", request.get("id"))
       .set("ok", true)
-      .set("method", "fix")
+      .set("method", method)
       .set("cached", cacheTierName(tier))
-      .set("result", std::move(*result));
+      .set("result", Json::raw(std::move(payload)));
   return env;
 }
 

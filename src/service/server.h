@@ -15,8 +15,10 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -132,6 +134,18 @@ class Server {
   /// analysis response — the doFix bit and fix target in the key keep
   /// fix responses from ever colliding with read-method responses.
   [[nodiscard]] Json runFix(const Json& request);
+
+  /// Computes a result payload on a response-tier miss. It may report a
+  /// live-compilation hit through `tier`; on failure it sets `error` to
+  /// an error envelope, which is answered instead and not cached.
+  using ComputeResult =
+      std::function<std::string(CacheTier& tier, Json& error)>;
+  /// The cache path shared by every result-caching method: answers from
+  /// the response tiers, or computes and stores the payload, then splices
+  /// the payload bytes into the success envelope (docs/SERVICE.md).
+  [[nodiscard]] Json serveCached(const Json& request, std::string_view method,
+                                 const support::Hash128& requestKey,
+                                 const ComputeResult& compute);
 
   ServerOptions opts_;
   support::ThreadPool pool_;

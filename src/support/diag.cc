@@ -1,5 +1,7 @@
 #include "src/support/diag.h"
 
+#include <charconv>
+
 namespace cssame {
 
 const char* diagCodeName(DiagCode code) {
@@ -116,29 +118,44 @@ const char* diagCodeDescription(DiagCode code) {
   return "unknown check";
 }
 
-std::string Diagnostic::str() const {
-  std::string out;
+namespace {
+
+/// Appends "line:col: " (nothing for an invalid location), the bytes
+/// SourceLoc::str() renders, without building a temporary.
+void appendLocPrefix(std::string& out, SourceLoc loc) {
+  if (!loc.valid()) return;
+  char buf[32];
+  char* p = std::to_chars(buf, buf + sizeof buf, loc.line).ptr;
+  *p++ = ':';
+  p = std::to_chars(p, buf + sizeof buf, loc.column).ptr;
+  *p++ = ':';
+  *p++ = ' ';
+  out.append(buf, static_cast<std::size_t>(p - buf));
+}
+
+}  // namespace
+
+void Diagnostic::appendTo(std::string& out) const {
   switch (severity) {
-    case DiagSeverity::Note: out = "note"; break;
-    case DiagSeverity::Warning: out = "warning"; break;
-    case DiagSeverity::Error: out = "error"; break;
+    case DiagSeverity::Note: out += "note"; break;
+    case DiagSeverity::Warning: out += "warning"; break;
+    case DiagSeverity::Error: out += "error"; break;
   }
   out += " [";
   out += diagCodeName(code);
   out += "] ";
-  if (loc.valid()) {
-    out += loc.str();
-    out += ": ";
-  }
+  appendLocPrefix(out, loc);
   out += message;
   for (const DiagNote& n : notes) {
     out += "\n  note ";
-    if (n.loc.valid()) {
-      out += n.loc.str();
-      out += ": ";
-    }
+    appendLocPrefix(out, n.loc);
     out += n.message;
   }
+}
+
+std::string Diagnostic::str() const {
+  std::string out;
+  appendTo(out);
   return out;
 }
 

@@ -83,6 +83,13 @@ struct Diagnostic {
     return *this;
   }
 
+  /// Appends the rendering — "<severity> [<code>] <line:col>: <message>",
+  /// then one "\n  note <line:col>: <message>" per note — to `out`,
+  /// without a trailing newline. Report writers call this to render
+  /// straight into their output.
+  void appendTo(std::string& out) const;
+
+  /// The rendering of appendTo() as a fresh string.
   [[nodiscard]] std::string str() const;
 };
 
