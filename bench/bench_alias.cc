@@ -15,9 +15,11 @@
 // some concrete schedule realizes, plus the points-to solver's own
 // sharpness counters (wild-site fraction, mean finite target-set size).
 // Results go to BENCH_alias.json for trend tracking.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -213,7 +215,7 @@ Tally runSweep() {
   return tally;
 }
 
-void writeJson(const Tally& t, const char* path) {
+void writeJson(const Tally& t, unsigned hw, const char* path) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "bench_alias: cannot write %s\n", path);
@@ -222,6 +224,7 @@ void writeJson(const Tally& t, const char* path) {
   out << "{\n"
       << "  \"experiment\": \"alias-class race engine vs exhaustive "
          "exploration\",\n"
+      << "  \"hardware_threads\": " << hw << ",\n"
       << "  \"workloads\": " << t.workloads << ",\n"
       << "  \"pointer_workloads\": " << t.pointerWorkloads << ",\n"
       << "  \"complete_explorations\": " << t.completeExplorations << ",\n"
@@ -237,7 +240,7 @@ void writeJson(const Tally& t, const char* path) {
       << "}\n";
 }
 
-// Timing: the points-to solve alone over growing pointer workloads.
+// Timing: the final points-to solve alone over growing pointer workloads.
 void BM_PointsTo(benchmark::State& state) {
   workload::GeneratorConfig cfg;
   cfg.seed = 42;
@@ -256,6 +259,26 @@ void BM_PointsTo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PointsTo)->Arg(2)->Arg(4)->Arg(8);
+
+// Timing: the whole pointer pipeline — driver::analyze, whose refinement
+// loop runs the conservative round and every solve → refine → rebuild
+// round — on the same workloads.
+void BM_PointerAnalyze(benchmark::State& state) {
+  workload::GeneratorConfig cfg;
+  cfg.seed = 42;
+  cfg.threads = static_cast<int>(state.range(0));
+  cfg.sharedVars = 6;
+  cfg.stmtsPerThread = 20;
+  cfg.determinate = false;
+  cfg.ptrProb = 0.3;
+  cfg.arrayProb = 0.2;
+  ir::Program prog = workload::generateRandom(cfg);
+  for (auto _ : state) {
+    driver::Compilation comp = driver::analyze(prog);
+    benchmark::DoNotOptimize(comp.pointsTo());
+  }
+}
+BENCHMARK(BM_PointerAnalyze)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 
@@ -282,7 +305,8 @@ int main(int argc, char** argv) {
   std::printf("  confirmed fraction (of decided): %.3f\n",
               t.confirmedFraction());
   std::printf("  wild deref-site fraction:        %.3f\n", t.wildFraction());
-  writeJson(t, "BENCH_alias.json");
+  writeJson(t, std::max(1u, std::thread::hardware_concurrency()),
+            "BENCH_alias.json");
   std::printf("  wrote BENCH_alias.json\n\n");
   if (t.falseNegatives != 0) {
     std::fprintf(stderr,

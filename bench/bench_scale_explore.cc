@@ -36,15 +36,22 @@
 //      Each point also reports the cost of one mayHappenInParallel query
 //      (swept over every Ecf edge) and of the held-locks solve, and
 //      checks every Ecf pair's MHP answer against part 1's reference.
+//   6. Pointer programs: a doubling series of generated 4-thread
+//      programs with pointer updates (ptrProb 0.15, the shape of the
+//      repository benchmark's pointer versions) at 12 … 96 statements
+//      per thread, timing driver::analyze — the whole points-to
+//      refinement loop — and recording the final form's Ecf edges and π
+//      arguments. The final forms grow about 4x per doubling, so analyze
+//      may grow up to 5x, the rewrite/csan bound.
 //
 // Results go to BENCH_scale.json. The thread-parallel speedup targets of
 // parts 2 and 3 only bind when the machine has >= 4 hardware threads —
 // the JSON records that gate explicitly (speedup_target_applies), so a
 // 0.94x row measured on a 1-CPU container is not misread as a
 // regression. Exit status is nonzero when any determinism, exactness,
-// reduction-floor or lock-region growth check fails — CI's scale-smoke
-// job runs this on a small grid (CSSAME_SCALE_SMOKE=1) and treats any of
-// them as a build breaker.
+// reduction-floor, lock-region or pointer growth check fails — CI's
+// scale-smoke job runs this on a small grid (CSSAME_SCALE_SMOKE=1) and
+// treats any of them as a build breaker.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -713,11 +720,102 @@ LockRegionScale runLockRegionScale() {
 }
 
 // ---------------------------------------------------------------------------
+// Part 6 — pointer doubling series.
+// ---------------------------------------------------------------------------
+
+constexpr double kPointerGrowthBound = 5.0;
+constexpr int kPointerSeeds = 4;
+
+struct PointerPoint {
+  int stmts = 0;
+  double conflictEdges = 0;  ///< final Ecf edges, mean per program
+  double piArgs = 0;         ///< final π conflict arguments, mean
+  double analyzeSeconds = 1e30;  ///< best driver::analyze time, mean
+};
+
+/// The programs of one statement count: kPointerSeeds generated 4-thread
+/// pointer programs, analyzed together in each timed call.
+class PointerCase {
+ public:
+  explicit PointerCase(int stmts) {
+    point_.stmts = stmts;
+    for (int seed = 1; seed <= kPointerSeeds; ++seed) {
+      workload::GeneratorConfig cfg;
+      cfg.seed = static_cast<std::uint64_t>(seed);
+      cfg.threads = 4;
+      cfg.stmtsPerThread = stmts;
+      cfg.determinate = false;
+      cfg.ptrProb = 0.15;
+      programs_.push_back(workload::generateRandom(cfg));
+    }
+    for (ir::Program& prog : programs_) {
+      const driver::Compilation comp = driver::analyze(prog);
+      point_.conflictEdges +=
+          static_cast<double>(comp.graph().conflicts.size()) / kPointerSeeds;
+      point_.piArgs +=
+          static_cast<double>(comp.ssa().countPiConflictArgs()) /
+          kPointerSeeds;
+    }
+  }
+
+  /// One burst of `calls_` back-to-back passes over the programs; keeps
+  /// the best per-program time and sizes the next burst from it.
+  void measure() {
+    support::Stopwatch watch;
+    for (int i = 0; i < calls_; ++i)
+      for (ir::Program& prog : programs_) {
+        const driver::Compilation comp = driver::analyze(prog);
+        benchmark::DoNotOptimize(comp.graph().conflicts.size());
+      }
+    const double perCall = watch.seconds() / calls_;
+    point_.analyzeSeconds =
+        std::min(point_.analyzeSeconds, perCall / kPointerSeeds);
+    calls_ = callsPerSample(perCall);
+  }
+
+  [[nodiscard]] const PointerPoint& point() const { return point_; }
+
+ private:
+  std::vector<ir::Program> programs_;
+  int calls_ = 1;
+  PointerPoint point_;
+};
+
+struct PointerScale {
+  std::vector<PointerPoint> points;
+
+  [[nodiscard]] double growth() const {
+    const double steps = static_cast<double>(points.size() - 1);
+    return std::pow(points.back().analyzeSeconds /
+                        points.front().analyzeSeconds,
+                    1.0 / steps);
+  }
+  [[nodiscard]] bool withinBounds() const {
+    return growth() <= kPointerGrowthBound;
+  }
+};
+
+/// Round-robin best-of-bursts over the statement counts, like part 5.
+PointerScale runPointerScale() {
+  const std::vector<int> stmts = smokeMode()
+                                     ? std::vector<int>{12, 24, 48}
+                                     : std::vector<int>{12, 24, 48, 96};
+  std::vector<std::unique_ptr<PointerCase>> cases;
+  for (int s : stmts) cases.push_back(std::make_unique<PointerCase>(s));
+  const int rounds = smokeMode() ? 5 : 7;
+  for (int r = 0; r < rounds; ++r)
+    for (auto& c : cases) c->measure();
+  PointerScale out;
+  for (const auto& c : cases) out.points.push_back(c->point());
+  return out;
+}
+
+// ---------------------------------------------------------------------------
 
 void writeJson(const ConflictScale& c, const ExplorerScale& e,
                const BatchScale& b, const DporScale& dsc,
                const DporScale& dtso, const LockRegionScale& lr,
-               unsigned hw, const char* path) {
+               const PointerScale& ptr, unsigned hw, const char* path) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "bench_scale_explore: cannot write %s\n", path);
@@ -825,6 +923,24 @@ void writeJson(const ConflictScale& c, const ExplorerScale& e,
       << "    \"mhp_identical_to_reference\": "
       << (lr.mhpIdentical() ? "true" : "false") << ",\n"
       << "    \"within_bounds\": " << (lr.withinBounds() ? "true" : "false")
+      << "\n  },\n"
+      << "  \"pointer_programs\": {\n"
+      << "    \"workload\": \"generateRandom(threads=4, stmtsPerThread=s, "
+         "ptrProb=0.15, nondeterminate), "
+      << kPointerSeeds << " seeds per point\",\n"
+      << "    \"growth_bound_analyze\": " << kPointerGrowthBound << ",\n"
+      << "    \"series\": [\n";
+  for (std::size_t i = 0; i < ptr.points.size(); ++i) {
+    const PointerPoint& p = ptr.points[i];
+    out << "      {\"stmts\": " << p.stmts
+        << ", \"conflict_edges\": " << p.conflictEdges
+        << ", \"pi_args\": " << p.piArgs
+        << ", \"analyze_ms\": " << p.analyzeSeconds * 1e3 << "}"
+        << (i + 1 < ptr.points.size() ? ",\n" : "\n");
+  }
+  out << "    ],\n"
+      << "    \"growth_x2_analyze\": " << ptr.growth() << ",\n"
+      << "    \"within_bounds\": " << (ptr.withinBounds() ? "true" : "false")
       << "\n  }\n"
       << "}\n";
 }
@@ -845,6 +961,7 @@ int main(int argc, char** argv) {
   const DporScale dsc = runDporScale(support::MemoryModel::SC);
   const DporScale dtso = runDporScale(support::MemoryModel::TSO);
   const LockRegionScale lr = runLockRegionScale();
+  const PointerScale ptr = runPointerScale();
 
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.1fx", c.speedup());
@@ -904,9 +1021,20 @@ int main(int argc, char** argv) {
                     .c_str(),
                 "(reported)", buf, true);
   }
+  std::snprintf(buf, sizeof buf, "%.2fx", ptr.growth());
+  tableRowStr("pointer programs: analyze growth per doubling", "<= 5x", buf,
+              ptr.withinBounds());
+  for (const PointerPoint& p : ptr.points) {
+    std::snprintf(buf, sizeof buf, "%.3f ms, %.0f Ecf, %.0f pi args",
+                  p.analyzeSeconds * 1e3, p.conflictEdges, p.piArgs);
+    tableRowStr(("  4 x " + std::to_string(p.stmts) +
+                 ": analyze, final form")
+                    .c_str(),
+                "(reported)", buf, true);
+  }
   std::printf("  hardware threads: %u%s\n", hw,
               canScale ? "" : " (speedup targets not measurable here)");
-  writeJson(c, e, b, dsc, dtso, lr, hw, "BENCH_scale.json");
+  writeJson(c, e, b, dsc, dtso, lr, ptr, hw, "BENCH_scale.json");
   std::printf("  wrote BENCH_scale.json\n\n");
 
   // Divergence anywhere is a correctness failure, independent of timing;
@@ -915,7 +1043,9 @@ int main(int argc, char** argv) {
   if (!lr.mhpIdentical()) return 1;
   if (!dsc.exact || !dtso.exact) return 1;
   if (dsc.ratio() < 10.0 || dtso.ratio() < 10.0) return 1;
-  // A lock-region phase growing faster than its bound is super-linear.
+  // A lock-region phase or the pointer pipeline growing faster than its
+  // bound is super-linear.
   if (!lr.withinBounds()) return 1;
+  if (!ptr.withinBounds()) return 1;
   return runBenchmarks(argc, argv);
 }

@@ -31,7 +31,6 @@
 #include <concepts>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -204,9 +203,9 @@ class DenseSolver {
 ///   Value identity() const;                 // neutral element of join
 ///   void join(Value& into, const Value& arg) const;
 ///
-/// φ values re-join over their arguments, π values join their control
-/// argument with every conflict argument — the concurrent merge the
-/// CSSAME form makes explicit. Removed definitions are skipped.
+/// φ values join their arguments, π values join their control argument
+/// with every conflict argument — the concurrent merge the CSSAME form
+/// makes explicit. Removed definitions are skipped.
 ///
 /// Two *optional* hooks extend the propagation beyond the factored φ/π
 /// edges (existing problems compile unchanged without them):
@@ -216,59 +215,74 @@ class DenseSolver {
 ///     Assign's right-hand side. The solver adds def-use edges for them
 ///     and re-evaluates `d` when any changes.
 ///
-///   Value evalAssign(const ssa::Definition& d,
-///                    const std::function<Value(SsaNameId)>& get) const;
+///   template <typename Get>
+///   Value evalAssign(const ssa::Definition& d, const Get& get) const;
 ///     Transfer function for Assign definitions (Entry still uses
-///     initial). `get` returns the current value of any SSA name
-///     (identity() for out-of-range ids during seeding). The points-to
-///     client uses this to evaluate `p = &x; q = p;` chains sparsely.
+///     initial). `get(id)` returns the current value of any SSA name
+///     (identity() for names not yet seeded). The points-to client uses
+///     this to evaluate `p = &x; q = p;` chains sparsely.
+///
+/// The def-use edges are built once, by the constructor, into one flat
+/// array; the form must not change afterwards. solve() may run again
+/// after the problem's external input changed (points-to re-solves after
+/// every store harvest); each run starts over from the seeding.
+///
+/// Within one solve every value only grows, so a φ/π popped again joins
+/// its current value with just the arguments that changed since it last
+/// ran; its first pop after seeding is a full evaluation. The join must
+/// therefore be a semilattice join (idempotent, commutative, associative)
+/// and every transfer function monotone. The worklist order, the
+/// changed/unchanged decisions and SolveStats are those of re-joining
+/// every argument on every pop.
 template <typename P>
 class SsaPropagator {
  public:
   using Value = typename P::Value;
+
+  /// The `get` callable handed to evalAssign.
+  class Getter {
+   public:
+    explicit Getter(const SsaPropagator& solver) : solver_(&solver) {}
+    const Value& operator()(SsaNameId id) const {
+      return id.valid() && id.index() < solver_->values_.size()
+                 ? solver_->values_[id.index()]
+                 : solver_->identity_;
+    }
+
+   private:
+    const SsaPropagator* solver_;
+  };
 
   static constexpr bool kHasExtraDeps =
       requires(const P& p, const ssa::Definition& d) {
         { p.extraDeps(d) } -> std::convertible_to<std::vector<SsaNameId>>;
       };
   static constexpr bool kHasEvalAssign =
-      requires(const P& p, const ssa::Definition& d,
-               const std::function<typename P::Value(SsaNameId)>& get) {
-        { p.evalAssign(d, get) } -> std::convertible_to<typename P::Value>;
+      requires(const P& p, const ssa::Definition& d, const Getter& get) {
+        { p.evalAssign(d, get) } -> std::convertible_to<Value>;
       };
 
   SsaPropagator(const ssa::SsaForm& form, P problem, SolverOptions opts = {})
-      : form_(form), problem_(std::move(problem)), opts_(opts) {}
+      : form_(form),
+        problem_(std::move(problem)),
+        opts_(opts),
+        identity_(problem_.identity()) {
+    buildUsers();
+  }
 
   Status solve() {
     const std::size_t n = form_.defs.size();
     stats_ = SolveStats{problem_.name(), 0, 0, false};
 
-    // Factored def-use edges: which φ/π terms consume each definition.
-    users_.assign(n, {});
-    for (const ssa::Definition& d : form_.defs) {
-      if (d.removed) continue;
-      if (d.kind == ssa::DefKind::Phi) {
-        for (const ssa::PhiArg& a : d.phiArgs)
-          users_[a.def.index()].push_back(d.name);
-      } else if (d.kind == ssa::DefKind::Pi) {
-        users_[d.piControlArg.index()].push_back(d.name);
-        for (const ssa::PiConflictArg& a : d.piConflictArgs)
-          users_[a.def.index()].push_back(d.name);
-      }
-      if constexpr (kHasExtraDeps) {
-        for (SsaNameId dep : problem_.extraDeps(d))
-          if (dep.valid() && dep.index() < n)
-            users_[dep.index()].push_back(d.name);
-      }
-    }
-
-    values_.clear();
-    values_.reserve(n);
+    // Seeding evaluates every definition in order; names not seeded yet
+    // still read identity().
+    values_.assign(n, identity_);
+    evaluatedAt_.assign(n, 0);
+    changedAt_.assign(n, 0);
     std::deque<SsaNameId> work;
     std::vector<bool> queued(n, false);
     for (const ssa::Definition& d : form_.defs) {
-      values_.push_back(evaluate(d));
+      values_[d.name.index()] = evaluate(d);
       const bool seeded =
           d.kind == ssa::DefKind::Phi || d.kind == ssa::DefKind::Pi ||
           (kHasEvalAssign && d.kind == ssa::DefKind::Assign);
@@ -286,13 +300,17 @@ class SsaPropagator {
       const SsaNameId id = work.front();
       work.pop_front();
       queued[id.index()] = false;
-      ++stats_.iterations;
+      const std::uint64_t now = ++stats_.iterations;
 
-      Value v = evaluate(form_.def(id));
+      Value v = reevaluate(form_.def(id));
+      evaluatedAt_[id.index()] = now;
       if (v == values_[id.index()]) continue;
       values_[id.index()] = std::move(v);
+      changedAt_[id.index()] = now;
       ++stats_.changes;
-      for (SsaNameId u : users_[id.index()]) {
+      for (std::uint32_t e = userBegin_[id.index()];
+           e < userBegin_[id.index() + 1]; ++e) {
+        const SsaNameId u = users_[e];
         if (!queued[u.index()]) {
           queued[u.index()] = true;
           work.push_back(u);
@@ -309,46 +327,87 @@ class SsaPropagator {
   [[nodiscard]] const SolveStats& stats() const { return stats_; }
 
  private:
+  /// Factored def-use edges — which definitions consume each one — in
+  /// compressed form: the users of name i are users_[userBegin_[i] ..
+  /// userBegin_[i + 1]), in the order the definitions list them.
+  void buildUsers() {
+    const std::size_t n = form_.defs.size();
+    std::vector<std::pair<std::uint32_t, SsaNameId>> edges;
+    for (const ssa::Definition& d : form_.defs) {
+      if (d.removed) continue;
+      forEachArg(d,
+                 [&](SsaNameId a) { edges.emplace_back(a.index(), d.name); });
+      if constexpr (kHasExtraDeps) {
+        for (SsaNameId dep : problem_.extraDeps(d))
+          if (dep.valid() && dep.index() < n)
+            edges.emplace_back(dep.index(), d.name);
+      }
+    }
+    userBegin_.assign(n + 1, 0);
+    for (const auto& [from, user] : edges) ++userBegin_[from + 1];
+    for (std::size_t i = 0; i < n; ++i) userBegin_[i + 1] += userBegin_[i];
+    std::vector<std::uint32_t> next(userBegin_.begin(), userBegin_.end() - 1);
+    users_.resize(edges.size());
+    for (const auto& [from, user] : edges) users_[next[from]++] = user;
+  }
+
+  /// Calls fn for every φ argument, or a π's control argument and then
+  /// each conflict argument.
+  template <typename Fn>
+  static void forEachArg(const ssa::Definition& d, Fn&& fn) {
+    if (d.kind == ssa::DefKind::Phi) {
+      for (const ssa::PhiArg& a : d.phiArgs) fn(a.def);
+    } else if (d.kind == ssa::DefKind::Pi) {
+      fn(d.piControlArg);
+      for (const ssa::PiConflictArg& a : d.piConflictArgs) fn(a.def);
+    }
+  }
+
   [[nodiscard]] Value evaluate(const ssa::Definition& d) const {
     switch (d.kind) {
       case ssa::DefKind::Assign:
-        if constexpr (kHasEvalAssign) {
-          const std::function<Value(SsaNameId)> get =
-              [this](SsaNameId id) -> Value {
-            return id.valid() && id.index() < values_.size()
-                       ? values_[id.index()]
-                       : problem_.identity();
-          };
-          return problem_.evalAssign(d, get);
-        }
+        if constexpr (kHasEvalAssign)
+          return problem_.evalAssign(d, Getter(*this));
         [[fallthrough]];
       case ssa::DefKind::Entry:
         return problem_.initial(d);
-      case ssa::DefKind::Phi: {
-        Value v = problem_.identity();
-        for (const ssa::PhiArg& a : d.phiArgs)
-          if (a.def.index() < values_.size())
-            problem_.join(v, values_[a.def.index()]);
-        return v;
-      }
+      case ssa::DefKind::Phi:
       case ssa::DefKind::Pi: {
-        Value v = problem_.identity();
-        if (d.piControlArg.index() < values_.size())
-          problem_.join(v, values_[d.piControlArg.index()]);
-        for (const ssa::PiConflictArg& a : d.piConflictArgs)
-          if (a.def.index() < values_.size())
-            problem_.join(v, values_[a.def.index()]);
+        Value v = identity_;
+        forEachArg(d,
+                   [&](SsaNameId a) { problem_.join(v, values_[a.index()]); });
         return v;
       }
     }
-    return problem_.identity();
+    return identity_;
+  }
+
+  /// A popped definition's new value. Values only grow within a solve,
+  /// so a φ/π evaluated before is its current value joined with the
+  /// arguments that changed after that evaluation; an argument that
+  /// changed at the same pop is the term itself, already in its value.
+  [[nodiscard]] Value reevaluate(const ssa::Definition& d) const {
+    const std::uint64_t last = evaluatedAt_[d.name.index()];
+    const bool term = d.kind == ssa::DefKind::Phi || d.kind == ssa::DefKind::Pi;
+    if (!term || last == 0) return evaluate(d);
+    Value v = values_[d.name.index()];
+    forEachArg(d, [&](SsaNameId a) {
+      if (changedAt_[a.index()] > last) problem_.join(v, values_[a.index()]);
+    });
+    return v;
   }
 
   const ssa::SsaForm& form_;
   P problem_;
   SolverOptions opts_;
+  Value identity_;
+  std::vector<std::uint32_t> userBegin_;
+  std::vector<SsaNameId> users_;
   std::vector<Value> values_;
-  std::vector<std::vector<SsaNameId>> users_;
+  /// Pop number of each name's last evaluation (0: seeded only) and of
+  /// its last change (0: unchanged since seeding).
+  std::vector<std::uint64_t> evaluatedAt_;
+  std::vector<std::uint64_t> changedAt_;
   SolveStats stats_;
 };
 

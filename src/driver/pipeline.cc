@@ -77,7 +77,9 @@ Compilation::Compilation(ir::Program& program, PipelineOptions opts)
   // the lockset engines (csan, races) via sites().
   sites_ = analysis::collectAccessSites(*graph_);
   phase("sites");
-  analysis::computeSyncAndConflictEdges(*graph_, *mhp_, sites_);
+  // A pointer program's conservative Ecf edges are never read: the
+  // rebuild below recomputes every edge before anything consumes them.
+  if (!pointers) analysis::computeSyncAndConflictEdges(*graph_, *mhp_, sites_);
   phase("conflicts");
   mutexes_ = std::make_unique<mutex::MutexStructures>(
       *graph_, *dom_, *pdom_, opts.warnings ? &diag_ : nullptr);
@@ -85,18 +87,29 @@ Compilation::Compilation(ir::Program& program, PipelineOptions opts)
   ssa_ = std::make_unique<ssa::SsaForm>(
       ssa::buildSequentialSsa(*graph_, *dom_));
   phase("ssa");
-  piStats_ = cssa::placePiTerms(*graph_, *ssa_, *mhp_, sites_);
+  // The conservative round needs no points-to propagation when every
+  // assignment of the conservative form is weak, and reads πs only at
+  // uses no assignment reaches sequentially (sanalysis/pointsto.h). A
+  // program with a single variable keeps strong stores and takes the
+  // general solve over the full form.
+  const bool cellRound = pointers && sanalysis::allAssignsWeak(*ssa_);
+  if (cellRound) {
+    piStats_ = cssa::placePiTerms(
+        *graph_, *ssa_, *mhp_, sanalysis::conservativePiSites(sites_, *ssa_));
+  } else {
+    piStats_ = cssa::placePiTerms(*graph_, *ssa_, *mhp_, sites_);
+  }
   phase("cssa-pi");
   if (opts.enableCssame) {
     rewriteStats_ = cssa::rewritePiTerms(*graph_, *ssa_, *mutexes_);
     phase("cssame-rewrite");
   }
   if (pointers) {
-    // Phase B: solve points-to over the conservative form, refine the
-    // partition to what may actually alias, and rebuild every class-keyed
-    // structure (access index, Ecf edges, SSA/CSSAME form) on it. The
-    // control skeleton (PFG, dominators, MHP, mutex structures) does not
-    // depend on the partition and is reused as-is.
+    // Phase B: refine the partition from the conservative form to what
+    // may actually alias, and rebuild every class-keyed structure (access
+    // index, Ecf edges, SSA/CSSAME form) on it. The control skeleton
+    // (PFG, dominators, MHP, mutex structures) does not depend on the
+    // partition and is reused as-is.
     auto rebuildKeyed = [&] {
       sites_ = analysis::collectAccessSites(*graph_);
       analysis::computeSyncAndConflictEdges(*graph_, *mhp_, sites_);
@@ -106,10 +119,10 @@ Compilation::Compilation(ir::Program& program, PipelineOptions opts)
       if (opts.enableCssame)
         rewriteStats_ = cssa::rewritePiTerms(*graph_, *ssa_, *mutexes_);
     };
-    pointsTo_ = std::make_unique<sanalysis::PointsToResult>(
-        sanalysis::solvePointsTo(*graph_, *ssa_));
+    graph_->aliases = cellRound ? sanalysis::refineConservative(*graph_, *ssa_)
+                                : sanalysis::solvePointsTo(*graph_, *ssa_)
+                                      .buildClasses(program);
     phase("pointsto");
-    graph_->aliases = pointsTo_->buildClasses(program);
     rebuildKeyed();
     // Iterate solve → refine → rebuild: the conservative mega-class made
     // every pointer variable's defs weak, so the first solve's use-def

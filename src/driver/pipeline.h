@@ -88,10 +88,16 @@ class Compilation {
   ssa::SsaForm& ssa() { return *ssa_; }
   [[nodiscard]] const ssa::SsaForm& ssa() const { return *ssa_; }
 
-  /// Points-to solution for pointer programs (two-phase pipeline: the
-  /// conservative pre-pass form is solved, the partition refined, and the
-  /// class-keyed structures rebuilt). nullptr for programs without Deref
-  /// — the identity/array keying is already exact there.
+  /// Points-to solution for pointer programs, solved over the final form.
+  /// The pipeline builds the form under the conservative pre-pass
+  /// partition, without its Ecf edges and with π terms only at the uses
+  /// whose sequential chain reaches no assignment, and refines the
+  /// partition from it without a points-to propagation (the `pointsto`
+  /// phase; a one-variable program solves the full conservative form
+  /// instead). It then rebuilds the class-keyed structures and re-solves
+  /// until the partition is stable (`sites-refined`). nullptr for
+  /// programs without Deref — the identity/array keying is already exact
+  /// there.
   [[nodiscard]] const sanalysis::PointsToResult* pointsTo() const {
     return pointsTo_.get();
   }
@@ -146,8 +152,11 @@ class Compilation {
 
   /// Wall-clock cost of every analysis phase, in execution order: the
   /// constructor's fixed chain (pfg, dom, pdom, mhp, sites, conflicts,
-  /// mutex, ssa, cssa-pi, cssame-rewrite) plus an entry for each lazy
-  /// solve (heldlocks, reaching) appended when it first runs. `cssamec
+  /// mutex, ssa, cssa-pi, cssame-rewrite; pointer programs add pointsto
+  /// and sites-refined, and their conflicts, cssa-pi and cssame-rewrite
+  /// build the conservative form described at pointsTo()) plus an entry
+  /// for each lazy solve (heldlocks, reaching) appended when it first
+  /// runs. `cssamec
   /// --stats` prints this table. Returns a snapshot by value: a lazy
   /// solve on another thread may append concurrently, and handing out a
   /// reference would let the reader race the push_back.

@@ -1,10 +1,12 @@
 #include "src/sanalysis/pointsto.h"
 
 #include <algorithm>
-#include <functional>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "src/dataflow/framework.h"
+#include "src/support/bitset.h"
 
 namespace cssame::sanalysis {
 
@@ -41,211 +43,158 @@ std::string formatPtSet(const PtSet& pts, const ir::SymbolTable& syms) {
 
 namespace {
 
-/// SsaPropagator client (see pointsto.h for the lattice). The problem
-/// reads — never writes — the outer locPts map; the driver below re-runs
-/// the propagation whenever a harvest pass grows that map.
-struct PointsToProblem {
-  using Value = PtSet;
+/// A PtSet inside a solve: the same lattice over a bitset of symbol
+/// indices. ⊤ keeps its bitset clear, PtSet's canonical form.
+struct Pts {
+  bool anywhere = false;
+  DynBitset locs;
 
-  const pfg::Graph* graph = nullptr;
-  const ssa::SsaForm* form = nullptr;
-  const std::unordered_map<SymbolId, PtSet>* locPts = nullptr;
+  bool operator==(const Pts&) const = default;
+  [[nodiscard]] bool empty() const { return !anywhere && locs.none(); }
 
-  [[nodiscard]] const char* name() const { return "points-to"; }
-  [[nodiscard]] PtSet identity() const { return {}; }
-
-  /// Entry definitions: every location starts 0-initialized, and the ∅
-  /// invariant is exactly "this value is 0".
-  [[nodiscard]] PtSet initial(const ssa::Definition&) const { return {}; }
-
-  void join(PtSet& into, const PtSet& arg) const { into.join(arg); }
-
-  [[nodiscard]] PtSet lookupLoc(SymbolId l) const {
-    auto it = locPts->find(l);
-    return it == locPts->end() ? PtSet{} : it->second;
-  }
-
-  /// The SSA names an Assign's value depends on: the use-def links of the
-  /// VarRefs in its right-hand side (Index/Deref loads read locPts, which
-  /// the outer fixpoint re-solves on change).
-  [[nodiscard]] std::vector<SsaNameId> extraDeps(
-      const ssa::Definition& d) const {
-    std::vector<SsaNameId> deps;
-    if (d.kind != ssa::DefKind::Assign || d.stmt == nullptr) return deps;
-    if (!d.stmt->expr) return deps;
-    ir::forEachExpr(*d.stmt->expr, [&](const ir::Expr& sub) {
-      if (sub.kind != ir::ExprKind::VarRef) return;
-      auto it = form->useDef.find(&sub);
-      if (it != form->useDef.end()) deps.push_back(it->second);
-    });
-    return deps;
-  }
-
-  [[nodiscard]] PtSet evalAssign(
-      const ssa::Definition& d,
-      const std::function<PtSet(SsaNameId)>& get) const {
-    PtSet v = d.stmt != nullptr && d.stmt->expr
-                  ? evalExpr(*d.stmt->expr, get)
-                  : PtSet::any();
-    if (d.weak) {
-      // A weak definition updates at most one member/cell of its class;
-      // the class as a whole may still hold anything it held before.
-      const ir::SymbolTable& syms = graph->program().symbols;
-      for (const ir::Symbol& sym : syms.all()) {
-        if (sym.kind != ir::SymbolKind::Var) continue;
-        if (graph->aliases.repOf(sym.id) != d.var) continue;
-        v.join(lookupLoc(sym.id));
-        if (v.anywhere) break;
-      }
+  /// Lattice join; returns true when this set grew.
+  bool join(const Pts& o) {
+    if (anywhere) return false;
+    if (o.anywhere) {
+      anywhere = true;
+      locs.resetAll();
+      return true;
     }
-    return v;
+    return locs.unionWith(o.locs);
   }
 
-  [[nodiscard]] PtSet evalExpr(
-      const ir::Expr& e, const std::function<PtSet(SsaNameId)>& get) const {
-    switch (e.kind) {
-      case ir::ExprKind::IntConst:
-        // Any nonzero integer names a cell of the flat memory, so pointer
-        // arithmetic soundness needs no special casing: `p + 1` joins ⊤.
-        return e.intValue == 0 ? PtSet{} : PtSet::any();
-      case ir::ExprKind::VarRef: {
-        // The flow-insensitive contents of this specific cell: sound on
-        // its own (every store into the cell is harvested into locPts,
-        // and the 0-initialized base is the ∅ bottom), and the fallback
-        // when the use has no chain link.
-        const PtSet cell = lookupLoc(e.var);
-        auto it = form->useDef.find(&e);
-        if (it == form->useDef.end()) return cell;
-        // The chain value is class-keyed: across a weak definition it
-        // over-approximates the contents of *any* class member, which
-        // under the conservative mega-class smears every cell to ⊤.
-        // Meeting it with the per-cell set keeps the flow/concurrency
-        // sensitivity of the π chains without the class-width blowup;
-        // both operands only grow, so the outer fixpoint stays monotone.
-        PtSet v = get(it->second);
-        v.meet(cell);
-        return v;
-      }
-      case ir::ExprKind::AddrOf: {
-        PtSet p;
-        p.locs.insert(e.var);  // &a[i] collapses to the array symbol
-        return p;
-      }
-      case ir::ExprKind::Index:
-        return lookupLoc(e.var);
-      case ir::ExprKind::Deref: {
-        const PtSet addr = evalExpr(*e.operands[0], get);
-        if (addr.anywhere) return PtSet::any();
-        PtSet out;
-        for (SymbolId l : addr.locs) {
-          out.join(lookupLoc(l));
-          if (out.anywhere) break;
-        }
-        return out;
-      }
-      case ir::ExprKind::Unary: {
-        const PtSet a = evalExpr(*e.operands[0], get);
-        // Neg: -0 = 0; negating an address leaves the valid range.
-        // Not: !0 = 1 names cell 0.
-        if (e.unop == ir::UnOp::Neg) return a.empty() ? PtSet{} : PtSet::any();
-        return PtSet::any();
-      }
-      case ir::ExprKind::Binary: {
-        const PtSet a = evalExpr(*e.operands[0], get);
-        const PtSet b = evalExpr(*e.operands[1], get);
-        switch (e.binop) {
-          case ir::BinOp::Add:
-            // 0 is the additive identity; adding two non-null values may
-            // land anywhere.
-            if (a.empty()) return b;
-            if (b.empty()) return a;
-            return PtSet::any();
-          case ir::BinOp::Sub:
-            if (b.empty()) return a;  // x - 0 = x
-            if (a.empty() && b.empty()) return PtSet{};
-            return PtSet::any();
-          case ir::BinOp::Mul:
-            if (a.empty() || b.empty()) return PtSet{};  // 0 · x = 0
-            return PtSet::any();
-          case ir::BinOp::Div:
-          case ir::BinOp::Mod:
-            if (a.empty()) return PtSet{};  // 0 / x = 0 (total semantics)
-            return PtSet::any();
-          case ir::BinOp::And:
-            if (a.empty() || b.empty()) return PtSet{};  // 0 && x = 0
-            return PtSet::any();
-          case ir::BinOp::Or:
-            if (a.empty() && b.empty()) return PtSet{};  // 0 || 0 = 0
-            return PtSet::any();
-          default:
-            // Comparisons yield 0 or 1, and 1 names cell 0.
-            return PtSet::any();
-        }
-      }
-      case ir::ExprKind::Call:
-        return PtSet::any();
+  /// Lattice meet (set intersection; ⊤ is the identity).
+  void meet(const Pts& o) {
+    if (o.anywhere) return;
+    if (anywhere) {
+      *this = o;
+      return;
     }
-    return PtSet::any();
+    locs.intersectWith(o.locs);
   }
 };
 
-}  // namespace
+/// Reads the VarRef chains of one expression root in the order the
+/// evaluator reads them. The root's first evaluation resolves them
+/// through useDef and appends them to the record; later evaluations
+/// replay it, so a solve looks each chain up once.
+class ChainCursor {
+ public:
+  ChainCursor(std::vector<SsaNameId>& record, const ssa::SsaForm& form,
+              std::size_t at, bool recording)
+      : record_(&record), form_(&form), at_(at), recording_(recording) {}
 
-PointsToResult solvePointsTo(const pfg::Graph& graph,
-                             const ssa::SsaForm& form) {
-  PointsToResult result;
-  const ir::SymbolTable& syms = graph.program().symbols;
+  /// The chain of the next VarRef read; invalid when the use has none.
+  SsaNameId next(const ir::Expr& ref) {
+    if (!recording_) return (*record_)[at_++];
+    auto it = form_->useDef.find(&ref);
+    record_->push_back(it == form_->useDef.end() ? SsaNameId{} : it->second);
+    return record_->back();
+  }
 
-  // Outer fixpoint: alternate a sparse value propagation with a harvest
-  // of every store into locPts until the map stops growing. Monotone over
-  // a finite lattice; the cap is a non-convergence backstop only.
-  const std::size_t maxOuter = 64 + syms.size();
-  bool changed = true;
-  while (changed && result.stats.outerPasses < maxOuter) {
-    ++result.stats.outerPasses;
-    changed = false;
+ private:
+  std::vector<SsaNameId>* record_;
+  const ssa::SsaForm* form_;
+  std::size_t at_;
+  bool recording_;
+};
 
-    PointsToProblem problem{&graph, &form, &result.locPts};
-    dataflow::SsaPropagator<PointsToProblem> solver(form, problem);
-    const Status status = solver.solve();
-    CSSAME_CHECK(status.ok(), "points-to propagation did not converge");
-    result.stats.innerIterations += solver.stats().iterations;
+/// The state of one points-to solve over one form (see pointsto.h for
+/// the lattice): the flow-insensitive store map and the per-site sets as
+/// flat per-symbol and per-site tables, each class's members for weak
+/// definitions, and the recorded VarRef chains. A *round* is the outer
+/// fixpoint: iterate() repeats a pass ending in harvest() until no
+/// store grows the map. The round chooses what a VarRef's chain is
+/// worth; the evaluator and the harvest are the same for every round.
+class Solver {
+ public:
+  Solver(const pfg::Graph& graph, const ssa::SsaForm& form)
+      : graph_(graph),
+        form_(form),
+        nsyms_(graph.program().symbols.size()),
+        loc_(nsyms_, bottom()),
+        touched_(nsyms_, false),
+        members_(nsyms_),
+        defChains_(form.defs.size(), kUnrecorded) {
+    for (const ir::Symbol& sym : graph.program().symbols.all()) {
+      if (sym.kind != ir::SymbolKind::Var) continue;
+      vars_.push_back(sym.id);
+      members_[graph.aliases.repOf(sym.id).index()].push_back(sym.id);
+    }
+  }
 
-    const std::function<PtSet(SsaNameId)> get =
-        [&solver](SsaNameId id) -> PtSet { return solver.valueOf(id); };
+  [[nodiscard]] const ssa::SsaForm& form() const { return form_; }
+  [[nodiscard]] Pts bottom() const { return Pts{false, DynBitset(nsyms_)}; }
+  [[nodiscard]] Pts top() const { return Pts{true, DynBitset(nsyms_)}; }
 
-    auto joinLoc = [&](SymbolId l, const PtSet& v) {
-      changed |= result.locPts[l].join(v);
-    };
-    auto joinAllLocs = [&](const PtSet& v) {
-      for (const ir::Symbol& sym : syms.all())
-        if (sym.kind == ir::SymbolKind::Var) joinLoc(sym.id, v);
+  /// Runs `pass` until it reports no growth; true when it converged
+  /// within the cap. Monotone over a finite lattice, so the cap is a
+  /// non-convergence backstop only.
+  template <typename Pass>
+  bool iterate(Pass&& pass) {
+    const std::size_t maxOuter = 64 + nsyms_;
+    bool changed = true;
+    while (changed && stats_.outerPasses < maxOuter) {
+      ++stats_.outerPasses;
+      changed = pass();
+    }
+    return !changed;
+  }
+
+  /// One harvest pass: records every deref site's target set and joins
+  /// the value of every store into the map entry of each location it
+  /// may target. `value(chain)` is what a VarRef's chain is worth this
+  /// round. Returns true when the map grew.
+  template <typename ChainValue>
+  bool harvest(const ChainValue& value) {
+    const bool recording = !harvested_;
+    if (recording) harvestAt_ = chains_.size();
+    ChainCursor chains(chains_, form_, harvestAt_, recording);
+    bool changed = false;
+    std::size_t load = 0, store = 0;
+
+    auto joinLoc = [&](SymbolId l, const Pts& v) {
+      if (!touched_[l.index()]) {
+        touched_[l.index()] = true;
+        touchOrder_.push_back(l);
+      }
+      changed |= loc_[l.index()].join(v);
     };
     auto recordLoads = [&](const ir::Expr& root) {
       ir::forEachExpr(root, [&](const ir::Expr& sub) {
         if (sub.kind != ir::ExprKind::Deref) return;
-        result.loadPts[&sub] = problem.evalExpr(*sub.operands[0], get);
+        if (recording) {
+          loadSites_.push_back(&sub);
+          loadVals_.push_back(bottom());
+        }
+        loadVals_[load++] = eval(*sub.operands[0], chains, value);
       });
     };
 
-    for (const pfg::Node& n : graph.nodes()) {
+    for (const pfg::Node& n : graph_.nodes()) {
       for (const ir::Stmt* s : n.stmts) {
         if (s->expr) recordLoads(*s->expr);
         if (s->lhsAddr) recordLoads(*s->lhsAddr);
         if (s->kind != ir::StmtKind::Assign) continue;
-        const PtSet rhs = problem.evalExpr(*s->expr, get);
+        const Pts rhs = eval(*s->expr, chains, value);
         switch (s->lhsKind) {
           case ir::LValueKind::Var:
           case ir::LValueKind::Index:
             joinLoc(s->lhs, rhs);
             break;
           case ir::LValueKind::Deref: {
-            const PtSet addr = problem.evalExpr(*s->lhsAddr, get);
-            result.storePts[s] = addr;
+            const Pts addr = eval(*s->lhsAddr, chains, value);
+            if (recording) {
+              storeSites_.push_back(s);
+              storeVals_.push_back(bottom());
+            }
+            storeVals_[store++] = addr;
             if (addr.anywhere) {
-              joinAllLocs(rhs);
+              for (SymbolId l : vars_) joinLoc(l, rhs);
             } else {
-              for (SymbolId l : addr.locs) joinLoc(l, rhs);
+              addr.locs.forEach([&](std::size_t l) {
+                joinLoc(SymbolId{static_cast<SymbolId::value_type>(l)}, rhs);
+              });
             }
             break;
           }
@@ -254,32 +203,316 @@ PointsToResult solvePointsTo(const pfg::Graph& graph,
       if (n.terminator != nullptr && n.terminator->expr)
         recordLoads(*n.terminator->expr);
     }
-  }
-  if (changed) {
-    // Backstop: degrade every site to ⊤ rather than ship an unsound
-    // partial answer.
-    result.stats.converged = false;
-    for (auto& [e, p] : result.loadPts) p = PtSet::any();
-    for (auto& [s, p] : result.storePts) p = PtSet::any();
+    harvested_ = true;
+    return changed;
   }
 
-  result.stats.derefSites = result.loadPts.size() + result.storePts.size();
-  std::size_t finiteSites = 0, finiteTargets = 0;
-  auto tally = [&](const PtSet& p) {
-    if (p.anywhere) {
-      ++result.stats.anywhereSites;
-    } else {
-      ++finiteSites;
-      finiteTargets += p.locs.size();
+  /// Transfer function of an Assign definition: its right-hand side,
+  /// joined with its class's contents when the definition is weak (it
+  /// updates one member or cell and the class may keep what it held).
+  template <typename Get>
+  [[nodiscard]] Pts evalAssign(const ssa::Definition& d, const Get& get) {
+    Pts v = top();
+    if (d.stmt != nullptr && d.stmt->expr) {
+      std::size_t& at = defChains_[d.name.index()];
+      const bool recording = at == kUnrecorded;
+      if (recording) at = chains_.size();
+      ChainCursor chains(chains_, form_, at, recording);
+      v = eval(*d.stmt->expr, chains, get);
     }
-  };
-  for (const auto& [e, p] : result.loadPts) tally(p);
-  for (const auto& [s, p] : result.storePts) tally(p);
-  result.stats.avgTargets =
-      finiteSites == 0
-          ? 0.0
-          : static_cast<double>(finiteTargets) / static_cast<double>(finiteSites);
-  return result;
+    if (d.weak) {
+      for (SymbolId m : members_[d.var.index()]) {
+        v.join(loc_[m.index()]);
+        if (v.anywhere) break;
+      }
+    }
+    return v;
+  }
+
+  /// The round's answer in the public types; every site degrades to ⊤
+  /// when the round did not converge.
+  [[nodiscard]] PointsToResult finish(bool converged) const {
+    PointsToResult result;
+    result.stats = stats_;
+    for (SymbolId l : touchOrder_)
+      result.locPts.emplace(l, toPtSet(loc_[l.index()]));
+    for (std::size_t i = 0; i < loadSites_.size(); ++i)
+      result.loadPts.emplace(loadSites_[i], toPtSet(loadVals_[i]));
+    for (std::size_t i = 0; i < storeSites_.size(); ++i)
+      result.storePts.emplace(storeSites_[i], toPtSet(storeVals_[i]));
+    if (!converged) {
+      // Backstop: degrade every site to ⊤ rather than ship an unsound
+      // partial answer.
+      result.stats.converged = false;
+      for (auto& [e, p] : result.loadPts) p = PtSet::any();
+      for (auto& [s, p] : result.storePts) p = PtSet::any();
+    }
+
+    result.stats.derefSites = result.loadPts.size() + result.storePts.size();
+    std::size_t finiteSites = 0, finiteTargets = 0;
+    auto tally = [&](const PtSet& p) {
+      if (p.anywhere) {
+        ++result.stats.anywhereSites;
+      } else {
+        ++finiteSites;
+        finiteTargets += p.locs.size();
+      }
+    };
+    for (const auto& [e, p] : result.loadPts) tally(p);
+    for (const auto& [s, p] : result.storePts) tally(p);
+    result.stats.avgTargets =
+        finiteSites == 0 ? 0.0
+                         : static_cast<double>(finiteTargets) /
+                               static_cast<double>(finiteSites);
+    return result;
+  }
+
+  [[nodiscard]] PointsToStats& stats() { return stats_; }
+
+ private:
+  static constexpr std::size_t kUnrecorded = SIZE_MAX;
+
+  /// The one expression evaluator (transfer functions in pointsto.h).
+  /// A VarRef reads its chain's value met with its own cell: the chain
+  /// carries flow and concurrency sensitivity, the cell bounds it to
+  /// this variable's contents; a use with no chain reads the cell.
+  template <typename ChainValue>
+  [[nodiscard]] Pts eval(const ir::Expr& e, ChainCursor& chains,
+                         const ChainValue& value) const {
+    switch (e.kind) {
+      case ir::ExprKind::IntConst:
+        // Any nonzero integer names a cell of the flat memory, so pointer
+        // arithmetic soundness needs no special casing: `p + 1` joins ⊤.
+        return e.intValue == 0 ? bottom() : top();
+      case ir::ExprKind::VarRef: {
+        // The chain value is class-keyed: across a weak definition it
+        // over-approximates the contents of *any* class member, which
+        // under the conservative mega-class smears every cell to ⊤.
+        // Meeting it with the per-cell set keeps the flow/concurrency
+        // sensitivity of the π chains without the class-width blowup;
+        // both operands only grow, so the outer fixpoint stays monotone.
+        const SsaNameId chain = chains.next(e);
+        Pts v = chain.valid() ? value(chain) : top();
+        v.meet(loc_[e.var.index()]);
+        return v;
+      }
+      case ir::ExprKind::AddrOf: {
+        Pts p = bottom();
+        p.locs.set(e.var.index());  // &a[i] collapses to the array symbol
+        return p;
+      }
+      case ir::ExprKind::Index:
+        return loc_[e.var.index()];
+      case ir::ExprKind::Deref: {
+        const Pts addr = eval(*e.operands[0], chains, value);
+        if (addr.anywhere) return top();
+        Pts out = bottom();
+        addr.locs.forEach([&](std::size_t l) { out.join(loc_[l]); });
+        return out;
+      }
+      case ir::ExprKind::Unary: {
+        const Pts a = eval(*e.operands[0], chains, value);
+        // Neg: -0 = 0; negating an address leaves the valid range.
+        // Not: !0 = 1 names cell 0.
+        if (e.unop == ir::UnOp::Neg) return a.empty() ? bottom() : top();
+        return top();
+      }
+      case ir::ExprKind::Binary: {
+        Pts a = eval(*e.operands[0], chains, value);
+        Pts b = eval(*e.operands[1], chains, value);
+        switch (e.binop) {
+          case ir::BinOp::Add:
+            // 0 is the additive identity; adding two non-null values may
+            // land anywhere.
+            if (a.empty()) return b;
+            if (b.empty()) return a;
+            return top();
+          case ir::BinOp::Sub:
+            if (b.empty()) return a;  // x - 0 = x
+            return top();
+          case ir::BinOp::Mul:
+            if (a.empty() || b.empty()) return bottom();  // 0 · x = 0
+            return top();
+          case ir::BinOp::Div:
+          case ir::BinOp::Mod:
+            if (a.empty()) return bottom();  // 0 / x = 0 (total semantics)
+            return top();
+          case ir::BinOp::And:
+            if (a.empty() || b.empty()) return bottom();  // 0 && x = 0
+            return top();
+          case ir::BinOp::Or:
+            if (a.empty() && b.empty()) return bottom();  // 0 || 0 = 0
+            return top();
+          default:
+            // Comparisons yield 0 or 1, and 1 names cell 0.
+            return top();
+        }
+      }
+      case ir::ExprKind::Call:
+        return top();
+    }
+    return top();
+  }
+
+  [[nodiscard]] static PtSet toPtSet(const Pts& p) {
+    if (p.anywhere) return PtSet::any();
+    PtSet out;
+    p.locs.forEach([&](std::size_t l) {
+      out.locs.insert(out.locs.end(),
+                      SymbolId{static_cast<SymbolId::value_type>(l)});
+    });
+    return out;
+  }
+
+  const pfg::Graph& graph_;
+  const ssa::SsaForm& form_;
+  std::size_t nsyms_;
+  PointsToStats stats_;
+  std::vector<Pts> loc_;  ///< store map, by symbol index
+  /// Locations some store has joined into, in first-touch order (the
+  /// key set of PointsToResult::locPts).
+  std::vector<bool> touched_;
+  std::vector<SymbolId> touchOrder_;
+  std::vector<SymbolId> vars_;  ///< Var symbols, in table order
+  std::vector<std::vector<SymbolId>> members_;  ///< by class representative
+  /// Deref sites in harvest order and their latest target sets.
+  std::vector<const ir::Expr*> loadSites_;
+  std::vector<Pts> loadVals_;
+  std::vector<const ir::Stmt*> storeSites_;
+  std::vector<Pts> storeVals_;
+  /// Recorded VarRef chains: per Assign definition from defChains_, and
+  /// the harvest's from harvestAt_.
+  std::vector<SsaNameId> chains_;
+  std::vector<std::size_t> defChains_;
+  std::size_t harvestAt_ = 0;
+  bool harvested_ = false;
+};
+
+/// SsaPropagator client of the general round: pointer values flow along
+/// the use-def chains, and an Assign evaluates its right-hand side.
+struct PointsToProblem {
+  using Value = Pts;
+
+  Solver* solver = nullptr;
+
+  [[nodiscard]] const char* name() const { return "points-to"; }
+  [[nodiscard]] Pts identity() const { return solver->bottom(); }
+
+  /// Entry definitions: every location starts 0-initialized, and the ∅
+  /// invariant is exactly "this value is 0".
+  [[nodiscard]] Pts initial(const ssa::Definition&) const {
+    return solver->bottom();
+  }
+
+  void join(Pts& into, const Pts& arg) const { into.join(arg); }
+
+  /// The SSA names an Assign's value depends on: the use-def links of the
+  /// VarRefs in its right-hand side (Index/Deref loads read the store
+  /// map, which the outer fixpoint re-solves on change).
+  [[nodiscard]] std::vector<SsaNameId> extraDeps(
+      const ssa::Definition& d) const {
+    std::vector<SsaNameId> deps;
+    if (d.kind != ssa::DefKind::Assign || d.stmt == nullptr) return deps;
+    if (!d.stmt->expr) return deps;
+    const ssa::SsaForm& form = solver->form();
+    ir::forEachExpr(*d.stmt->expr, [&](const ir::Expr& sub) {
+      if (sub.kind != ir::ExprKind::VarRef) return;
+      auto it = form.useDef.find(&sub);
+      if (it != form.useDef.end()) deps.push_back(it->second);
+    });
+    return deps;
+  }
+
+  template <typename Get>
+  [[nodiscard]] Pts evalAssign(const ssa::Definition& d,
+                               const Get& get) const {
+    return solver->evalAssign(d, get);
+  }
+};
+
+/// SsaPropagator problem of the conservative round: does some Assign
+/// definition reach a name through its φ/π arguments?
+struct AssignReachProblem {
+  using Value = std::uint8_t;
+
+  [[nodiscard]] const char* name() const { return "assignment-reach"; }
+  [[nodiscard]] Value identity() const { return 0; }
+  [[nodiscard]] Value initial(const ssa::Definition& d) const {
+    return d.kind == ssa::DefKind::Assign ? 1 : 0;
+  }
+  void join(Value& into, const Value& arg) const { into |= arg; }
+};
+
+/// One flag per SSA name: 1 when some assignment reaches it.
+std::vector<std::uint8_t> assignmentsReaching(const ssa::SsaForm& form) {
+  dataflow::SsaPropagator<AssignReachProblem> solver(form, {});
+  const Status status = solver.solve();
+  CSSAME_CHECK(status.ok(), "assignment reach did not converge");
+  std::vector<std::uint8_t> reached(form.defs.size());
+  for (const ssa::Definition& d : form.defs)
+    reached[d.name.index()] = solver.valueOf(d.name);
+  return reached;
+}
+
+}  // namespace
+
+PointsToResult solvePointsTo(const pfg::Graph& graph,
+                             const ssa::SsaForm& form) {
+  // Outer fixpoint: alternate a sparse value propagation with a harvest
+  // of every store into the store map until the map stops growing. The
+  // propagator's def-use edges are built once; each pass re-solves it
+  // against the grown map.
+  Solver solver(graph, form);
+  dataflow::SsaPropagator<PointsToProblem> propagator(
+      form, PointsToProblem{&solver});
+  const bool converged = solver.iterate([&] {
+    const Status status = propagator.solve();
+    CSSAME_CHECK(status.ok(), "points-to propagation did not converge");
+    solver.stats().innerIterations += propagator.stats().iterations;
+    return solver.harvest(
+        [&](SsaNameId c) -> const Pts& { return propagator.valueOf(c); });
+  });
+  return solver.finish(converged);
+}
+
+bool allAssignsWeak(const ssa::SsaForm& form) {
+  return std::all_of(form.defs.begin(), form.defs.end(),
+                     [](const ssa::Definition& d) {
+                       return d.kind != ssa::DefKind::Assign || d.removed ||
+                              d.weak;
+                     });
+}
+
+analysis::AccessSites conservativePiSites(const analysis::AccessSites& sites,
+                                          const ssa::SsaForm& form) {
+  const std::vector<std::uint8_t> reached = assignmentsReaching(form);
+  analysis::AccessSites kept;
+  for (const auto& [cls, uses] : sites.uses)
+    for (const analysis::AccessSites::Use& u : uses)
+      if (u.ref->kind == ir::ExprKind::VarRef &&
+          reached[form.useDef.at(u.ref).index()] == 0)
+        kept.uses[cls].push_back(u);
+  if (!kept.uses.empty()) kept.defs = sites.defs;
+  return kept;
+}
+
+ir::AliasClasses refineConservative(const pfg::Graph& graph,
+                                    const ssa::SsaForm& form) {
+  CSSAME_CHECK(allAssignsWeak(form),
+               "conservative round needs every assignment weak");
+  // Every assignment joins every cell, so a chain some assignment
+  // reaches holds a superset of every cell and one no assignment reaches
+  // holds ∅: a VarRef reads its own cell or ∅, and no propagation is
+  // needed (pointsto.h, "Solver").
+  const std::vector<std::uint8_t> reached = assignmentsReaching(form);
+  Solver solver(graph, form);
+  const Pts all = solver.top(), none = solver.bottom();
+  const bool converged = solver.iterate([&] {
+    return solver.harvest([&](SsaNameId c) -> const Pts& {
+      return reached[c.index()] != 0 ? all : none;
+    });
+  });
+  return solver.finish(converged).buildClasses(graph.program());
 }
 
 ir::AliasClasses PointsToResult::buildClasses(const ir::Program& prog) const {
@@ -290,8 +523,7 @@ ir::AliasClasses PointsToResult::buildClasses(const ir::Program& prog) const {
   // deterministic regardless of site iteration order.
   std::vector<std::uint32_t> parent(n);
   std::iota(parent.begin(), parent.end(), 0u);
-  std::function<std::uint32_t(std::uint32_t)> find =
-      [&](std::uint32_t x) -> std::uint32_t {
+  auto find = [&](std::uint32_t x) {
     while (parent[x] != x) {
       parent[x] = parent[parent[x]];
       x = parent[x];

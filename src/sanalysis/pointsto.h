@@ -27,10 +27,33 @@
 //          placed from the MHP relation, pointer values assigned in
 //          *concurrent threads* are unioned into every guarded use — the
 //          concurrency refinement falls out of the CSSAME form itself.
+//          The propagator's def-use edges are built once per solve, and
+//          each outer pass re-solves it; a VarRef reads its chain's value
+//          met with its own cell.
 //   outer  the flow-insensitive store map locPts : location → PtSet.
 //          Every store (x = e, a[i] = e, *p = e) joins the value set of
 //          its right-hand side into the map entry of every location it
 //          may target; loads read the map. Iterate until stable.
+// Inside a solve a value is a bitset over symbols (or ⊤), the store map
+// and the per-site sets are dense tables, and each VarRef's chain is
+// looked up once; the public PtSet maps are filled once at the end.
+//
+// The conservative round (refineConservative) needs no inner fixpoint.
+// Under ir::conservativeClasses every Var symbol is in one class, so
+// when the program has two or more variables every assignment is a weak
+// definition whose value is its right-hand side joined with every cell.
+// A φ/π therefore holds ∅ when no assignment reaches it through its
+// arguments and a superset of every cell otherwise, and a VarRef (chain
+// ∧ cell) reads ∅ or exactly its own cell. The round computes one
+// "some assignment reaches it" flag per SSA name and runs the same
+// harvest with those reads; the store map, the per-site sets and so the
+// partition are those of the general solve. (Both reach the same least
+// fixpoint, the round in no more passes; only when the general solve
+// would hit its pass cap and degrade every site to ⊤ can they differ.)
+// A π can change such a read only at a VarRef whose sequential chain
+// reaches no assignment (a π's conflict arguments are assignments), and
+// π placement and the CSSAME rewrite decide each use's π from that use
+// alone, so conservativePiSites restricts placement to those uses.
 //
 // Soundness posture: loads through memory are evaluated purely via
 // locPts, so the class partition installed while solving (the
@@ -44,6 +67,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/analysis/concurrency.h"
 #include "src/ir/alias.h"
 #include "src/pfg/graph.h"
 #include "src/ssa/ssa.h"
@@ -102,6 +126,26 @@ struct PointsToResult {
 /// conservative pre-pass partition) and left untouched.
 [[nodiscard]] PointsToResult solvePointsTo(const pfg::Graph& graph,
                                            const ssa::SsaForm& form);
+
+/// Precondition of the conservative round: every live Assign definition
+/// of `form` is weak. On a conservative form it fails only when the
+/// program declares a single variable (a singleton class keeps strong
+/// stores); the pipeline then solves that form with solvePointsTo.
+[[nodiscard]] bool allAssignsWeak(const ssa::SsaForm& form);
+
+/// The uses of `sites` whose π the conservative round reads: VarRefs
+/// whose sequential chain in `form` (built, π terms not yet placed)
+/// reaches no assignment. Keeps every definition when any use is kept,
+/// and no per-node index — the result is placePiTerms input only.
+[[nodiscard]] analysis::AccessSites conservativePiSites(
+    const analysis::AccessSites& sites, const ssa::SsaForm& form);
+
+/// The first refined partition of a pointer program: buildClasses of
+/// solvePointsTo over its conservative form, computed without a
+/// points-to propagation (see "Solver" above). Requires
+/// allAssignsWeak(form); πs need only be placed for conservativePiSites.
+[[nodiscard]] ir::AliasClasses refineConservative(const pfg::Graph& graph,
+                                                  const ssa::SsaForm& form);
 
 /// "{x, y}", "{}" or "{anywhere}" — for --stats and diagnostic notes.
 [[nodiscard]] std::string formatPtSet(const PtSet& pts,

@@ -228,6 +228,10 @@ class Builder {
       return -1;
     };
 
+    // Folded φ → its replacement. The decisions below read no names, so
+    // the uses are rewritten once, after the last fold.
+    std::vector<SsaNameId> forward(form_.defs.size());
+    bool folded = false;
     for (const pfg::Node& n : graph_.nodes()) {
       if (n.kind != pfg::NodeKind::Coend) continue;
       const StmtId cobegin = n.syncStmt->id;
@@ -247,7 +251,13 @@ class Builder {
                                   }),
                    args.end());
         if (args.size() == 1) {
-          replaceAllUses(p.name, args.front().def);
+          // Resolving the target now keeps the table acyclic: a φ whose
+          // last argument already forwards back to it folds into itself.
+          const SsaNameId to = resolve(forward, args.front().def);
+          if (to != p.name) {
+            forward[p.name.index()] = to;
+            folded = true;
+          }
           p.removed = true;
           it = phis.erase(it);
         } else {
@@ -255,18 +265,26 @@ class Builder {
         }
       }
     }
+    if (folded) forwardAllUses(forward);
   }
 
-  void replaceAllUses(SsaNameId oldName, SsaNameId newName) {
-    for (auto& [use, def] : form_.useDef)
-      if (def == oldName) def = newName;
+  /// Follows a name through the folded φs to the name that replaces it.
+  static SsaNameId resolve(const std::vector<SsaNameId>& forward,
+                           SsaNameId name) {
+    while (forward[name.index()].valid()) name = forward[name.index()];
+    return name;
+  }
+
+  /// Rewrites every use-def link and every argument — removed φs'
+  /// included — through the forwarding table, in one pass.
+  void forwardAllUses(const std::vector<SsaNameId>& forward) {
+    for (auto& [use, def] : form_.useDef) def = resolve(forward, def);
     for (Definition& d : form_.defs) {
-      for (PhiArg& a : d.phiArgs)
-        if (a.def == oldName) a.def = newName;
+      for (PhiArg& a : d.phiArgs) a.def = resolve(forward, a.def);
       if (d.kind == DefKind::Pi) {
-        if (d.piControlArg == oldName) d.piControlArg = newName;
+        d.piControlArg = resolve(forward, d.piControlArg);
         for (PiConflictArg& a : d.piConflictArgs)
-          if (a.def == oldName) a.def = newName;
+          a.def = resolve(forward, a.def);
       }
     }
   }
