@@ -74,8 +74,6 @@ void crossValidate(ir::Program prog, Tally& tally) {
   opts.detectRaces = true;
   opts.maxSteps = 1u << 18;
   opts.maxStates = 1u << 16;
-  opts.workers = benchutil::exploreWorkers();
-  opts.dpor = benchutil::exploreDpor();
   const interp::ExploreResult dyn = interp::exploreAllSchedules(prog, opts);
 
   ++tally.workloads;

@@ -13,8 +13,10 @@
 //   unknown    — a budget tripped before the search finished.
 //
 // The dual direction is a soundness check: a dynamically raced variable
-// the static engine missed would be a bug, and the table asserts there
-// are none. Results go to BENCH_csan.json for trend tracking.
+// the static engine missed would be a bug, and the run exits 1 if there
+// is one, if fewer than 100 workloads ran, or if fewer than half of the
+// explorations completed. Results go to BENCH_csan.json for trend
+// tracking.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -59,8 +61,6 @@ void crossValidate(ir::Program prog, Tally& tally) {
   opts.detectRaces = true;
   opts.maxSteps = 1u << 18;
   opts.maxStates = 1u << 16;
-  opts.workers = benchutil::exploreWorkers();
-  opts.dpor = benchutil::exploreDpor();
   const interp::ExploreResult dyn = interp::exploreAllSchedules(prog, opts);
 
   ++tally.workloads;
@@ -193,5 +193,8 @@ int main(int argc, char** argv) {
               t.confirmedFraction());
   writeJson(t, "BENCH_csan.json");
   std::printf("  wrote BENCH_csan.json\n\n");
+  if (t.dynamicOnly != 0 || t.workloads < 100 ||
+      t.completeExplorations * 2 < t.workloads)
+    return 1;
   return runBenchmarks(argc, argv);
 }

@@ -35,14 +35,10 @@ ir::Program makeRacy(int threads, int stmts, bool locked) {
 void BM_Explore_Unlocked(benchmark::State& state) {
   ir::Program prog = makeRacy(static_cast<int>(state.range(0)), 2, false);
   for (auto _ : state) {
-    interp::ExploreResult r = interp::exploreAllSchedules(
-        prog, {.workers = benchutil::exploreWorkers(),
-         .dpor = benchutil::exploreDpor()});
+    interp::ExploreResult r = interp::exploreAllSchedules(prog);
     benchmark::DoNotOptimize(r.statesExplored);
   }
-  interp::ExploreResult r = interp::exploreAllSchedules(
-        prog, {.workers = benchutil::exploreWorkers(),
-         .dpor = benchutil::exploreDpor()});
+  interp::ExploreResult r = interp::exploreAllSchedules(prog);
   state.counters["states"] = static_cast<double>(r.statesExplored);
   state.counters["outputs"] = static_cast<double>(r.outputs.size());
 }
@@ -51,14 +47,10 @@ BENCHMARK(BM_Explore_Unlocked)->Arg(2)->Arg(3)->Arg(4);
 void BM_Explore_Locked(benchmark::State& state) {
   ir::Program prog = makeRacy(static_cast<int>(state.range(0)), 2, true);
   for (auto _ : state) {
-    interp::ExploreResult r = interp::exploreAllSchedules(
-        prog, {.workers = benchutil::exploreWorkers(),
-         .dpor = benchutil::exploreDpor()});
+    interp::ExploreResult r = interp::exploreAllSchedules(prog);
     benchmark::DoNotOptimize(r.statesExplored);
   }
-  interp::ExploreResult r = interp::exploreAllSchedules(
-        prog, {.workers = benchutil::exploreWorkers(),
-         .dpor = benchutil::exploreDpor()});
+  interp::ExploreResult r = interp::exploreAllSchedules(prog);
   state.counters["states"] = static_cast<double>(r.statesExplored);
   state.counters["outputs"] = static_cast<double>(r.outputs.size());
 }
@@ -71,8 +63,6 @@ void BM_Explore_StateBudget(benchmark::State& state) {
   ir::Program prog = makeRacy(4, 3, false);
   interp::ExploreOptions opts;
   opts.maxStates = static_cast<std::uint64_t>(state.range(0));
-  opts.workers = benchutil::exploreWorkers();
-  opts.dpor = benchutil::exploreDpor();
   for (auto _ : state) {
     interp::ExploreResult r = interp::exploreAllSchedules(prog, opts);
     benchmark::DoNotOptimize(r.statesExplored);
@@ -96,9 +86,7 @@ int main(int argc, char** argv) {
   // state-space size the explorer must cover.
   {
     ir::Program prog = makeRacy(3, 2, false);
-    interp::ExploreResult r = interp::exploreAllSchedules(
-        prog, {.workers = benchutil::exploreWorkers(),
-         .dpor = benchutil::exploreDpor()});
+    interp::ExploreResult r = interp::exploreAllSchedules(prog);
     tableRow("states, 3 threads x 2 increments, unlocked", "(baseline)",
              static_cast<long long>(r.statesExplored), r.complete);
     tableRow("distinct outputs (atomic increments)", "1",
@@ -110,9 +98,7 @@ int main(int argc, char** argv) {
     // deduplicated state count grows even though the behavior set does
     // not — the explorer must still complete.
     ir::Program prog = makeRacy(3, 2, true);
-    interp::ExploreResult r = interp::exploreAllSchedules(
-        prog, {.workers = benchutil::exploreWorkers(),
-         .dpor = benchutil::exploreDpor()});
+    interp::ExploreResult r = interp::exploreAllSchedules(prog);
     tableRow("states, same but locked", "(complete)",
              static_cast<long long>(r.statesExplored), r.complete);
     tableRow("distinct outputs", "1",
@@ -125,8 +111,6 @@ int main(int argc, char** argv) {
     ir::Program prog = makeRacy(4, 3, false);
     interp::ExploreOptions opts;
     opts.maxStates = 128;
-    opts.workers = exploreWorkers();
-    opts.dpor = exploreDpor();
     interp::ExploreResult r = interp::exploreAllSchedules(prog, opts);
     tableRow("states under a 128-state budget", "<= 129",
              static_cast<long long>(r.statesExplored),

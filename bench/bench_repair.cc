@@ -100,8 +100,6 @@ Facts analyzeFromScratch(const std::string& source) {
   opts.detectRaces = true;
   opts.maxSteps = 1u << 18;
   opts.maxStates = 1u << 16;
-  opts.workers = benchutil::exploreWorkers();
-  opts.dpor = benchutil::exploreDpor();
   const interp::ExploreResult ex = interp::exploreAllSchedules(pr.program, opts);
   f.raced = {ex.racedVars.begin(), ex.racedVars.end()};
   for (SymbolId v : ex.racedVars)
@@ -140,7 +138,6 @@ void repairAndRecheck(const std::string& source, repair::FixTarget target,
   ++tally.workloads;
   const auto start = std::chrono::steady_clock::now();
   repair::RepairLimits limits;
-  limits.exploreWorkers = benchutil::exploreWorkers();
   const repair::RepairResult r = repair::repairSource(source, target, limits);
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - start)

@@ -386,7 +386,6 @@ ExplorerScale runExplorerScale() {
   opts.maxStates = 1u << 24;
   opts.detectRaces = true;
   opts.recordValues = true;
-  opts.dpor = benchutil::exploreDpor();
 
   ExplorerScale out;
   auto explore = [&](unsigned workers) {
@@ -517,7 +516,6 @@ DporScale runDporScale(support::MemoryModel model) {
   opts.maxSteps = 1u << 26;
   opts.maxStates = 1u << 24;
   opts.detectRaces = true;
-  opts.workers = benchutil::exploreWorkers();
   opts.model = model;
 
   DporScale out;

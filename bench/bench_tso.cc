@@ -93,8 +93,6 @@ void crossValidate(ir::Program prog, Tally& tally,
   opts.detectRaces = true;
   opts.maxSteps = 1u << 18;
   opts.maxStates = 1u << 16;
-  opts.workers = benchutil::exploreWorkers();
-  opts.dpor = benchutil::exploreDpor();
   const interp::ExploreResult sc = interp::exploreAllSchedules(prog, opts);
   opts.model = support::MemoryModel::TSO;
   const interp::ExploreResult tso = interp::exploreAllSchedules(prog, opts);
@@ -381,7 +379,6 @@ void BM_ExploreTso(benchmark::State& state) {
   interp::ExploreOptions opts;
   opts.maxSteps = 1u << 18;
   opts.maxStates = 1u << 16;
-  opts.dpor = benchutil::exploreDpor();
   opts.model = support::MemoryModel::TSO;
   for (auto _ : state) {
     interp::ExploreResult r = interp::exploreAllSchedules(prog, opts);

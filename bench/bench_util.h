@@ -7,33 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace cssame::benchutil {
-
-/// Worker count for schedule explorations, from the CSSAME_EXPLORE_WORKERS
-/// environment variable (default 1, 0 = one per hardware thread). The
-/// explorer's result is identical for every worker count, so this only
-/// changes wall-clock time — every reported metric stays comparable
-/// across settings.
-inline unsigned exploreWorkers() {
-  const char* env = std::getenv("CSSAME_EXPLORE_WORKERS");
-  return env == nullptr
-             ? 1u
-             : static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-}
-
-/// Partial-order reduction toggle for the bench explorations, from
-/// CSSAME_EXPLORE_DPOR (default on; "0" runs the unreduced sweep). Every
-/// contract field a bench asserts on — outputs, racedVars, the verdict
-/// bits — is identical either way, so like exploreWorkers() this only
-/// moves wall-clock time; observedRanges may shrink to a subset with the
-/// reduction on (still valid for the vrange lower-bound oracle).
-inline bool exploreDpor() {
-  const char* env = std::getenv("CSSAME_EXPLORE_DPOR");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
 
 inline void tableHeader(const char* experiment) {
   std::printf("== %s ==\n", experiment);

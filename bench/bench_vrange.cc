@@ -13,7 +13,7 @@
 //      came from real executions), so the check applies unconditionally.
 //
 // Results go to BENCH_vrange.json for trend tracking; CI fails the run
-// when either check reports a violation.
+// when either check reports a violation or no dead branch is found.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -29,12 +29,6 @@
 namespace {
 
 using namespace cssame;
-
-const sanalysis::VrangeOptions kNoDiagnose = [] {
-  sanalysis::VrangeOptions o;
-  o.diagnose = false;
-  return o;
-}();
 
 struct Tally {
   std::size_t workloads = 0;
@@ -54,8 +48,7 @@ struct Tally {
 /// the static hull.
 void crossValidate(ir::Program prog, Tally& tally) {
   driver::Compilation comp = driver::analyze(prog);
-  const sanalysis::VrangeResult vr =
-      sanalysis::analyzeValueRanges(comp, nullptr, kNoDiagnose);
+  const sanalysis::VrangeResult vr = sanalysis::analyzeValueRanges(comp);
 
   ++tally.workloads;
   tally.singletonDefs += vr.stats.singletonDefs;
@@ -74,8 +67,6 @@ void crossValidate(ir::Program prog, Tally& tally) {
   opts.recordValues = true;
   opts.maxSteps = 1u << 18;
   opts.maxStates = 1u << 16;
-  opts.workers = benchutil::exploreWorkers();
-  opts.dpor = benchutil::exploreDpor();
   const interp::ExploreResult dyn = interp::exploreAllSchedules(prog, opts);
   tally.completeExplorations += dyn.complete ? 1 : 0;
   for (const auto& [var, range] : dyn.observedRanges) {
@@ -160,8 +151,7 @@ void BM_Vrange(benchmark::State& state) {
       static_cast<int>(state.range(0)), 4, 8, 0.7, 42);
   driver::Compilation comp = driver::analyze(prog);
   for (auto _ : state) {
-    sanalysis::VrangeResult r =
-        sanalysis::analyzeValueRanges(comp, nullptr, kNoDiagnose);
+    sanalysis::VrangeResult r = sanalysis::analyzeValueRanges(comp);
     benchmark::DoNotOptimize(r.stats.singletonDefs);
   }
 }
@@ -172,8 +162,7 @@ void BM_VrangeEndToEnd(benchmark::State& state) {
       static_cast<int>(state.range(0)), 4, 8, 0.7, 42);
   for (auto _ : state) {
     driver::Compilation comp = driver::analyze(prog);
-    sanalysis::VrangeResult r =
-        sanalysis::analyzeValueRanges(comp, nullptr, kNoDiagnose);
+    sanalysis::VrangeResult r = sanalysis::analyzeValueRanges(comp);
     benchmark::DoNotOptimize(r.stats.singletonDefs);
   }
 }
@@ -203,10 +192,17 @@ int main(int argc, char** argv) {
            static_cast<long long>(t.singletonDefs), true);
   tableRow("bounded (finite, non-singleton) defs", "(reported)",
            static_cast<long long>(t.boundedDefs), true);
+  // An oracle that decides nothing shows nothing, so the dead-branch
+  // verdicts need a floor. Asserts get none: the generator emits no
+  // assert statement, so asserts_decided reads 0 by construction.
+  tableRow("dead branches", ">= 1", static_cast<long long>(t.deadBranches),
+           t.deadBranches > 0);
   if (!t.firstFailure.empty())
     std::printf("  first failure: %s\n", t.firstFailure.c_str());
   writeJson(t, "BENCH_vrange.json");
   std::printf("  wrote BENCH_vrange.json\n\n");
-  if (t.crossCheckFailures != 0 || t.soundnessViolations != 0) return 1;
+  if (t.crossCheckFailures != 0 || t.soundnessViolations != 0 ||
+      t.deadBranches == 0)
+    return 1;
   return runBenchmarks(argc, argv);
 }

@@ -68,9 +68,15 @@ class FormPrinter {
     out_ += "  ";
     switch (s->kind) {
       case ir::StmtKind::Assign: {
+        // A store names its SSA definition. A Deref store through an
+        // empty points-to set has none and keeps its source lvalue.
         auto it = form_.assignDef.find(s);
-        out_ += (it != form_.assignDef.end() ? ssaName(it->second)
-                                             : syms_.nameOf(s->lhs));
+        if (it != form_.assignDef.end())
+          out_ += ssaName(it->second);
+        else if (s->lhsKind == ir::LValueKind::Deref)
+          out_ += deref(*s->lhsAddr);
+        else
+          out_ += syms_.nameOf(s->lhs);
         out_ += " = " + expr(*s->expr);
         break;
       }
@@ -112,8 +118,31 @@ class FormPrinter {
         }
         return s + ")";
       }
+      // Pointer and array operands keep ir::printer's spelling; the
+      // names inside are SSA-renamed like any other use.
+      case ir::ExprKind::AddrOf:
+        return "&" + syms_.nameOf(e.var) +
+               (e.operands.empty() ? "" : "[" + expr(*e.operands[0]) + "]");
+      case ir::ExprKind::Deref:
+        return deref(*e.operands[0]);
+      case ir::ExprKind::Index: {
+        auto it = form_.useDef.find(&e);
+        return (it != form_.useDef.end() ? ssaName(it->second)
+                                         : syms_.nameOf(e.var)) +
+               "[" + expr(*e.operands[0]) + "]";
+      }
     }
     return "?";
+  }
+
+  /// `*p`, or `*(p + 1)` when the address is not a single operand.
+  std::string deref(const ir::Expr& addr) {
+    const bool bare = addr.kind == ir::ExprKind::IntConst ||
+                      addr.kind == ir::ExprKind::VarRef ||
+                      addr.kind == ir::ExprKind::Call ||
+                      addr.kind == ir::ExprKind::AddrOf ||
+                      addr.kind == ir::ExprKind::Index;
+    return bare ? "*" + expr(addr) : "*(" + expr(addr) + ")";
   }
 
   const pfg::Graph& graph_;

@@ -5,12 +5,12 @@
 // (cssa) and the CSCC propagation engine (opt). They are now instances of
 // the three solver shapes defined here:
 //
-//   DenseSolver<P>       a classic iterative worklist solver over PFG
+//   DenseSolver<P>       a classic forward worklist solver over PFG
 //                        control edges: per-node IN/OUT values, a meet
-//                        over predecessors (successors when backward) and
-//                        a transfer function. P picks the direction and
-//                        the lattice (may = union, must = intersect, or
-//                        anything else with a monotone meet).
+//                        over predecessors and a transfer function. P
+//                        picks the lattice (may = union, must =
+//                        intersect, or anything else with a monotone
+//                        meet).
 //
 //   SsaPropagator<P>     a sparse solver over the SSA names of the
 //                        CSSAME form: each definition carries one lattice
@@ -40,8 +40,6 @@
 
 namespace cssame::dataflow {
 
-enum class Direction : std::uint8_t { Forward, Backward };
-
 struct SolverOptions {
   /// Cap on node (dense) or definition (sparse) re-evaluations. The
   /// default is generous: real programs converge in a few sweeps, and the
@@ -65,18 +63,17 @@ struct SolveStats {
   }
 };
 
-/// Dense iterative solver. The problem type P supplies:
+/// Dense forward iterative solver. The problem type P supplies:
 ///
 ///   using Value = ...;                      // with operator==
-///   static constexpr Direction direction;
 ///   const char* name() const;
-///   Value boundary() const;                 // entry (fwd) / exit (bwd)
+///   Value boundary() const;                 // value at the entry node
 ///   Value top(NodeId n) const;              // optimistic initial value
 ///   void meet(Value& into, const Value& from) const;
 ///   Value transfer(const pfg::Node& n, const Value& in) const;
 ///
-/// IN[boundary] = boundary(); IN[n] = meet over out-values of control
-/// predecessors (successors when backward); OUT[n] = transfer(n, IN[n]).
+/// IN[entry] = boundary(); IN[n] = meet over out-values of control
+/// predecessors; OUT[n] = transfer(n, IN[n]).
 template <typename P>
 class DenseSolver {
  public:
@@ -89,9 +86,8 @@ class DenseSolver {
   /// cap trips first (the partial result is still readable and sound for
   /// monotone problems only after convergence).
   Status solve() {
-    constexpr bool forward = P::direction == Direction::Forward;
     const std::size_t n = graph_.size();
-    const NodeId boundary = forward ? graph_.entry : graph_.exit;
+    const NodeId boundary = graph_.entry;
     stats_ = SolveStats{problem_.name(), 0, 0, false};
 
     in_.clear();
@@ -104,11 +100,11 @@ class DenseSolver {
       out_.push_back(problem_.transfer(graph_.node(id), in_.back()));
     }
 
-    // Seed in reverse post-order over the solving direction so the first
-    // sweep already visits most nodes after their inputs.
+    // Seed in reverse post-order so the first sweep already visits most
+    // nodes after their inputs.
     std::deque<NodeId> work;
     std::vector<bool> queued(n, false);
-    for (NodeId id : postorder(boundary, forward)) {
+    for (NodeId id : postorder(boundary)) {
       work.push_front(id);
       queued[id.index()] = true;
     }
@@ -135,15 +131,14 @@ class DenseSolver {
       const pfg::Node& node = graph_.node(id);
       if (id != boundary) {
         Value v = problem_.top(id);
-        for (NodeId p : forward ? node.preds : node.succs)
-          problem_.meet(v, out_[p.index()]);
+        for (NodeId p : node.preds) problem_.meet(v, out_[p.index()]);
         if (!(v == in_[id.index()])) in_[id.index()] = std::move(v);
       }
       Value o = problem_.transfer(node, in_[id.index()]);
       if (o == out_[id.index()]) continue;
       out_[id.index()] = std::move(o);
       ++stats_.changes;
-      for (NodeId s : forward ? node.succs : node.preds) {
+      for (NodeId s : node.succs) {
         if (!queued[s.index()]) {
           queued[s.index()] = true;
           work.push_back(s);
@@ -160,10 +155,8 @@ class DenseSolver {
   [[nodiscard]] P& problem() { return problem_; }
 
  private:
-  /// Post-order of the control flow reachable from `root`, following
-  /// succs (forward solve) or preds (backward solve).
-  [[nodiscard]] std::vector<NodeId> postorder(NodeId root,
-                                              bool forward) const {
+  /// Post-order of the control flow reachable from `root`.
+  [[nodiscard]] std::vector<NodeId> postorder(NodeId root) const {
     std::vector<NodeId> order;
     if (!root.valid()) return order;
     std::vector<bool> seen(graph_.size(), false);
@@ -172,8 +165,7 @@ class DenseSolver {
     seen[root.index()] = true;
     while (!stack.empty()) {
       auto& [id, cursor] = stack.back();
-      const auto& next =
-          forward ? graph_.node(id).succs : graph_.node(id).preds;
+      const auto& next = graph_.node(id).succs;
       if (cursor < next.size()) {
         const NodeId s = next[cursor++];
         if (!seen[s.index()]) {

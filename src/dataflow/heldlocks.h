@@ -50,7 +50,6 @@ class HeldLocks {
  private:
   struct Problem {
     using Value = LockPair;
-    static constexpr Direction direction = Direction::Forward;
     std::size_t locks = 0;  ///< bitset width (symbol count)
 
     [[nodiscard]] const char* name() const { return "held-locks"; }

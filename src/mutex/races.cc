@@ -1,31 +1,10 @@
 #include "src/mutex/races.h"
 
 #include <algorithm>
-#include <set>
 
 namespace cssame::mutex {
 
 namespace {
-
-/// Locks (lock variables) whose well-formed bodies contain `node`.
-std::set<SymbolId> locksetOf(NodeId node, const MutexStructures& structures) {
-  const std::span<const SymbolId> locks = structures.locksAt(node);
-  return {locks.begin(), locks.end()};
-}
-
-std::string locksetStr(const std::set<SymbolId>& ls,
-                       const ir::SymbolTable& syms) {
-  if (ls.empty()) return "{}";
-  std::string out = "{";
-  bool first = true;
-  for (SymbolId l : ls) {
-    if (!first) out += ", ";
-    out += syms.nameOf(l);
-    first = false;
-  }
-  out += "}";
-  return out;
-}
 
 /// Statement performing the access the conflict edge endpoint refers to,
 /// so warnings anchor at the real source site instead of the variable's
@@ -48,6 +27,46 @@ const ir::Stmt* accessStmtAt(NodeId node, SymbolId var, bool isDef,
 
 }  // namespace
 
+DynBitset concurrentlyAccessed(const pfg::Graph& graph,
+                               const analysis::Mhp& mhp) {
+  DynBitset concurrent(graph.program().symbols.size());
+  for (const pfg::ConflictEdge& e : graph.conflicts)
+    if (!concurrent.test(e.var.index()) &&
+        mhp.mayHappenInParallel(e.from, e.to))
+      concurrent.set(e.var.index());
+  return concurrent;
+}
+
+bool warnInconsistentLocking(
+    SymbolId var, const std::vector<analysis::AccessSites::Def>& defs,
+    const MutexStructures& structures, const ir::SymbolTable& syms,
+    DiagEngine& diag) {
+  if (defs.size() < 2) return false;
+  // The locks every write holds. Each node's locks are ascending and
+  // distinct, so membership is a binary search.
+  const std::span<const SymbolId> firstLocks =
+      structures.locksAt(defs.front().node);
+  std::vector<SymbolId> common(firstLocks.begin(), firstLocks.end());
+  bool anyProtected = false;
+  for (const auto& d : defs) {
+    const std::span<const SymbolId> locks = structures.locksAt(d.node);
+    anyProtected |= !locks.empty();
+    std::erase_if(common, [&](SymbolId l) {
+      return !std::binary_search(locks.begin(), locks.end(), l);
+    });
+  }
+  if (!anyProtected || !common.empty()) return false;
+
+  Diagnostic& w = diag.warn(
+      DiagCode::InconsistentLocking, defs.front().stmt->loc,
+      "writes to shared variable '" + syms.nameOf(var) +
+          "' are not consistently protected by the same lock");
+  for (const auto& d : defs)
+    w.note(d.stmt->loc, "write under lockset " +
+                            locksetStr(structures.locksAt(d.node), syms));
+  return true;
+}
+
 RaceReport detectRaces(const pfg::Graph& graph, const analysis::Mhp& mhp,
                        const MutexStructures& structures, DiagEngine& diag) {
   return detectRaces(graph, mhp, structures, diag,
@@ -59,89 +78,45 @@ RaceReport detectRaces(const pfg::Graph& graph, const analysis::Mhp& mhp,
                        const analysis::AccessSites& sites) {
   RaceReport report;
   const ir::SymbolTable& syms = graph.program().symbols;
+  const DynBitset concurrent = concurrentlyAccessed(graph, mhp);
+  // Per variable, the first conflict edge whose endpoints may happen in
+  // parallel and share no lock: the site pair of its race warning.
+  std::vector<const pfg::ConflictEdge*> firstRace(syms.size(), nullptr);
+  for (const pfg::ConflictEdge& e : graph.conflicts)
+    if (firstRace[e.var.index()] == nullptr &&
+        mhp.mayHappenInParallel(e.from, e.to) &&
+        !structures.shareLock(e.from, e.to))
+      firstRace[e.var.index()] = &e;
 
-  // Gather, per shared variable, the locksets of its definition sites.
   for (const auto& [var, defs] : sites.defs) {
     if (defs.size() < 2 && !sites.uses.contains(var)) continue;
-
-    std::vector<std::set<SymbolId>> defLocksets;
-    defLocksets.reserve(defs.size());
-    for (const auto& d : defs)
-      defLocksets.push_back(locksetOf(d.node, structures));
-
-    // InconsistentLocking: some write protected by a lock, another write
-    // not protected by that lock. Only meaningful if the variable is ever
-    // accessed concurrently (otherwise locks are irrelevant to it).
-    // Conflict edges are computed without the set/wait refinement (they
-    // drive dataflow); for race reporting, accesses with a guaranteed
-    // ordering cannot overlap and are excluded here.
-    bool concurrentlyAccessed = false;
-    for (const pfg::ConflictEdge& e : graph.conflicts)
-      if (e.var == var && mhp.mayHappenInParallel(e.from, e.to)) {
-        concurrentlyAccessed = true;
-        break;
-      }
-    if (!concurrentlyAccessed) continue;
-
-    std::set<SymbolId> intersection;
-    bool first = true;
-    for (const auto& ls : defLocksets) {
-      if (first) {
-        intersection = ls;
-        first = false;
-      } else {
-        std::set<SymbolId> tmp;
-        std::set_intersection(intersection.begin(), intersection.end(),
-                              ls.begin(), ls.end(),
-                              std::inserter(tmp, tmp.begin()));
-        intersection = std::move(tmp);
-      }
-    }
-    bool anyProtected = false;
-    for (const auto& ls : defLocksets) anyProtected |= !ls.empty();
-    if (anyProtected && intersection.empty() && defs.size() > 1) {
+    // Locks are irrelevant to a variable never accessed concurrently.
+    if (!concurrent.test(var.index())) continue;
+    if (warnInconsistentLocking(var, defs, structures, syms, diag))
       ++report.inconsistentLocking;
-      Diagnostic& d = diag.warn(
-          DiagCode::InconsistentLocking, defs.front().stmt->loc,
-          "writes to shared variable '" + syms.nameOf(var) +
-              "' are not consistently protected by the same lock");
-      // Witness: every write site with the locks it holds.
-      for (std::size_t i = 0; i < defs.size(); ++i)
-        d.note(defs[i].stmt->loc,
-               "write under lockset " + locksetStr(defLocksets[i], syms));
-    }
 
     // PotentialDataRace: concurrent def/def or def/use with disjoint
     // locksets. One warning per variable keeps output readable.
-    bool raced = false;
-    for (const pfg::ConflictEdge& e : graph.conflicts) {
-      if (e.var != var || raced) continue;
-      if (!mhp.mayHappenInParallel(e.from, e.to)) continue;
-      if (!structures.shareLock(e.from, e.to)) {
-        const std::set<SymbolId> fromLs = locksetOf(e.from, structures);
-        const std::set<SymbolId> toLs = locksetOf(e.to, structures);
-        ++report.potentialRaces;
-        raced = true;
-        const ir::Stmt* fromStmt = accessStmtAt(e.from, var, true, sites);
-        const ir::Stmt* toStmt =
-            accessStmtAt(e.to, var, e.toIsDef, sites);
-        // Anchor at the defining access of the conflict edge; the old
-        // behaviour of pointing at the variable's first write mislocated
-        // races whose sites were elsewhere.
-        const SourceLoc loc =
-            fromStmt != nullptr ? fromStmt->loc : defs.front().stmt->loc;
-        Diagnostic& d = diag.warn(
-            DiagCode::PotentialDataRace, loc,
-            "potential data race on shared variable '" + syms.nameOf(var) +
-                "': concurrent accesses share no common lock");
-        d.note(loc, "write under lockset " + locksetStr(fromLs, syms));
-        if (toStmt != nullptr)
-          d.note(toStmt->loc,
-                 std::string("concurrent ") +
-                     (e.toIsDef ? "write" : "read") + " under lockset " +
-                     locksetStr(toLs, syms));
-      }
-    }
+    const pfg::ConflictEdge* e = firstRace[var.index()];
+    if (e == nullptr) continue;
+    ++report.potentialRaces;
+    const ir::Stmt* fromStmt = accessStmtAt(e->from, var, true, sites);
+    const ir::Stmt* toStmt = accessStmtAt(e->to, var, e->toIsDef, sites);
+    // Anchor at the defining access of the conflict edge, not at the
+    // variable's first write, which may lie elsewhere.
+    const SourceLoc loc =
+        fromStmt != nullptr ? fromStmt->loc : defs.front().stmt->loc;
+    Diagnostic& d = diag.warn(
+        DiagCode::PotentialDataRace, loc,
+        "potential data race on shared variable '" + syms.nameOf(var) +
+            "': concurrent accesses share no common lock");
+    d.note(loc, "write under lockset " +
+                    locksetStr(structures.locksAt(e->from), syms));
+    if (toStmt != nullptr)
+      d.note(toStmt->loc, std::string("concurrent ") +
+                              (e->toIsDef ? "write" : "read") +
+                              " under lockset " +
+                              locksetStr(structures.locksAt(e->to), syms));
   }
   return report;
 }

@@ -9,13 +9,51 @@
 //     differing locksets (some writes protected by L, others not);
 //   - PotentialDataRace: two concurrent conflicting accesses (at least one
 //     a write) share no common lock.
+//
+// The InconsistentLocking check and the lockset rendering live here once;
+// csan (src/sanalysis/csan.h) calls them for its own write check.
 #pragma once
+
+#include <string>
+#include <vector>
 
 #include "src/analysis/concurrency.h"
 #include "src/mutex/mutex_structures.h"
+#include "src/support/bitset.h"
 #include "src/support/diag.h"
 
 namespace cssame::mutex {
+
+/// Renders a lockset as "{L, M}" or "{}", in the order given: ascending
+/// for MutexStructures::locksAt spans and for std::set<SymbolId>.
+template <typename Locks>
+[[nodiscard]] std::string locksetStr(const Locks& locks,
+                                     const ir::SymbolTable& syms) {
+  std::string out = "{";
+  bool first = true;
+  for (SymbolId l : locks) {
+    if (!first) out += ", ";
+    out += syms.nameOf(l);
+    first = false;
+  }
+  return out + "}";
+}
+
+/// The variables (alias-class representatives, by symbol index) with
+/// some conflict edge whose endpoints may happen in parallel. Conflict
+/// edges are computed without the set/wait refinement (they drive
+/// dataflow); accesses with a guaranteed ordering cannot overlap, so
+/// their edges do not count here.
+[[nodiscard]] DynBitset concurrentlyAccessed(const pfg::Graph& graph,
+                                             const analysis::Mhp& mhp);
+
+/// InconsistentLocking for one concurrently accessed variable: some write
+/// holds a lock, but no lock is held by every write. Warns with one note
+/// per write site and returns true when it fires.
+bool warnInconsistentLocking(
+    SymbolId var, const std::vector<analysis::AccessSites::Def>& defs,
+    const MutexStructures& structures, const ir::SymbolTable& syms,
+    DiagEngine& diag);
 
 struct RaceReport {
   std::size_t inconsistentLocking = 0;

@@ -143,7 +143,6 @@ ConstPropStats runCscc(driver::Compilation& comp, bool rewrite) {
   CSSAME_CHECK(status.ok(), "cscc solver exceeded its iteration budget");
 
   ConstPropStats stats;
-  stats.solverIterations = solver.stats().iterations;
   for (const ssa::Definition& d : comp.ssa().defs) {
     if (d.removed || d.kind != ssa::DefKind::Assign) continue;
     if (solver.value(d.name).kind == ConstKind::Const) ++stats.constantDefs;

@@ -104,7 +104,6 @@ struct ConstPropStats {
   std::size_t usesReplaced = 0;      ///< VarRefs rewritten to literals
   std::size_t branchesResolved = 0;  ///< If/While with constant condition
   std::size_t unreachableRemoved = 0;
-  std::uint64_t solverIterations = 0;  ///< SCCP engine work items processed
   [[nodiscard]] bool changedIr() const {
     return usesReplaced + branchesResolved + unreachableRemoved > 0;
   }

@@ -42,36 +42,36 @@ class CheckedOptimizer {
       ++out_.report.iterations;
       bool changed = false;
 
-      changed |= runPass("simplify", opts_.simplify, [&] {
+      changed |= runPass("simplify", [&] {
         const SimplifyStats step = simplifyExpressions(prog_);
         out_.report.simplify.rewrites += step.rewrites;
         return step.changedIr();
       });
-      changed |= runPass("cscc", opts_.constProp, [&] {
+      changed |= runPass("cscc", [&] {
         driver::Compilation c = driver::analyze(prog_, pipeOpts_);
         const ConstPropStats step = propagateConstants(c);
         accumulate(out_.report.constProp, step);
         return step.changedIr();
       });
-      changed |= runPass("copyprop", opts_.copyProp, [&] {
+      changed |= runPass("copyprop", [&] {
         driver::Compilation c = driver::analyze(prog_, pipeOpts_);
         const CopyPropStats step = propagateCopies(c);
         out_.report.copyProp.usesRewritten += step.usesRewritten;
         return step.changedIr();
       });
-      changed |= runPass("pdce", opts_.deadCode, [&] {
+      changed |= runPass("pdce", [&] {
         driver::Compilation c = driver::analyze(prog_, pipeOpts_);
         const DceStats step = eliminateDeadCode(c);
         accumulate(out_.report.deadCode, step);
         return step.changedIr();
       });
-      changed |= runPass("licm", opts_.lockMotion, [&] {
+      changed |= runPass("licm", [&] {
         driver::Compilation c = driver::analyze(prog_, pipeOpts_);
         const LicmStats step = moveLockIndependentCode(c);
         accumulate(out_.report.lockMotion, step);
         return step.changedIr();
       });
-      changed |= runPass("licm-expr", opts_.exprMotion, [&] {
+      changed |= runPass("licm-expr", [&] {
         driver::Compilation c = driver::analyze(prog_, pipeOpts_);
         const ExprHoistStats step = hoistLockIndependentExpressions(c);
         out_.report.exprMotion.exprsHoisted += step.exprsHoisted;
@@ -86,8 +86,8 @@ class CheckedOptimizer {
 
  private:
   template <typename Fn>
-  bool runPass(const char* name, bool enabled, Fn&& fn) {
-    if (!enabled || !out_.ok()) return false;
+  bool runPass(const char* name, Fn&& fn) {
+    if (!out_.ok()) return false;
     bool changed = false;
     try {
       changed = fn();

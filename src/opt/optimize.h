@@ -1,6 +1,8 @@
-// The combined optimization pipeline: CSCC → PDCE → LICM, iterated to a
+// The combined optimization pipeline: simplify → CSCC → copy propagation
+// → PDCE → LICM → lock-independent expression hoisting, iterated to a
 // fixpoint (each pass can expose opportunities for the others, exactly as
-// in the paper's Figure 4 → 5a → 5b progression).
+// in the paper's Figure 4 → 5a → 5b progression). The pass list is fixed:
+// every pass runs on every iteration.
 #pragma once
 
 #include "src/opt/copyprop.h"
@@ -13,12 +15,6 @@
 namespace cssame::opt {
 
 struct OptimizeOptions {
-  bool simplify = true;
-  bool constProp = true;
-  bool copyProp = true;
-  bool deadCode = true;
-  bool lockMotion = true;
-  bool exprMotion = true;  ///< lock-independent expression hoisting
   /// Use CSSAME (π rewriting). Disable for the CSSA-only ablation.
   bool cssame = true;
   int maxIterations = 8;

@@ -22,13 +22,13 @@ std::string escape(const std::string& s) {
 
 }  // namespace
 
-std::string toDot(const Graph& graph, DotOptions opts) {
+std::string toDot(const Graph& graph) {
   const ir::SymbolTable& syms = graph.program().symbols;
   std::string out = "digraph PFG {\n  node [shape=box, fontname=\"monospace\"];\n";
 
   for (const Node& n : graph.nodes()) {
     std::string label = graph.describe(n.id);
-    if (opts.showStmts && n.kind == NodeKind::Block) {
+    if (n.kind == NodeKind::Block) {
       label = "#" + std::to_string(n.id.value());
       for (const ir::Stmt* s : n.stmts)
         label += "\n" + ir::printStmtBrief(*s, syms);
@@ -52,23 +52,16 @@ std::string toDot(const Graph& graph, DotOptions opts) {
   for (const Node& n : graph.nodes())
     for (NodeId s : n.succs) edge(n.id, s, "");
 
-  if (opts.showConflictEdges) {
-    for (const ConflictEdge& c : graph.conflicts) {
-      std::string attrs = " [style=dashed, color=red, label=\"D" +
-                          std::string(c.toIsDef ? "D:" : "U:") +
-                          syms.nameOf(c.var) + "\"]";
-      edge(c.from, c.to, attrs.c_str());
-    }
+  for (const ConflictEdge& c : graph.conflicts) {
+    std::string attrs = " [style=dashed, color=red, label=\"D" +
+                        std::string(c.toIsDef ? "D:" : "U:") +
+                        syms.nameOf(c.var) + "\"]";
+    edge(c.from, c.to, attrs.c_str());
   }
-  if (opts.showMutexEdges) {
-    for (const MutexEdge& m : graph.mutexEdges)
-      edge(m.lockNode, m.unlockNode,
-           " [style=dotted, dir=none, color=blue]");
-  }
-  if (opts.showDsyncEdges) {
-    for (const DsyncEdge& d : graph.dsyncEdges)
-      edge(d.setNode, d.waitNode, " [style=bold, color=darkgreen]");
-  }
+  for (const MutexEdge& m : graph.mutexEdges)
+    edge(m.lockNode, m.unlockNode, " [style=dotted, dir=none, color=blue]");
+  for (const DsyncEdge& d : graph.dsyncEdges)
+    edge(d.setNode, d.waitNode, " [style=bold, color=darkgreen]");
 
   out += "}\n";
   return out;

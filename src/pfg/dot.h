@@ -1,4 +1,8 @@
 // DOT (Graphviz) export of a PFG, standing in for the paper's VCG output.
+// Every rendering shows the whole graph: statement text inside block
+// nodes, control edges, and the synchronization edges of the paper's
+// Figure 2 legend — conflict edges dashed, mutex edges dotted, dsync
+// edges bold.
 #pragma once
 
 #include <string>
@@ -7,13 +11,6 @@
 
 namespace cssame::pfg {
 
-struct DotOptions {
-  bool showConflictEdges = true;  ///< dashed (paper Figure 2 legend)
-  bool showMutexEdges = true;     ///< dotted
-  bool showDsyncEdges = true;     ///< bold
-  bool showStmts = true;          ///< statement text inside block nodes
-};
-
-[[nodiscard]] std::string toDot(const Graph& graph, DotOptions opts = {});
+[[nodiscard]] std::string toDot(const Graph& graph);
 
 }  // namespace cssame::pfg

@@ -14,8 +14,6 @@ interp::ExploreOptions exploreOptions(const RepairLimits& limits,
   eo.maxSteps = limits.exploreMaxSteps;
   eo.maxStates = limits.exploreMaxStates;
   eo.detectRaces = true;
-  eo.workers = limits.exploreWorkers;
-  eo.dpor = true;
   eo.model = model;
   return eo;
 }

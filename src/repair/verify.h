@@ -47,7 +47,6 @@ namespace cssame::repair {
 struct RepairLimits {
   std::uint64_t exploreMaxSteps = 1u << 18;
   std::uint64_t exploreMaxStates = 1u << 16;
-  unsigned exploreWorkers = 1;
   std::size_t maxIterations = 16;
   std::size_t maxCandidatesPerTarget = 12;
 };

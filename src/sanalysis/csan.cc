@@ -6,7 +6,6 @@
 
 #include "src/opt/lock_independence.h"
 #include "src/sanalysis/lockset.h"
-#include "src/support/bitset.h"
 
 namespace cssame::sanalysis {
 
@@ -50,11 +49,9 @@ SourceLoc locOf(const ir::Stmt* stmt) {
 
 class Csan {
  public:
-  Csan(const driver::Compilation& comp, DiagEngine& diag,
-       const CsanOptions& opts)
+  Csan(const driver::Compilation& comp, DiagEngine& diag)
       : comp_(comp),
         diag_(diag),
-        opts_(opts),
         graph_(comp.graph()),
         syms_(comp.graph().program().symbols),
         structures_(comp.mutexes()) {
@@ -64,16 +61,13 @@ class Csan {
   }
 
   CsanReport run() {
-    if (opts_.races) {
-      checkRaces();
-      checkInconsistentLocking();
-    }
-    if (opts_.deadlocks)
-      report_.deadlocks = mutex::detectDeadlocks(graph_, comp_.mhp(),
-                                                 structures_, diag_);
-    if (opts_.lockLifecycle) checkLockLifecycle();
-    if (opts_.bodyLints) checkMutexBodies();
-    if (opts_.piReads) checkPiReads();
+    checkRaces();
+    checkInconsistentLocking();
+    report_.deadlocks =
+        mutex::detectDeadlocks(graph_, comp_.mhp(), structures_, diag_);
+    checkLockLifecycle();
+    checkMutexBodies();
+    checkPiReads();
     return std::move(report_);
   }
 
@@ -204,11 +198,11 @@ class Csan {
                         (other.isWrite ? "write" : "read") +
                         " share no common lock");
       d.note(def.loc, "write under lockset " +
-                          locksetStr(def.lockset, syms_));
+                          mutex::locksetStr(def.lockset, syms_));
       d.note(other.loc, std::string("concurrent ") +
                             (other.isWrite ? "write" : "read") +
                             " under lockset " +
-                            locksetStr(other.lockset, syms_));
+                            mutex::locksetStr(other.lockset, syms_));
       notePts(d, def);
       notePts(d, other);
       noteMhp(d, e.from, e.to);
@@ -216,46 +210,16 @@ class Csan {
     }
   }
 
-  /// Per-variable write-consistency check, same firing condition as the
-  /// original mutex::detectRaces but with one witness note per write.
+  /// Per-variable write-consistency check, the one mutex::detectRaces
+  /// runs: one warning per variable, with one witness note per write.
   void checkInconsistentLocking() {
-    // Variables with some conflict edge that may happen in parallel, in
-    // one pass over the edges.
-    DynBitset concurrent(syms_.size());
-    for (const pfg::ConflictEdge& e : graph_.conflicts)
-      if (!concurrent.test(e.var.index()) &&
-          comp_.mhp().mayHappenInParallel(e.from, e.to))
-        concurrent.set(e.var.index());
-
-    const analysis::AccessSites& sites = comp_.sites();
-    for (const auto& [var, defs] : sites.defs) {
-      if (defs.size() < 2 || !concurrent.test(var.index())) continue;
-
-      std::vector<std::set<SymbolId>> locksets;
-      locksets.reserve(defs.size());
-      for (const auto& d : defs)
-        locksets.push_back(locksetAt(d.node, structures_));
-      std::set<SymbolId> intersection = locksets.front();
-      bool anyProtected = false;
-      for (const auto& ls : locksets) {
-        anyProtected |= !ls.empty();
-        std::set<SymbolId> tmp;
-        std::set_intersection(intersection.begin(), intersection.end(),
-                              ls.begin(), ls.end(),
-                              std::inserter(tmp, tmp.begin()));
-        intersection = std::move(tmp);
-      }
-      if (!anyProtected || !intersection.empty()) continue;
-
-      ++report_.inconsistentLocking;
-      Diagnostic& d = diag_.warn(
-          DiagCode::InconsistentLocking, defs.front().stmt->loc,
-          "writes to shared variable '" + syms_.nameOf(var) +
-              "' are not consistently protected by the same lock");
-      for (std::size_t i = 0; i < defs.size(); ++i)
-        d.note(defs[i].stmt->loc,
-               "write under lockset " + locksetStr(locksets[i], syms_));
-    }
+    const DynBitset concurrent =
+        mutex::concurrentlyAccessed(graph_, comp_.mhp());
+    for (const auto& [var, defs] : comp_.sites().defs)
+      if (concurrent.test(var.index()) &&
+          mutex::warnInconsistentLocking(var, defs, structures_, syms_,
+                                         diag_))
+        ++report_.inconsistentLocking;
   }
 
   /// SelfDeadlock and LockLeak over the held-locks dataflow.
@@ -391,16 +355,17 @@ class Csan {
           continue;
         if (structures_.shareLock(pi.node, arg.fromNode)) continue;
         ++report_.unprotectedPiReads;
-        const std::set<SymbolId> useLs = locksetAt(pi.node, structures_);
-        const std::set<SymbolId> defLs = locksetAt(arg.fromNode, structures_);
         Diagnostic& d = diag_.warn(
             DiagCode::UnprotectedPiRead, locOf(pi.piUseStmt),
             "read of shared variable '" + syms_.nameOf(pi.var) +
-                "' (under lockset " + locksetStr(useLs, syms_) +
+                "' (under lockset " +
+                mutex::locksetStr(structures_.locksAt(pi.node), syms_) +
                 ") can observe a concurrent write mutual exclusion "
                 "does not order");
         d.note(locOf(arg.defStmt),
-               "concurrent write under lockset " + locksetStr(defLs, syms_));
+               "concurrent write under lockset " +
+                   mutex::locksetStr(structures_.locksAt(arg.fromNode),
+                                     syms_));
         noteMhp(d, arg.fromNode, pi.node);
         break;
       }
@@ -409,7 +374,6 @@ class Csan {
 
   const driver::Compilation& comp_;
   DiagEngine& diag_;
-  CsanOptions opts_;
   const pfg::Graph& graph_;
   const ir::SymbolTable& syms_;
   const mutex::MutexStructures& structures_;
@@ -419,9 +383,8 @@ class Csan {
 
 }  // namespace
 
-CsanReport runCsan(const driver::Compilation& comp, DiagEngine& diag,
-                   const CsanOptions& opts) {
-  return Csan(comp, diag, opts).run();
+CsanReport runCsan(const driver::Compilation& comp, DiagEngine& diag) {
+  return Csan(comp, diag).run();
 }
 
 }  // namespace cssame::sanalysis

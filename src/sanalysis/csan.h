@@ -1,8 +1,9 @@
 // csan — the CSSAME-based static concurrency analyzer (growing the
 // paper's Section 6 compiler warnings into a subsystem).
 //
-// Runs over one analyzed Compilation (PFG + MHP + mutex structures +
-// CSSAME form) and reports, through the ordinary DiagEngine:
+// Runs every check below over one analyzed Compilation (PFG + MHP +
+// mutex structures + CSSAME form) and reports, through the ordinary
+// DiagEngine:
 //
 //   races        PotentialDataRace at access-site granularity — one
 //                warning per conflicting site *pair* (not per variable),
@@ -40,14 +41,6 @@
 #include "src/support/diag.h"
 
 namespace cssame::sanalysis {
-
-struct CsanOptions {
-  bool races = true;
-  bool deadlocks = true;
-  bool lockLifecycle = true;
-  bool bodyLints = true;
-  bool piReads = true;
-};
 
 /// One end of a race witness.
 struct RaceSite {
@@ -111,10 +104,9 @@ struct CsanReport {
   }
 };
 
-/// Runs every enabled check over the compilation, emitting diagnostics
-/// (with witness notes) into `diag` and returning the structured report.
+/// Runs every check over the compilation, emitting diagnostics (with
+/// witness notes) into `diag` and returning the structured report.
 [[nodiscard]] CsanReport runCsan(const driver::Compilation& comp,
-                                 DiagEngine& diag,
-                                 const CsanOptions& opts = {});
+                                 DiagEngine& diag);
 
 }  // namespace cssame::sanalysis

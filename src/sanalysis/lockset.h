@@ -20,7 +20,6 @@
 #pragma once
 
 #include <set>
-#include <string>
 
 #include "src/dataflow/heldlocks.h"
 #include "src/mutex/mutex_structures.h"
@@ -32,10 +31,6 @@ namespace cssame::sanalysis {
 /// lockset for race checking).
 [[nodiscard]] std::set<SymbolId> locksetAt(
     NodeId node, const mutex::MutexStructures& structures);
-
-/// Renders "{L, M}" / "{}" for diagnostics and witness notes.
-[[nodiscard]] std::string locksetStr(const std::set<SymbolId>& lockset,
-                                     const ir::SymbolTable& syms);
 
 /// Forward held-locks dataflow over control edges. Lock(L) adds L at the
 /// node's out; Unlock(L) removes it. May = union over predecessors

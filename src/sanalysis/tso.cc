@@ -41,8 +41,6 @@ SourceLoc locOf(const ir::Stmt* stmt) {
 /// MemoryModel::TSO.
 struct PendingStores {
   using Value = std::set<StmtId>;
-  static constexpr dataflow::Direction direction =
-      dataflow::Direction::Forward;
   const pfg::Graph* graph = nullptr;
 
   [[nodiscard]] const char* name() const { return "tso-pending-stores"; }
@@ -95,11 +93,9 @@ bool mustSameCell(const ir::Stmt& store, const ir::Expr& load) {
 
 class Tso {
  public:
-  Tso(const driver::Compilation& comp, DiagEngine& diag,
-      const TsoOptions& opts)
+  Tso(const driver::Compilation& comp, DiagEngine& diag)
       : comp_(comp),
         diag_(diag),
-        opts_(opts),
         graph_(comp.graph()),
         syms_(comp.graph().program().symbols),
         solver_(comp.graph(), PendingStores{&comp.graph()}) {
@@ -123,8 +119,8 @@ class Tso {
       diag_.reportFault(st.fault());
       return std::move(report_);
     }
-    if (opts_.notJustified) checkReorderablePairs();
-    if (opts_.redundantFences) checkFences();
+    checkReorderablePairs();
+    checkFences();
     return std::move(report_);
   }
 
@@ -283,7 +279,6 @@ class Tso {
 
   const driver::Compilation& comp_;
   DiagEngine& diag_;
-  TsoOptions opts_;
   const pfg::Graph& graph_;
   const ir::SymbolTable& syms_;
   dataflow::DenseSolver<PendingStores> solver_;
@@ -296,9 +291,8 @@ class Tso {
 
 }  // namespace
 
-TsoReport runTso(const driver::Compilation& comp, DiagEngine& diag,
-                 const TsoOptions& opts) {
-  return Tso(comp, diag, opts).run();
+TsoReport runTso(const driver::Compilation& comp, DiagEngine& diag) {
+  return Tso(comp, diag).run();
 }
 
 }  // namespace cssame::sanalysis

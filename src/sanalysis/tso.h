@@ -17,7 +17,8 @@
 // like held-locks). Fences, atomics and every blocking synchronization
 // node drain the window; plain shared stores extend it.
 //
-// It reports, through the ordinary DiagEngine:
+// Every call runs both checks and reports, through the ordinary
+// DiagEngine:
 //
 //   MutualExclusionNotJustifiedUnderTSO
 //       a shared load of y executed while a plain store to x != y from
@@ -46,11 +47,6 @@
 #include "src/support/diag.h"
 
 namespace cssame::sanalysis {
-
-struct TsoOptions {
-  bool notJustified = true;    ///< reorderable store/load pair check
-  bool redundantFences = true; ///< fence-orders-nothing lint
-};
 
 /// One reorderable store/load pair, for the cross-validation harness.
 struct TsoWitness {
@@ -87,7 +83,6 @@ struct TsoReport {
 /// Runs the TSO checks over the compilation, emitting diagnostics (with
 /// witness notes) into `diag` and returning the structured report.
 [[nodiscard]] TsoReport runTso(const driver::Compilation& comp,
-                               DiagEngine& diag,
-                               const TsoOptions& opts = {});
+                               DiagEngine& diag);
 
 }  // namespace cssame::sanalysis

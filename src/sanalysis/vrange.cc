@@ -397,13 +397,11 @@ class Diagnoser {
 }  // namespace
 
 VrangeResult analyzeValueRanges(const driver::Compilation& comp,
-                                DiagEngine* diag, const VrangeOptions& opts) {
+                                DiagEngine* diag) {
   const pfg::Graph& graph = comp.graph();
   const ssa::SsaForm& form = comp.ssa();
 
-  IntervalDomain domain;
-  domain.widenThreshold = opts.widenThreshold;
-  VrangeSolver solver(graph, form, domain, opts.solver);
+  VrangeSolver solver(graph, form, IntervalDomain{});
   const Status status = solver.solve();
   CSSAME_CHECK(status.ok(), "vrange solver exceeded its iteration budget");
 
@@ -441,9 +439,7 @@ VrangeResult analyzeValueRanges(const driver::Compilation& comp,
     }
   }
 
-  if (opts.diagnose) {
-    Diagnoser(comp, solver, diag, result.stats).run();
-  }
+  Diagnoser(comp, solver, diag, result.stats).run();
   return result;
 }
 

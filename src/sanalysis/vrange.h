@@ -25,7 +25,8 @@
 // Diagnostics use a second, *sharper* evaluation (range-separation
 // comparisons, definite-zero divisors) that never feeds back into the
 // lattice: DeadBranch, UnreachableCode, DivByZero, AssertProved and
-// AssertMayFail.
+// AssertMayFail. The walk runs on every call; without a DiagEngine it
+// only counts.
 #pragma once
 
 #include <string>
@@ -89,7 +90,7 @@ struct Interval {
 struct IntervalDomain {
   using Value = Interval;
   /// Strict growths of one definition tolerated before bounds go to ∞.
-  std::uint32_t widenThreshold = 8;
+  static constexpr std::uint32_t widenThreshold = 8;
 
   [[nodiscard]] const char* name() const { return "vrange"; }
   [[nodiscard]] Value top() const { return Interval::topValue(); }
@@ -109,12 +110,6 @@ struct IntervalDomain {
 };
 
 using VrangeSolver = dataflow::SparseConditional<IntervalDomain>;
-
-struct VrangeOptions {
-  dataflow::SolverOptions solver;
-  std::uint32_t widenThreshold = 8;
-  bool diagnose = true;  ///< emit DeadBranch/DivByZero/Assert* diagnostics
-};
 
 struct VrangeStats {
   std::size_t singletonDefs = 0;  ///< Assign defs with width-0 intervals
@@ -141,12 +136,12 @@ struct VrangeResult {
   VrangeStats stats;
 };
 
-/// Runs CVRA over the compilation's CSSAME form. When `diag` is non-null
-/// and `opts.diagnose`, emits the DeadBranch / UnreachableCode /
-/// DivByZero / AssertProved / AssertMayFail diagnostics.
+/// Runs CVRA over the compilation's CSSAME form, then the diagnostic walk,
+/// which fills the DeadBranch / UnreachableCode / DivByZero / AssertProved
+/// / AssertMayFail counts of `stats` and, when `diag` is non-null, emits
+/// those diagnostics.
 [[nodiscard]] VrangeResult analyzeValueRanges(const driver::Compilation& comp,
-                                              DiagEngine* diag = nullptr,
-                                              const VrangeOptions& opts = {});
+                                              DiagEngine* diag = nullptr);
 
 /// Differential check against CSCC: for every live definition, CSCC
 /// Const(v) must equal CVRA [v,v] (both directions), CSCC ⊤ ⟺ CVRA ⊤,

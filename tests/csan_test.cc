@@ -14,12 +14,11 @@
 namespace cssame::sanalysis {
 namespace {
 
-CsanReport analyze(const char* src, DiagEngine* out = nullptr,
-                   const CsanOptions& opts = {}) {
+CsanReport analyze(const char* src, DiagEngine* out = nullptr) {
   ir::Program p = parser::parseOrDie(src);
   driver::Compilation c = driver::analyze(p, {.warnings = false});
   DiagEngine diag;
-  CsanReport r = runCsan(c, diag, opts);
+  CsanReport r = runCsan(c, diag);
   if (out != nullptr) *out = diag;
   return r;
 }
@@ -295,23 +294,6 @@ TEST(Csan, AllDiagnosticsHaveValidLocations) {
     for (const Diagnostic& d : diag.diagnostics())
       EXPECT_TRUE(d.loc.valid()) << d.str();
   }
-}
-
-TEST(Csan, OptionsGateCheckFamilies) {
-  const char* src = R"(
-    int a; lock L;
-    cobegin {
-      thread { lock(L); lock(L); a = 1; }
-      thread { a = 2; }
-    }
-  )";
-  CsanOptions off;
-  off.races = off.deadlocks = off.lockLifecycle = false;
-  off.bodyLints = off.piReads = false;
-  DiagEngine diag;
-  CsanReport r = analyze(src, &diag, off);
-  EXPECT_EQ(r.totalFindings(), 0u);
-  EXPECT_TRUE(diag.diagnostics().empty());
 }
 
 // --- dynamic cross-validation ----------------------------------------

@@ -85,13 +85,6 @@ TEST(Dot, RendersFigure2) {
   // Both sync edge styles appear (mutex dotted, conflicts dashed).
   EXPECT_NE(dot.find("style=dotted"), std::string::npos);
   EXPECT_NE(dot.find("style=dashed"), std::string::npos);
-  // Options can suppress them.
-  pfg::DotOptions bare;
-  bare.showConflictEdges = false;
-  bare.showMutexEdges = false;
-  bare.showDsyncEdges = false;
-  const std::string plain = pfg::toDot(c.graph(), bare);
-  EXPECT_EQ(plain.find("style=dashed"), std::string::npos);
 }
 
 TEST(LockStats, Figure2Report) {

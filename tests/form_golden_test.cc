@@ -77,5 +77,54 @@ TEST(FormGolden, MatchesFigure3bStructure) {
   EXPECT_EQ(phis, 2u);
 }
 
+std::string formOf(const char* src) {
+  ir::Program prog = parser::parseOrDie(src);
+  driver::Compilation c = driver::analyze(prog, {.warnings = false});
+  return cssa::printForm(c.graph(), c.ssa());
+}
+
+TEST(FormGolden, DerefStoreWithoutDefinition) {
+  // q holds 0, so `*q = 1` has an empty points-to set and no SSA
+  // definition: the store keeps its source lvalue.
+  EXPECT_EQ(formOf("int x, q; cobegin { thread A { *q = 1; } "
+                   "thread B { x = 2; } } print(x);"),
+            R"(#0 entry:
+#1 exit:
+#2 block [0 stmts]:
+#3 cobegin:
+#4 coend:
+#5 block [1 stmts] [depth 1 thread 0]:
+  *q0 = 1
+#6 block [1 stmts] [depth 1 thread 1]:
+  x2 = 2
+#7 block [1 stmts]:
+  print(x2)
+)");
+}
+
+TEST(FormGolden, PointerAndArrayOperands) {
+  // AddrOf, Deref and Index operands print in source syntax. p may point
+  // at x or into a, so x and a share one class and `a[1]` reads it.
+  EXPECT_EQ(formOf("int x, p, y; int a[4]; p = &x; "
+                   "cobegin { thread A { *p = 1; y = *p + a[1]; } "
+                   "thread B { p = &a[2]; } } print(y);"),
+            R"(#0 entry:
+#1 exit:
+#2 block [1 stmts]:
+  p2 = &x
+#3 cobegin:
+#4 coend:
+#5 block [2 stmts] [depth 1 thread 0]:
+  p4 = pi(p2, p3)
+  x2 = 1
+  p5 = pi(p2, p3)
+  y2 = *p5 + x2[1]
+#6 block [1 stmts] [depth 1 thread 1]:
+  p3 = &a[2]
+#7 block [1 stmts]:
+  print(y2)
+)");
+}
+
 }  // namespace
 }  // namespace cssame

@@ -478,15 +478,6 @@ TEST(TsoStatic, FenceOrderingOnlyUnobservableStoresIsRedundant) {
   EXPECT_EQ(r.notJustified, 0u);
 }
 
-TEST(TsoStatic, OptionsGateEachCheck) {
-  ir::Program p = parser::parseOrDie(kPeterson);
-  driver::Compilation c = driver::analyze(p, {.warnings = false});
-  DiagEngine diag;
-  const TsoReport off = runTso(c, diag, {.notJustified = false});
-  EXPECT_EQ(off.notJustified, 0u);
-  EXPECT_EQ(diag.countOf(DiagCode::MutualExclusionNotJustifiedUnderTSO), 0u);
-}
-
 // --- runner integration ---------------------------------------------
 
 TEST(TsoRunner, TsoFlagRendersDiagnosticsAndSummary) {

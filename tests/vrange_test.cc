@@ -223,9 +223,7 @@ class VrangeProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 void checkWorkload(ir::Program prog) {
   driver::Compilation comp = driver::analyze(prog, {.warnings = false});
-  VrangeOptions opts;
-  opts.diagnose = false;
-  const VrangeResult vr = analyzeValueRanges(comp, nullptr, opts);
+  const VrangeResult vr = analyzeValueRanges(comp);
 
   // 1. The interval lattice must agree with the CSCC constant lattice.
   EXPECT_EQ(crossCheckConstants(comp, vr), "");
