@@ -15,7 +15,6 @@ using namespace cssame;
 struct Outcome {
   std::size_t usesFolded = 0;
   std::size_t deadRemoved = 0;
-  std::size_t moved = 0;
   std::size_t finalStmts = 0;
 };
 
@@ -25,7 +24,6 @@ Outcome optimizeWith(bool cssame, std::uint64_t seed) {
   Outcome out;
   out.usesFolded = r.constProp.usesReplaced;
   out.deadRemoved = r.deadCode.stmtsRemoved;
-  out.moved = r.lockMotion.hoisted + r.lockMotion.sunk;
   out.finalStmts = prog.size();
   return out;
 }
@@ -55,8 +53,6 @@ BENCHMARK(BM_Ablation_OptimizeCssaOnly);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
-
   // Aggregate over several seeds so one workload shape doesn't dominate.
   Outcome withCssame, withoutCssame;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
@@ -70,24 +66,19 @@ int main(int argc, char** argv) {
     withoutCssame.finalStmts += b.finalStmts;
   }
 
-  tableHeader("Abl-1: optimizer effectiveness, CSSAME vs plain CSSA (ours)");
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%zu", withoutCssame.usesFolded);
-  tableRow("uses folded, CSSAME (5 seeds)", ">= CSSA",
-           static_cast<long long>(withCssame.usesFolded),
-           withCssame.usesFolded >= withoutCssame.usesFolded);
-  tableRow("uses folded, CSSA", "(baseline)",
-           static_cast<long long>(withoutCssame.usesFolded), true);
-  tableRow("dead stmts removed, CSSAME", ">= CSSA",
-           static_cast<long long>(withCssame.deadRemoved),
-           withCssame.deadRemoved >= withoutCssame.deadRemoved);
-  tableRow("dead stmts removed, CSSA", "(baseline)",
-           static_cast<long long>(withoutCssame.deadRemoved), true);
-  tableRow("final program size, CSSAME", "<= CSSA",
-           static_cast<long long>(withCssame.finalStmts),
-           withCssame.finalStmts <= withoutCssame.finalStmts);
-  tableRow("final program size, CSSA", "(baseline)",
-           static_cast<long long>(withoutCssame.finalStmts), true);
-  std::printf("\n");
-  return runBenchmarks(argc, argv);
+  benchutil::Table table(
+      "Abl-1: optimizer effectiveness, CSSAME vs plain CSSA (ours)");
+  table.gate("uses folded, CSSAME (5 seeds)", ">= CSSA",
+             withCssame.usesFolded,
+             withCssame.usesFolded >= withoutCssame.usesFolded);
+  table.note("uses folded, CSSA", "(baseline)", withoutCssame.usesFolded);
+  table.gate("dead stmts removed, CSSAME", ">= CSSA", withCssame.deadRemoved,
+             withCssame.deadRemoved >= withoutCssame.deadRemoved);
+  table.note("dead stmts removed, CSSA", "(baseline)",
+             withoutCssame.deadRemoved);
+  table.gate("final program size, CSSAME", "<= CSSA", withCssame.finalStmts,
+             withCssame.finalStmts <= withoutCssame.finalStmts);
+  table.note("final program size, CSSA", "(baseline)",
+             withoutCssame.finalStmts);
+  return table.finish(argc, argv);
 }

@@ -7,24 +7,18 @@
 // access races on whatever cell the address dynamically names), so its
 // racedVars set is ground truth at exactly the granularity the static
 // alias classes abstract. A dynamic raced symbol is covered when its
-// alias-class representative appears in csan's racedVars; the
-// FALSE-NEGATIVE COUNT MUST BE ZERO — the process exits nonzero
-// otherwise, so CI fails loudly on any soundness regression.
+// alias-class representative appears in csan's racedVars (the scorer in
+// bench/oracle.h); the FALSE-NEGATIVE COUNT MUST BE ZERO — the process
+// exits nonzero otherwise, so CI fails loudly on any soundness
+// regression.
 //
 // Precision is the confirmed fraction of statically raced classes that
 // some concrete schedule realizes, plus the points-to solver's own
-// sharpness counters (wild-site fraction, mean finite target-set size).
+// sharpness counter, the wild deref-site fraction.
 // Results go to BENCH_alias.json for trend tracking.
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <string>
-#include <thread>
-#include <vector>
-
 #include "bench/bench_util.h"
+#include "bench/oracle.h"
 #include "src/driver/pipeline.h"
-#include "src/interp/explore.h"
 #include "src/parser/parser.h"
 #include "src/sanalysis/csan.h"
 #include "src/sanalysis/pointsto.h"
@@ -38,23 +32,12 @@ using namespace cssame;
 struct Tally {
   std::size_t workloads = 0;
   std::size_t pointerWorkloads = 0;  ///< with at least one deref site
-  std::size_t staticRacedClasses = 0;
-  std::size_t confirmed = 0;
-  std::size_t refuted = 0;
-  std::size_t unknown = 0;
-  std::size_t falseNegatives = 0;  ///< dynamic races missed (must stay 0)
   std::size_t completeExplorations = 0;
   std::size_t mayAliasFindings = 0;
   std::size_t derefSites = 0;
   std::size_t wildSites = 0;
-  double targetSum = 0.0;  ///< sum of per-workload avg finite targets
+  benchutil::RaceScore races;
 
-  [[nodiscard]] double confirmedFraction() const {
-    const std::size_t decided = confirmed + refuted;
-    return decided == 0 ? 1.0
-                        : static_cast<double>(confirmed) /
-                              static_cast<double>(decided);
-  }
   [[nodiscard]] double wildFraction() const {
     return derefSites == 0 ? 0.0
                            : static_cast<double>(wildSites) /
@@ -68,12 +51,9 @@ void crossValidate(ir::Program prog, Tally& tally) {
   DiagEngine diag;
   driver::Compilation comp = driver::analyze(prog);
   const sanalysis::CsanReport report = sanalysis::runCsan(comp, diag);
-  const ir::AliasClasses& aliases = comp.graph().aliases;
 
-  interp::ExploreOptions opts;
+  interp::ExploreOptions opts = benchutil::oracleExplore();
   opts.detectRaces = true;
-  opts.maxSteps = 1u << 18;
-  opts.maxStates = 1u << 16;
   const interp::ExploreResult dyn = interp::exploreAllSchedules(prog, opts);
 
   ++tally.workloads;
@@ -83,26 +63,8 @@ void crossValidate(ir::Program prog, Tally& tally) {
     ++tally.pointerWorkloads;
     tally.derefSites += pt->stats.derefSites;
     tally.wildSites += pt->stats.anywhereSites;
-    tally.targetSum += pt->stats.avgTargets;
   }
-
-  // Dynamic races are per owning symbol; the static report keys class
-  // representatives. Soundness: every dynamic race must land in a
-  // statically raced class.
-  std::set<SymbolId> dynClasses;
-  for (SymbolId v : dyn.racedVars) dynClasses.insert(aliases.repOf(v));
-  for (SymbolId cls : dynClasses)
-    if (!report.racedVars.contains(cls)) ++tally.falseNegatives;
-
-  tally.staticRacedClasses += report.racedVars.size();
-  for (SymbolId cls : report.racedVars) {
-    if (dynClasses.contains(cls))
-      ++tally.confirmed;
-    else if (dyn.complete)
-      ++tally.refuted;
-    else
-      ++tally.unknown;
-  }
+  tally.races.add(report.racedVars, dyn, comp.graph().aliases);
 }
 
 /// Hand-written pointer/array litmus programs: the alias gallery shapes
@@ -213,31 +175,6 @@ Tally runSweep() {
   return tally;
 }
 
-void writeJson(const Tally& t, unsigned hw, const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench_alias: cannot write %s\n", path);
-    return;
-  }
-  out << "{\n"
-      << "  \"experiment\": \"alias-class race engine vs exhaustive "
-         "exploration\",\n"
-      << "  \"hardware_threads\": " << hw << ",\n"
-      << "  \"workloads\": " << t.workloads << ",\n"
-      << "  \"pointer_workloads\": " << t.pointerWorkloads << ",\n"
-      << "  \"complete_explorations\": " << t.completeExplorations << ",\n"
-      << "  \"static_raced_classes\": " << t.staticRacedClasses << ",\n"
-      << "  \"confirmed\": " << t.confirmed << ",\n"
-      << "  \"refuted\": " << t.refuted << ",\n"
-      << "  \"unknown\": " << t.unknown << ",\n"
-      << "  \"false_negatives\": " << t.falseNegatives << ",\n"
-      << "  \"may_alias_findings\": " << t.mayAliasFindings << ",\n"
-      << "  \"deref_sites\": " << t.derefSites << ",\n"
-      << "  \"wild_site_fraction\": " << t.wildFraction() << ",\n"
-      << "  \"confirmed_fraction\": " << t.confirmedFraction() << "\n"
-      << "}\n";
-}
-
 // Timing: the final points-to solve alone over growing pointer workloads.
 void BM_PointsTo(benchmark::State& state) {
   workload::GeneratorConfig cfg;
@@ -281,37 +218,35 @@ BENCHMARK(BM_PointerAnalyze)->Arg(2)->Arg(4)->Arg(8);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
-
-  tableHeader("Alias-1: alias-class races, static vs dynamic (ours)");
+  benchutil::Table table(
+      "Alias-1: alias-class races, static vs dynamic (ours)");
   const Tally t = runSweep();
-  tableRow("workloads", ">= 100", static_cast<long long>(t.workloads),
-           t.workloads >= 100);
-  tableRow("complete explorations", "(most)",
-           static_cast<long long>(t.completeExplorations),
-           t.completeExplorations * 2 >= t.workloads);
-  tableRow("static raced classes", "(reported)",
-           static_cast<long long>(t.staticRacedClasses), true);
-  tableRow("  confirmed by a concrete schedule", "(most)",
-           static_cast<long long>(t.confirmed), true);
-  tableRow("  refuted (complete search, no race)", "(few)",
-           static_cast<long long>(t.refuted), true);
-  tableRow("  unknown (budget tripped)", "(few)",
-           static_cast<long long>(t.unknown), true);
-  tableRow("dynamic races missed statically", "0",
-           static_cast<long long>(t.falseNegatives), t.falseNegatives == 0);
+  const benchutil::RaceScore& r = t.races;
+  table.gate("workloads", ">= 100", t.workloads, t.workloads >= 100,
+             "workloads");
+  table.json().set("pointer_workloads", t.pointerWorkloads);
+  table.gate("complete explorations", "(most)", t.completeExplorations,
+             t.completeExplorations * 2 >= t.workloads,
+             "complete_explorations");
+  table.note("static raced classes", "(reported)", r.staticRaced,
+             "static_raced_classes");
+  table.note("  confirmed by a concrete schedule", "(most)", r.confirmed,
+             "confirmed");
+  table.note("  refuted (complete search, no race)", "(few)", r.refuted,
+             "refuted");
+  table.note("  unknown (budget tripped)", "(few)", r.unknown, "unknown");
+  table.gate("dynamic races missed statically", "0", r.missed, r.missed == 0,
+             "false_negatives");
+  table.json()
+      .set("may_alias_findings", t.mayAliasFindings)
+      .set("deref_sites", t.derefSites)
+      .set("wild_site_fraction", t.wildFraction())
+      .set("confirmed_fraction", r.confirmedFraction());
   std::printf("  confirmed fraction (of decided): %.3f\n",
-              t.confirmedFraction());
+              r.confirmedFraction());
   std::printf("  wild deref-site fraction:        %.3f\n", t.wildFraction());
-  writeJson(t, std::max(1u, std::thread::hardware_concurrency()),
-            "BENCH_alias.json");
-  std::printf("  wrote BENCH_alias.json\n\n");
-  if (t.falseNegatives != 0) {
-    std::fprintf(stderr,
-                 "bench_alias: FATAL: %zu dynamic race(s) missed by the "
-                 "static alias engine\n",
-                 t.falseNegatives);
-    return 1;
-  }
-  return runBenchmarks(argc, argv);
+  benchutil::writeBenchJson(
+      "BENCH_alias.json", "alias-class race engine vs exhaustive exploration",
+      table.json());
+  return table.finish(argc, argv);
 }

@@ -78,20 +78,17 @@ BENCHMARK(BM_Explore_StateBudget)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
-
-  tableHeader("Ver-1: exhaustive schedule exploration (ours)");
+  benchutil::Table table("Ver-1: exhaustive schedule exploration (ours)");
   // Statement-atomic increments never lose updates, so even the racy
   // version is deterministic in its final value; what differs is the
   // state-space size the explorer must cover.
   {
     ir::Program prog = makeRacy(3, 2, false);
     interp::ExploreResult r = interp::exploreAllSchedules(prog);
-    tableRow("states, 3 threads x 2 increments, unlocked", "(baseline)",
-             static_cast<long long>(r.statesExplored), r.complete);
-    tableRow("distinct outputs (atomic increments)", "1",
-             static_cast<long long>(r.outputs.size()),
-             r.outputs.size() == 1);
+    table.gate("states, 3 threads x 2 increments, unlocked", "(baseline)",
+               r.statesExplored, r.complete);
+    table.gate("distinct outputs (atomic increments)", "1",
+               r.outputs.size(), r.outputs.size() == 1);
   }
   {
     // Locking ADDS state dimensions (holder, waiter status), so the
@@ -99,11 +96,10 @@ int main(int argc, char** argv) {
     // not — the explorer must still complete.
     ir::Program prog = makeRacy(3, 2, true);
     interp::ExploreResult r = interp::exploreAllSchedules(prog);
-    tableRow("states, same but locked", "(complete)",
-             static_cast<long long>(r.statesExplored), r.complete);
-    tableRow("distinct outputs", "1",
-             static_cast<long long>(r.outputs.size()),
-             r.outputs.size() == 1);
+    table.gate("states, same but locked", "(complete)", r.statesExplored,
+               r.complete);
+    table.gate("distinct outputs", "1", r.outputs.size(),
+               r.outputs.size() == 1);
   }
   {
     // Budgeted run on a search too large to finish: must stop at the cap
@@ -112,13 +108,11 @@ int main(int argc, char** argv) {
     interp::ExploreOptions opts;
     opts.maxStates = 128;
     interp::ExploreResult r = interp::exploreAllSchedules(prog, opts);
-    tableRow("states under a 128-state budget", "<= 129",
-             static_cast<long long>(r.statesExplored),
-             r.statesExplored <= 129 &&
-                 r.budgetExceeded == support::BudgetKind::States);
+    table.gate("states under a 128-state budget", "<= 129", r.statesExplored,
+               r.statesExplored <= 129 &&
+                   r.budgetExceeded == support::BudgetKind::States);
     std::printf("  tripped budget: %s (complete=%d)\n",
                 support::budgetKindName(r.budgetExceeded), r.complete);
   }
-  std::printf("\n");
-  return runBenchmarks(argc, argv);
+  return table.finish(argc, argv);
 }

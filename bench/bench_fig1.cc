@@ -58,15 +58,13 @@ BENCHMARK(BM_Fig1_AnalyzeCssame);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
-  const auto cssaDefs = static_cast<long long>(reachingDefsOfGUse(false));
-  const auto cssameDefs = static_cast<long long>(reachingDefsOfGUse(true));
-
-  tableHeader("Figure 1: lock-induced kill of cross-thread defs");
-  tableRow("reaching defs of `a` in g(a), CSSA", "2 (a=3, a=a+b)",
-           cssaDefs, cssaDefs == 2);
-  tableRow("reaching defs of `a` in g(a), CSSAME", "1 (a=3 only)",
-           cssameDefs, cssameDefs == 1);
-  std::printf("\n");
-  return runBenchmarks(argc, argv);
+  const std::size_t cssaDefs = reachingDefsOfGUse(false);
+  const std::size_t cssameDefs = reachingDefsOfGUse(true);
+  benchutil::Table table(
+      "Figure 1: lock-induced kill of cross-thread defs");
+  table.gate("reaching defs of `a` in g(a), CSSA", "2 (a=3, a=a+b)",
+             cssaDefs, cssaDefs == 2);
+  table.gate("reaching defs of `a` in g(a), CSSAME", "1 (a=3 only)",
+             cssameDefs, cssameDefs == 1);
+  return table.finish(argc, argv);
 }

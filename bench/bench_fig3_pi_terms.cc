@@ -12,10 +12,9 @@ namespace {
 using namespace cssame;
 
 struct FormCounts {
-  long long pis = 0;
-  long long piArgs = 0;
-  long long phis = 0;
-  long long argsRemoved = 0;
+  std::size_t pis = 0;
+  std::size_t piArgs = 0;
+  std::size_t phis = 0;
 };
 
 FormCounts countForm(bool cssame) {
@@ -23,10 +22,9 @@ FormCounts countForm(bool cssame) {
   driver::Compilation c =
       driver::analyze(prog, {.enableCssame = cssame, .warnings = false});
   FormCounts out;
-  out.pis = static_cast<long long>(c.ssa().countLivePis());
-  out.piArgs = static_cast<long long>(c.ssa().countPiConflictArgs());
-  out.phis = static_cast<long long>(c.ssa().countLivePhis());
-  out.argsRemoved = static_cast<long long>(c.rewriteStats().argsRemoved);
+  out.pis = c.ssa().countLivePis();
+  out.piArgs = c.ssa().countPiConflictArgs();
+  out.phis = c.ssa().countLivePhis();
   return out;
 }
 
@@ -52,19 +50,17 @@ BENCHMARK(BM_Fig3_BuildCssame);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
   const FormCounts cssa = countForm(false);
   const FormCounts cssame = countForm(true);
 
-  tableHeader("Figure 3: CSSA vs CSSAME form of Figure 2");
-  tableRow("pi terms, CSSA (Fig. 3a)", "5", cssa.pis, cssa.pis == 5);
-  tableRow("pi terms, CSSAME (Fig. 3b)", "1", cssame.pis, cssame.pis == 1);
-  tableRow("pi conflict args, CSSA", "6", cssa.piArgs, cssa.piArgs == 6);
-  tableRow("pi conflict args, CSSAME", "1", cssame.piArgs,
-           cssame.piArgs == 1);
-  tableRow("phi terms, CSSA", "2 (a3, a5)", cssa.phis, cssa.phis == 2);
-  tableRow("phi terms, CSSAME", "2 (a3, a5)", cssame.phis,
-           cssame.phis == 2);
-  std::printf("\n");
-  return runBenchmarks(argc, argv);
+  benchutil::Table table("Figure 3: CSSA vs CSSAME form of Figure 2");
+  table.gate("pi terms, CSSA (Fig. 3a)", "5", cssa.pis, cssa.pis == 5);
+  table.gate("pi terms, CSSAME (Fig. 3b)", "1", cssame.pis, cssame.pis == 1);
+  table.gate("pi conflict args, CSSA", "6", cssa.piArgs, cssa.piArgs == 6);
+  table.gate("pi conflict args, CSSAME", "1", cssame.piArgs,
+             cssame.piArgs == 1);
+  table.gate("phi terms, CSSA", "2 (a3, a5)", cssa.phis, cssa.phis == 2);
+  table.gate("phi terms, CSSAME", "2 (a3, a5)", cssame.phis,
+             cssame.phis == 2);
+  return table.finish(argc, argv);
 }

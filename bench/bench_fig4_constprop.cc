@@ -49,26 +49,24 @@ BENCHMARK(BM_Fig4_CsccCssame);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
   const opt::ConstPropStats cssa = measure(false);
   const opt::ConstPropStats cssame = measure(true);
 
-  tableHeader("Figure 4: CSCC constant propagation, CSSA vs CSSAME");
+  benchutil::Table table(
+      "Figure 4: CSCC constant propagation, CSSA vs CSSAME");
   // Under CSSA only the top-level a=0/b=0 and the literal a=5 have
   // constant right-hand sides; nothing else in T0 folds.
-  tableRow("constant assignments, CSSA (Fig. 4a)", "<= 3",
-           static_cast<long long>(cssa.constantDefs),
-           cssa.constantDefs <= 3);
-  tableRow("constant assignments, CSSAME (Fig. 4b)", ">= 6",
-           static_cast<long long>(cssame.constantDefs),
-           cssame.constantDefs >= 6);
-  tableRow("branches resolved, CSSA", "0",
-           static_cast<long long>(cssa.branchesResolved),
-           cssa.branchesResolved == 0);
-  tableRowStr("x folds to 13, CSSA", "no", xFoldsTo13(false) ? "yes" : "no",
-              !xFoldsTo13(false));
-  tableRowStr("x folds to 13, CSSAME", "yes",
-              xFoldsTo13(true) ? "yes" : "no", xFoldsTo13(true));
-  std::printf("\n");
-  return runBenchmarks(argc, argv);
+  table.gate("constant assignments, CSSA (Fig. 4a)", "<= 3",
+             cssa.constantDefs, cssa.constantDefs <= 3);
+  table.gate("constant assignments, CSSAME (Fig. 4b)", ">= 6",
+             cssame.constantDefs, cssame.constantDefs >= 6);
+  table.gate("branches resolved, CSSA", "0", cssa.branchesResolved,
+             cssa.branchesResolved == 0);
+  const bool cssaFolds = xFoldsTo13(false);
+  const bool cssameFolds = xFoldsTo13(true);
+  table.gate("x folds to 13, CSSA", "no", cssaFolds ? "yes" : "no",
+             !cssaFolds);
+  table.gate("x folds to 13, CSSAME", "yes", cssameFolds ? "yes" : "no",
+             cssameFolds);
+  return table.finish(argc, argv);
 }

@@ -62,19 +62,16 @@ BENCHMARK(BM_Fig5a_Pdce);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
   const Result r = measure();
 
-  tableHeader("Figure 5a: parallel dead code elimination");
-  tableRow("dead statements removed", ">= 3",
-           static_cast<long long>(r.stats.stmtsRemoved),
-           r.stats.stmtsRemoved >= 3);
-  tableRowStr("kept `b = 8` (live in T1 via pi)", "yes",
-              r.keptB ? "yes" : "no", r.keptB);
-  tableRowStr("removed all `a` defs in T0", "yes",
-              r.removedADefs ? "yes" : "no", r.removedADefs);
-  tableRowStr("program outputs preserved (10 seeds)", "yes",
-              r.outputsPreserved ? "yes" : "no", r.outputsPreserved);
-  std::printf("\n");
-  return runBenchmarks(argc, argv);
+  benchutil::Table table("Figure 5a: parallel dead code elimination");
+  table.gate("dead statements removed", ">= 3", r.stats.stmtsRemoved,
+             r.stats.stmtsRemoved >= 3);
+  table.gate("kept `b = 8` (live in T1 via pi)", "yes",
+             r.keptB ? "yes" : "no", r.keptB);
+  table.gate("removed all `a` defs in T0", "yes",
+             r.removedADefs ? "yes" : "no", r.removedADefs);
+  table.gate("program outputs preserved (10 seeds)", "yes",
+             r.outputsPreserved ? "yes" : "no", r.outputsPreserved);
+  return table.finish(argc, argv);
 }

@@ -52,21 +52,17 @@ BENCHMARK(BM_Fig5b_Licm);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
   const Result r = measure();
 
-  tableHeader("Figure 5b: lock independent code motion");
-  tableRow("statements sunk to post-mutex", "2 (x=13, y=a)",
-           static_cast<long long>(r.stats.sunk), r.stats.sunk == 2);
-  tableRow("statements hoisted", "0",
-           static_cast<long long>(r.stats.hoisted), r.stats.hoisted == 0);
-  tableRow("lock-held steps before (10 seeds)", "(dynamic)",
-           static_cast<long long>(r.holdBefore), true);
-  tableRow("lock-held steps after (10 seeds)", "< before",
-           static_cast<long long>(r.holdAfter),
-           r.holdAfter < r.holdBefore);
-  tableRowStr("program outputs preserved", "yes",
-              r.outputsPreserved ? "yes" : "no", r.outputsPreserved);
-  std::printf("\n");
-  return runBenchmarks(argc, argv);
+  benchutil::Table table("Figure 5b: lock independent code motion");
+  table.gate("statements sunk to post-mutex", "2 (x=13, y=a)", r.stats.sunk,
+             r.stats.sunk == 2);
+  table.gate("statements hoisted", "0", r.stats.hoisted,
+             r.stats.hoisted == 0);
+  table.note("lock-held steps before (10 seeds)", "(dynamic)", r.holdBefore);
+  table.gate("lock-held steps after (10 seeds)", "< before", r.holdAfter,
+             r.holdAfter < r.holdBefore);
+  table.gate("program outputs preserved", "yes",
+             r.outputsPreserved ? "yes" : "no", r.outputsPreserved);
+  return table.finish(argc, argv);
 }

@@ -60,24 +60,20 @@ BENCHMARK(BM_LicmDynamic_OptimizeBank)->Arg(2)->Arg(4)->Arg(8);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
   const DynResult r = measure(/*tellers=*/4, /*ops=*/6, /*seeds=*/10);
 
-  tableHeader("Dyn-1: LICM dynamic lock-hold reduction (ours)");
-  tableRow("lock-held steps before (10 seeds)", "(dynamic)",
-           static_cast<long long>(r.holdBefore), true);
-  tableRow("lock-held steps after", "< before",
-           static_cast<long long>(r.holdAfter), r.holdAfter < r.holdBefore);
+  benchutil::Table table("Dyn-1: LICM dynamic lock-hold reduction (ours)");
+  table.note("lock-held steps before (10 seeds)", "(dynamic)", r.holdBefore);
+  table.gate("lock-held steps after", "< before", r.holdAfter,
+             r.holdAfter < r.holdBefore);
   const double shrink =
       r.holdBefore == 0 ? 0.0
                         : 100.0 * (1.0 - static_cast<double>(r.holdAfter) /
                                              static_cast<double>(r.holdBefore));
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.1f%%", shrink);
-  tableRowStr("critical-section shrinkage", "> 0%", buf, shrink > 0.0);
-  tableRowStr("outputs preserved (balance sums equal)", "yes",
-              r.sumBefore == r.sumAfter ? "yes" : "no",
-              r.sumBefore == r.sumAfter);
-  std::printf("\n");
-  return runBenchmarks(argc, argv);
+  table.gate("critical-section shrinkage", "> 0%",
+             benchutil::fmt("%.1f%%", shrink), shrink > 0.0);
+  table.gate("outputs preserved (balance sums equal)", "yes",
+             r.sumBefore == r.sumAfter ? "yes" : "no",
+             r.sumBefore == r.sumAfter);
+  return table.finish(argc, argv);
 }

@@ -19,7 +19,6 @@ struct Composition {
   std::size_t afterInterior = 0;
   std::uint64_t holdBefore = 0;
   std::uint64_t holdAfter = 0;
-  std::size_t hoistedExprs = 0;
 };
 
 Composition measure() {
@@ -34,8 +33,7 @@ Composition measure() {
   for (const interp::RunResult& r : interp::runManySeeds(prog, 8))
     out.holdBefore += r.totalHoldSteps();
 
-  opt::OptimizeReport report = opt::optimizeProgram(prog);
-  out.hoistedExprs = report.exprMotion.exprsHoisted;
+  opt::optimizeProgram(prog);
 
   {
     driver::Compilation c = driver::analyze(prog, {.warnings = false});
@@ -72,21 +70,18 @@ BENCHMARK(BM_LockComposition_ExprHoist);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
   const Composition c = measure();
 
-  tableHeader("Abl-2: critical-section composition, bank workload (ours)");
-  tableRow("locked statements before", "(workload)",
-           static_cast<long long>(c.interior), c.interior > 0);
-  tableRow("proven lock independent", "> 0",
-           static_cast<long long>(c.independent), c.independent > 0);
-  tableRow("locked statements after LICM+hoist", "< before",
-           static_cast<long long>(c.afterInterior),
-           c.afterInterior < c.interior);
-  tableRow("lock-held steps before (8 seeds)", "(dynamic)",
-           static_cast<long long>(c.holdBefore), true);
-  tableRow("lock-held steps after", "< before",
-           static_cast<long long>(c.holdAfter), c.holdAfter < c.holdBefore);
-  std::printf("\n");
-  return runBenchmarks(argc, argv);
+  benchutil::Table table(
+      "Abl-2: critical-section composition, bank workload (ours)");
+  table.gate("locked statements before", "(workload)", c.interior,
+             c.interior > 0);
+  table.gate("proven lock independent", "> 0", c.independent,
+             c.independent > 0);
+  table.gate("locked statements after LICM+hoist", "< before",
+             c.afterInterior, c.afterInterior < c.interior);
+  table.note("lock-held steps before (8 seeds)", "(dynamic)", c.holdBefore);
+  table.gate("lock-held steps after", "< before", c.holdAfter,
+             c.holdAfter < c.holdBefore);
+  return table.finish(argc, argv);
 }

@@ -22,19 +22,17 @@
 // its fenced variant, store buffering, redundant-fence removal), and a
 // generated racy corpus. Results go to BENCH_repair.json for trend
 // tracking; the no-safe-fix envelope is counted as a *correct* answer,
-// not a failure — only unverified fixes and lint regressions fail the
-// run.
+// not a failure — unverified fixes, lint regressions and the table's
+// coverage floors fail the run.
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/oracle.h"
 #include "src/driver/pipeline.h"
-#include "src/interp/explore.h"
 #include "src/ir/printer.h"
 #include "src/parser/parser.h"
 #include "src/repair/repair.h"
@@ -46,6 +44,45 @@
 namespace {
 
 using namespace cssame;
+
+/// Thread A updates n under L and thread B does not: the repair extends
+/// the existing lock over B's update.
+constexpr const char* kExistingLock = R"(int n;
+lock L;
+cobegin {
+  thread A {
+    lock(L);
+    n = n + 1;
+    unlock(L);
+  }
+  thread B {
+    n = n + 1;
+  }
+}
+print(n);
+)";
+
+/// Peterson's algorithm, which TSO breaks: the repair converges to its
+/// fenced variant only through the iterative multi-fence loop.
+constexpr const char* kPeterson = R"(int flag0, flag1, turn, data;
+cobegin {
+  thread T0 {
+    flag0 = 1;
+    turn = 1;
+    while (flag1 == 1 && turn == 1) { }
+    data = data + 1;
+    flag0 = 0;
+  }
+  thread T1 {
+    flag1 = 1;
+    turn = 0;
+    while (flag0 == 1 && turn == 0) { }
+    data = data + 1;
+    flag1 = 0;
+  }
+}
+print(data);
+)";
 
 struct Tally {
   std::size_t workloads = 0;
@@ -96,10 +133,8 @@ Facts analyzeFromScratch(const std::string& source) {
   (void)sanalysis::runTso(comp, tool);
   for (const Diagnostic& d : comp.diag().diagnostics()) ++f.diags[d.code];
   for (const Diagnostic& d : tool.diagnostics()) ++f.diags[d.code];
-  interp::ExploreOptions opts;
+  interp::ExploreOptions opts = benchutil::oracleExplore();
   opts.detectRaces = true;
-  opts.maxSteps = 1u << 18;
-  opts.maxStates = 1u << 16;
   const interp::ExploreResult ex = interp::exploreAllSchedules(pr.program, opts);
   f.raced = {ex.racedVars.begin(), ex.racedVars.end()};
   for (SymbolId v : ex.racedVars)
@@ -131,8 +166,8 @@ std::size_t targetClassCount(const Facts& f) {
 }
 
 /// One workload end to end: run the engine, then re-derive every claim
-/// it made from scratch. Returns false (and bumps the failure counters)
-/// when a returned fix does not hold up.
+/// it made from scratch, bumping the failure counters when a returned fix
+/// does not hold up.
 void repairAndRecheck(const std::string& source, repair::FixTarget target,
                       Tally& tally) {
   ++tally.workloads;
@@ -198,20 +233,7 @@ void repairAndRecheck(const std::string& source, repair::FixTarget target,
 
 void handGallery(Tally& tally) {
   // Existing-lock extension.
-  repairAndRecheck(R"(int n;
-lock L;
-cobegin {
-  thread A {
-    lock(L);
-    n = n + 1;
-    unlock(L);
-  }
-  thread B {
-    n = n + 1;
-  }
-}
-print(n);
-)", repair::FixTarget::All, tally);
+  repairAndRecheck(kExistingLock, repair::FixTarget::All, tally);
 
   // Fresh-lock fallback.
   repairAndRecheck(R"(int total;
@@ -274,25 +296,7 @@ print(n);
 
 void tsoGallery(Tally& tally) {
   // Peterson: converges only through the iterative multi-fence loop.
-  repairAndRecheck(R"(int flag0, flag1, turn, data;
-cobegin {
-  thread T0 {
-    flag0 = 1;
-    turn = 1;
-    while (flag1 == 1 && turn == 1) { }
-    data = data + 1;
-    flag0 = 0;
-  }
-  thread T1 {
-    flag1 = 1;
-    turn = 0;
-    while (flag0 == 1 && turn == 0) { }
-    data = data + 1;
-    flag1 = 0;
-  }
-}
-print(data);
-)", repair::FixTarget::Tso, tally);
+  repairAndRecheck(kPeterson, repair::FixTarget::Tso, tally);
 
   // Store-buffering litmus: both threads need their store->load fence.
   repairAndRecheck(R"(int x, y, r0, r1;
@@ -357,79 +361,22 @@ Tally runSweep() {
   return t;
 }
 
-void writeJson(const Tally& t, const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench_repair: cannot write %s\n", path);
-    return;
-  }
-  out << "{\n"
-      << "  \"experiment\": \"synthesis-and-verify repair engine\",\n"
-      << "  \"workloads\": " << t.workloads << ",\n"
-      << "  \"with_targets\": " << t.withTargets << ",\n"
-      << "  \"fixed\": " << t.fixed << ",\n"
-      << "  \"partial\": " << t.partial << ",\n"
-      << "  \"no_safe_fix\": " << t.noSafeFix << ",\n"
-      << "  \"clean\": " << t.clean << ",\n"
-      << "  \"candidates_tried\": " << t.candidatesTried << ",\n"
-      << "  \"candidates_verified\": " << t.candidatesVerified << ",\n"
-      << "  \"candidates_rejected\": " << t.candidatesRejected << ",\n"
-      << "  \"fresh_lock_fallbacks\": " << t.freshLockFallbacks << ",\n"
-      << "  \"unverified_fixes\": " << t.unverifiedFixes << ",\n"
-      << "  \"lint_regressions\": " << t.lintRegressions << ",\n"
-      << "  \"success_rate\": " << t.successRate() << ",\n"
-      << "  \"mean_latency_ms\": " << t.meanLatencyMs() << ",\n"
-      << "  \"max_latency_ms\": " << t.maxLatencyMs << "\n"
-      << "}\n";
-}
-
 // Timing: one existing-lock repair end to end (parse, analyze, candidate
 // sweep, verify, explore) and the iterative Peterson fence convergence —
 // the cheapest and the most expensive shapes the engine handles.
 void BM_RepairExistingLock(benchmark::State& state) {
-  const std::string src = R"(int n;
-lock L;
-cobegin {
-  thread A {
-    lock(L);
-    n = n + 1;
-    unlock(L);
-  }
-  thread B {
-    n = n + 1;
-  }
-}
-print(n);
-)";
   for (auto _ : state) {
-    repair::RepairResult r = repair::repairSource(src, repair::FixTarget::All);
+    repair::RepairResult r =
+        repair::repairSource(kExistingLock, repair::FixTarget::All);
     benchmark::DoNotOptimize(r.status);
   }
 }
 BENCHMARK(BM_RepairExistingLock);
 
 void BM_RepairPetersonFences(benchmark::State& state) {
-  const std::string src = R"(int flag0, flag1, turn, data;
-cobegin {
-  thread T0 {
-    flag0 = 1;
-    turn = 1;
-    while (flag1 == 1 && turn == 1) { }
-    data = data + 1;
-    flag0 = 0;
-  }
-  thread T1 {
-    flag1 = 1;
-    turn = 0;
-    while (flag0 == 1 && turn == 0) { }
-    data = data + 1;
-    flag1 = 0;
-  }
-}
-print(data);
-)";
   for (auto _ : state) {
-    repair::RepairResult r = repair::repairSource(src, repair::FixTarget::Tso);
+    repair::RepairResult r =
+        repair::repairSource(kPeterson, repair::FixTarget::Tso);
     benchmark::DoNotOptimize(r.status);
   }
 }
@@ -438,39 +385,42 @@ BENCHMARK(BM_RepairPetersonFences);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
-
-  tableHeader("Repair-1: synthesis-and-verify repair engine (ours)");
+  benchutil::Table table(
+      "Repair-1: synthesis-and-verify repair engine (ours)");
   const Tally t = runSweep();
-  tableRow("workloads", ">= 25", static_cast<long long>(t.workloads),
-           t.workloads >= 25);
-  tableRow("with repairable findings", ">= 15",
-           static_cast<long long>(t.withTargets), t.withTargets >= 15);
-  tableRow("fixed (all targets repaired + verified)", ">= 10",
-           static_cast<long long>(t.fixed), t.fixed >= 10);
-  tableRow("partial (some targets unfixable)", "(some)",
-           static_cast<long long>(t.partial), true);
-  tableRow("no-safe-fix envelopes (honest refusals)", "(some)",
-           static_cast<long long>(t.noSafeFix), true);
-  tableRow("clean (nothing to fix)", ">= 1",
-           static_cast<long long>(t.clean), t.clean >= 1);
-  tableRow("candidates verified", ">= 15",
-           static_cast<long long>(t.candidatesVerified),
-           t.candidatesVerified >= 15);
-  tableRow("UNVERIFIED returned fixes", "0",
-           static_cast<long long>(t.unverifiedFixes), t.unverifiedFixes == 0);
-  tableRow("overwide/redundant lint regressions", "0",
-           static_cast<long long>(t.lintRegressions), t.lintRegressions == 0);
+  table.gate("workloads", ">= 25", t.workloads, t.workloads >= 25,
+             "workloads");
+  table.gate("with repairable findings", ">= 15", t.withTargets,
+             t.withTargets >= 15, "with_targets");
+  table.gate("fixed (all targets repaired + verified)", ">= 10", t.fixed,
+             t.fixed >= 10, "fixed");
+  table.note("partial (some targets unfixable)", "(some)", t.partial,
+             "partial");
+  table.note("no-safe-fix envelopes (honest refusals)", "(some)",
+             t.noSafeFix, "no_safe_fix");
+  table.gate("clean (nothing to fix)", ">= 1", t.clean, t.clean >= 1,
+             "clean");
+  table.json().set("candidates_tried", t.candidatesTried);
+  table.gate("candidates verified", ">= 15", t.candidatesVerified,
+             t.candidatesVerified >= 15, "candidates_verified");
+  table.json()
+      .set("candidates_rejected", t.candidatesRejected)
+      .set("fresh_lock_fallbacks", t.freshLockFallbacks);
+  // A single fix that fails independent re-verification (or trades a race
+  // for a lint) is a correctness bug, not a regression.
+  table.gate("UNVERIFIED returned fixes", "0", t.unverifiedFixes,
+             t.unverifiedFixes == 0, "unverified_fixes");
+  table.gate("overwide/redundant lint regressions", "0", t.lintRegressions,
+             t.lintRegressions == 0, "lint_regressions");
+  table.json()
+      .set("success_rate", t.successRate())
+      .set("mean_latency_ms", t.meanLatencyMs())
+      .set("max_latency_ms", t.maxLatencyMs);
   std::printf("  success rate %.3f over programs with findings; "
               "latency mean %.1f ms, max %.1f ms\n",
               t.successRate(), t.meanLatencyMs(), t.maxLatencyMs);
-  writeJson(t, "BENCH_repair.json");
-  std::printf("  wrote BENCH_repair.json\n\n");
-
-  // Hard gate: a single fix that fails independent re-verification (or
-  // trades a race for a lint) is a correctness bug, not a regression.
-  const bool sound = t.unverifiedFixes == 0 && t.lintRegressions == 0 &&
-                     t.workloads >= 25 && t.fixed >= 10;
-  const int benchRc = runBenchmarks(argc, argv);
-  return sound ? benchRc : 1;
+  benchutil::writeBenchJson("BENCH_repair.json",
+                            "synthesis-and-verify repair engine",
+                            table.json());
+  return table.finish(argc, argv);
 }

@@ -112,8 +112,7 @@ BENCHMARK(BM_Pipeline_PhaseBreakdown);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
-  tableHeader("Scal-1: pipeline compile-time scaling (ours)");
+  benchutil::Table table("Scal-1: pipeline compile-time scaling (ours)");
   // Sanity anchor: the pipeline on a ~2600-statement program must finish
   // (table checks feasibility; the timing series below shows the shape).
   workload::GeneratorConfig cfg;
@@ -122,14 +121,11 @@ int main(int argc, char** argv) {
   cfg.stmtsPerThread = 160;
   ir::Program prog = workload::generateRandom(cfg);
   driver::Compilation c = driver::analyze(prog, {.warnings = false});
-  tableRow("statements analyzed", "(scales)",
-           static_cast<long long>(prog.size()), prog.size() > 1000);
-  tableRow("pi terms placed", "> 0",
-           static_cast<long long>(c.piStats().pisPlaced),
-           c.piStats().pisPlaced > 0);
-  tableRow("pi args removed by CSSAME", "> 0",
-           static_cast<long long>(c.rewriteStats().argsRemoved),
-           c.rewriteStats().argsRemoved > 0);
-  std::printf("\n");
-  return runBenchmarks(argc, argv);
+  table.gate("statements analyzed", "(scales)", prog.size(),
+             prog.size() > 1000);
+  table.gate("pi terms placed", "> 0", c.piStats().pisPlaced,
+             c.piStats().pisPlaced > 0);
+  table.gate("pi args removed by CSSAME", "> 0", c.rewriteStats().argsRemoved,
+             c.rewriteStats().argsRemoved > 0);
+  return table.finish(argc, argv);
 }

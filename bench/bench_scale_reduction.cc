@@ -56,26 +56,22 @@ BENCHMARK(BM_Reduction_Sweep)->Arg(0)->Arg(25)->Arg(50)->Arg(75)->Arg(100);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
-  tableHeader("Scal-2: pi-argument reduction vs locked fraction (ours)");
+  benchutil::Table table(
+      "Scal-2: pi-argument reduction vs locked fraction (ours)");
   double prev = -1.0;
   bool monotonicByEnds = true;
   for (int pct : {0, 50, 100}) {
     const Reduction r = measure(pct / 100.0, 23);
-    char metric[64];
-    std::snprintf(metric, sizeof metric, "reduction %% at lockedFraction=%d%%",
-                  pct);
-    char measured[64];
-    std::snprintf(measured, sizeof measured, "%.1f%% (%zu -> %zu)",
-                  r.percent(), r.cssaArgs, r.cssameArgs);
-    tableRowStr(metric, pct == 0 ? "small" : "grows", measured, true);
+    table.note(benchutil::fmt("reduction %% at lockedFraction=%d%%", pct),
+               pct == 0 ? "small" : "grows",
+               benchutil::fmt("%.1f%% (%zu -> %zu)", r.percent(), r.cssaArgs,
+                              r.cssameArgs));
     if (pct == 0 || pct == 100) {
       if (r.percent() < prev) monotonicByEnds = false;
       prev = r.percent();
     }
   }
-  tableRowStr("more locking => more reduction", "yes",
-              monotonicByEnds ? "yes" : "no", monotonicByEnds);
-  std::printf("\n");
-  return runBenchmarks(argc, argv);
+  table.gate("more locking => more reduction", "yes",
+             monotonicByEnds ? "yes" : "no", monotonicByEnds);
+  return table.finish(argc, argv);
 }

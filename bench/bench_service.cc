@@ -25,10 +25,8 @@
 // service-smoke job runs this with CSSAME_SERVICE_SMOKE=1.
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -168,6 +166,28 @@ struct ColdWarm {
   [[nodiscard]] double speedup() const {
     return warmSeconds > 0 ? coldSeconds / warmSeconds : 0.0;
   }
+  [[nodiscard]] double coldMsPerRequest() const {
+    return 1e3 * coldSeconds / programs;
+  }
+  [[nodiscard]] double warmMsPerRequest() const {
+    return 1e3 * warmSeconds / programs;
+  }
+
+  [[nodiscard]] service::Json json() const {
+    service::Json j = service::Json::object();
+    j.set("method", "csan")
+        .set("programs", programs)
+        .set("cold_seconds", coldSeconds)
+        .set("warm_seconds", warmSeconds)
+        .set("disk_seconds", diskSeconds)
+        .set("cold_ms_per_request", coldMsPerRequest())
+        .set("warm_ms_per_request", warmMsPerRequest())
+        .set("warm_speedup", speedup())
+        .set("warm_speedup_target", 10)
+        .set("disk_tier_answered_all", diskTierHit)
+        .set("responses_identical_to_standalone", identical);
+    return j;
+  }
 };
 
 /// Cold then warm over one connection; then a fresh server on the same
@@ -237,6 +257,17 @@ struct ClientRun {
   [[nodiscard]] double requestsPerSecond() const {
     return seconds > 0 ? static_cast<double>(requests) / seconds : 0.0;
   }
+
+  [[nodiscard]] service::Json json() const {
+    service::Json j = service::Json::object();
+    j.set("clients", clients)
+        .set("requests", requests)
+        .set("seconds", seconds)
+        .set("requests_per_second", requestsPerSecond())
+        .set("errors", errors)
+        .set("responses_identical_to_standalone", identical);
+    return j;
+  }
 };
 
 /// `clients` threads, each with its own connection, walking the shared
@@ -300,6 +331,22 @@ struct FleetRun {
 
   [[nodiscard]] double requestsPerSecond() const {
     return seconds > 0 ? static_cast<double>(requests) / seconds : 0.0;
+  }
+
+  [[nodiscard]] service::Json json() const {
+    service::Json j = service::Json::object();
+    j.set("workers", static_cast<int>(workers))
+        .set("requests", requests)
+        .set("seconds", seconds)
+        .set("requests_per_second", requestsPerSecond())
+        .set("kills_during_load", kills)
+        .set("worker_deaths_observed", workerDeaths)
+        .set("restarts", restarts)
+        .set("requests_retried", retried)
+        .set("requests_fallback_local", fallbacks)
+        .set("errors", errors)
+        .set("responses_identical_to_standalone", identical);
+    return j;
   }
 };
 
@@ -365,78 +412,9 @@ FleetRun runFleet(const std::string& sockPath,
   return run;
 }
 
-void writeJson(const ColdWarm& cw, const std::vector<ClientRun>& runs,
-               const std::vector<FleetRun>& fleets, unsigned hw,
-               const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench_service: cannot write %s\n", path);
-    return;
-  }
-  out << "{\n"
-      << "  \"experiment\": \"Service-1: cssamed latency and throughput "
-         "(cold vs warm cache, client scaling)\",\n"
-      << "  \"hardware_threads\": " << hw << ",\n"
-      << "  \"smoke\": " << (smokeMode() ? "true" : "false") << ",\n"
-      << "  \"cold_warm\": {\n"
-      << "    \"method\": \"csan\",\n"
-      << "    \"programs\": " << cw.programs << ",\n"
-      << "    \"cold_seconds\": " << cw.coldSeconds << ",\n"
-      << "    \"warm_seconds\": " << cw.warmSeconds << ",\n"
-      << "    \"disk_seconds\": " << cw.diskSeconds << ",\n"
-      << "    \"cold_ms_per_request\": "
-      << 1e3 * cw.coldSeconds / cw.programs << ",\n"
-      << "    \"warm_ms_per_request\": "
-      << 1e3 * cw.warmSeconds / cw.programs << ",\n"
-      << "    \"warm_speedup\": " << cw.speedup() << ",\n"
-      << "    \"warm_speedup_target\": 10,\n"
-      << "    \"disk_tier_answered_all\": "
-      << (cw.diskTierHit ? "true" : "false") << ",\n"
-      << "    \"responses_identical_to_standalone\": "
-      << (cw.identical ? "true" : "false") << "\n  },\n"
-      << "  \"client_scaling\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const ClientRun& r = runs[i];
-    out << "    {\n"
-        << "      \"clients\": " << r.clients << ",\n"
-        << "      \"requests\": " << r.requests << ",\n"
-        << "      \"seconds\": " << r.seconds << ",\n"
-        << "      \"requests_per_second\": " << r.requestsPerSecond()
-        << ",\n"
-        << "      \"errors\": " << r.errors << ",\n"
-        << "      \"responses_identical_to_standalone\": "
-        << (r.identical ? "true" : "false") << "\n    }"
-        << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n"
-      << "  \"fleet\": [\n";
-  for (std::size_t i = 0; i < fleets.size(); ++i) {
-    const FleetRun& f = fleets[i];
-    out << "    {\n"
-        << "      \"workers\": " << f.workers << ",\n"
-        << "      \"requests\": " << f.requests << ",\n"
-        << "      \"seconds\": " << f.seconds << ",\n"
-        << "      \"requests_per_second\": " << f.requestsPerSecond()
-        << ",\n"
-        << "      \"kills_during_load\": " << f.kills << ",\n"
-        << "      \"worker_deaths_observed\": " << f.workerDeaths << ",\n"
-        << "      \"restarts\": " << f.restarts << ",\n"
-        << "      \"requests_retried\": " << f.retried << ",\n"
-        << "      \"requests_fallback_local\": " << f.fallbacks << ",\n"
-        << "      \"errors\": " << f.errors << ",\n"
-        << "      \"responses_identical_to_standalone\": "
-        << (f.identical ? "true" : "false") << "\n    }"
-        << (i + 1 < fleets.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-
   const fs::path scratch =
       fs::temp_directory_path() /
       ("cssame_bench_service_" + std::to_string(::getpid()));
@@ -444,7 +422,10 @@ int main(int argc, char** argv) {
   fs::create_directories(scratch / "cache");
   const std::string sockPath = (scratch / "d.sock").string();
 
-  tableHeader("Service-1: cssamed cold/warm latency and client scaling");
+  benchutil::Table table(
+      "Service-1: cssamed cold/warm latency and client scaling");
+  service::Json& json = table.json();
+  json.set("smoke", smokeMode());
 
   const ColdWarm cw = runColdWarm(sockPath, (scratch / "cache").string());
 
@@ -455,60 +436,51 @@ int main(int argc, char** argv) {
   for (int clients : {1, 4, 16})
     runs.push_back(runClients(sockPath, workload, clients, perClient));
 
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.1fx", cw.speedup());
-  tableRowStr("warm vs cold speedup (csan)", ">= 10x", buf,
-              cw.speedup() >= 10.0);
-  std::snprintf(buf, sizeof buf, "%.2f ms",
-                1e3 * cw.coldSeconds / cw.programs);
-  tableRowStr("  cold latency per request", "(reported)", buf, true);
-  std::snprintf(buf, sizeof buf, "%.3f ms",
-                1e3 * cw.warmSeconds / cw.programs);
-  tableRowStr("  warm latency per request", "(reported)", buf, true);
-  tableRow("  restart answers from disk tier", "1", cw.diskTierHit,
-           cw.diskTierHit);
-  tableRow("  responses identical to standalone", "1", cw.identical,
-           cw.identical);
-  bool clientsClean = true;
+  table.gate("warm vs cold speedup (csan)", ">= 10x",
+             benchutil::fmt("%.1fx", cw.speedup()), cw.speedup() >= 10.0);
+  table.note("  cold latency per request", "(reported)",
+             benchutil::fmt("%.2f ms", cw.coldMsPerRequest()));
+  table.note("  warm latency per request", "(reported)",
+             benchutil::fmt("%.3f ms", cw.warmMsPerRequest()));
+  table.gate("  restart answers from disk tier", "1", cw.diskTierHit,
+             cw.diskTierHit);
+  table.gate("  responses identical to standalone", "1", cw.identical,
+             cw.identical);
+  json.set("cold_warm", cw.json());
+  service::Json clientJson = service::Json::array();
   for (const ClientRun& r : runs) {
-    std::snprintf(buf, sizeof buf, "%.0f req/s (%zu err)",
-                  r.requestsPerSecond(), r.errors);
-    char metric[64];
-    std::snprintf(metric, sizeof metric, "sustained, %d client%s",
-                  r.clients, r.clients == 1 ? "" : "s");
-    const bool ok = r.errors == 0 && r.identical;
-    tableRowStr(metric, "0 errors, identical", buf, ok);
-    clientsClean = clientsClean && ok;
+    table.gate(benchutil::fmt("sustained, %d client%s", r.clients,
+                              r.clients == 1 ? "" : "s"),
+               "0 errors, identical",
+               benchutil::fmt("%.0f req/s (%zu err)", r.requestsPerSecond(),
+                              r.errors),
+               r.errors == 0 && r.identical);
+    clientJson.push(r.json());
   }
+  json.set("client_scaling", std::move(clientJson));
 
   const int fleetRequests = smokeMode() ? 200 : 1000;
   const int killEvery = 50;
-  std::vector<FleetRun> fleets;
-  for (unsigned workers : {1u, 2u, 4u})
-    fleets.push_back(
-        runFleet(sockPath, workload, workers, fleetRequests, killEvery));
-
-  bool fleetClean = true;
-  for (const FleetRun& f : fleets) {
-    std::snprintf(buf, sizeof buf, "%.0f req/s (%zu kills, %zu err)",
-                  f.requestsPerSecond(), f.kills, f.errors);
-    char metric[64];
-    std::snprintf(metric, sizeof metric, "fleet=%u under kill-loop",
-                  f.workers);
+  service::Json fleetJson = service::Json::array();
+  for (unsigned workers : {1u, 2u, 4u}) {
+    const FleetRun f =
+        runFleet(sockPath, workload, workers, fleetRequests, killEvery);
     // The chaos must land (kills > 0 and the supervisor saw deaths) and
     // must stay invisible to the client.
-    const bool ok = f.errors == 0 && f.identical && f.kills > 0 &&
-                    f.workerDeaths > 0;
-    tableRowStr(metric, "0 errors, identical", buf, ok);
-    fleetClean = fleetClean && ok;
+    table.gate(benchutil::fmt("fleet=%u under kill-loop", f.workers),
+               "0 errors, identical",
+               benchutil::fmt("%.0f req/s (%zu kills, %zu err)",
+                              f.requestsPerSecond(), f.kills, f.errors),
+               f.errors == 0 && f.identical && f.kills > 0 &&
+                   f.workerDeaths > 0);
+    fleetJson.push(f.json());
   }
+  json.set("fleet", std::move(fleetJson));
 
-  writeJson(cw, runs, fleets, hw, "BENCH_service.json");
-  std::printf("  wrote BENCH_service.json\n\n");
+  benchutil::writeBenchJson("BENCH_service.json",
+                            "Service-1: cssamed latency and throughput "
+                            "(cold vs warm cache, client scaling)",
+                            json);
   fs::remove_all(scratch);
-
-  if (!cw.identical || !cw.diskTierHit || cw.speedup() < 10.0 ||
-      !clientsClean || !fleetClean)
-    return 1;
-  return runBenchmarks(argc, argv);
+  return table.finish(argc, argv);
 }

@@ -31,14 +31,9 @@
 // no static finding (including no FenceRedundant on the load-bearing
 // fences) and no TSO-only dynamic behavior. Results go to
 // BENCH_tso.json for trend tracking.
-#include <cstdio>
-#include <fstream>
-#include <string>
-#include <vector>
-
 #include "bench/bench_util.h"
+#include "bench/oracle.h"
 #include "src/driver/pipeline.h"
-#include "src/interp/explore.h"
 #include "src/parser/parser.h"
 #include "src/sanalysis/tso.h"
 #include "src/support/diag.h"
@@ -89,10 +84,8 @@ void crossValidate(ir::Program prog, Tally& tally,
   const sanalysis::TsoReport report = sanalysis::runTso(comp, diag);
   const bool flagged = report.notJustified > 0;
 
-  interp::ExploreOptions opts;
+  interp::ExploreOptions opts = benchutil::oracleExplore();
   opts.detectRaces = true;
-  opts.maxSteps = 1u << 18;
-  opts.maxStates = 1u << 16;
   const interp::ExploreResult sc = interp::exploreAllSchedules(prog, opts);
   opts.model = support::MemoryModel::TSO;
   const interp::ExploreResult tso = interp::exploreAllSchedules(prog, opts);
@@ -327,29 +320,6 @@ Tally runSweep() {
   return tally;
 }
 
-void writeJson(const Tally& t, const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench_tso: cannot write %s\n", path);
-    return;
-  }
-  out << "{\n"
-      << "  \"experiment\": \"tso static verdicts vs SC/TSO explorer\",\n"
-      << "  \"workloads\": " << t.workloads << ",\n"
-      << "  \"complete_explorations\": " << t.completeExplorations << ",\n"
-      << "  \"static_findings\": " << t.staticFindings << ",\n"
-      << "  \"true_positives\": " << t.truePositives << ",\n"
-      << "  \"false_positives\": " << t.falsePositives << ",\n"
-      << "  \"false_negatives\": " << t.falseNegatives << ",\n"
-      << "  \"true_negatives\": " << t.trueNegatives << ",\n"
-      << "  \"sc_racy_amplified\": " << t.scRacyAmplified << ",\n"
-      << "  \"unknown\": " << t.unknown << ",\n"
-      << "  \"fence_lint_on_repairs\": " << t.fenceLintOnRepairs << ",\n"
-      << "  \"precision\": " << t.precision() << ",\n"
-      << "  \"recall\": " << t.recall() << "\n"
-      << "}\n";
-}
-
 // Timing: the pass alone (pipeline prebuilt) as the program grows — the
 // pending-store windows ride the same dense solver as held-locks, so
 // the cost must stay near-linear in program size.
@@ -376,9 +346,7 @@ void BM_ExploreTso(benchmark::State& state) {
   cfg.loopProb = 0.0;
   cfg.determinate = false;
   const ir::Program prog = workload::generateRandom(cfg);
-  interp::ExploreOptions opts;
-  opts.maxSteps = 1u << 18;
-  opts.maxStates = 1u << 16;
+  interp::ExploreOptions opts = benchutil::oracleExplore();
   opts.model = support::MemoryModel::TSO;
   for (auto _ : state) {
     interp::ExploreResult r = interp::exploreAllSchedules(prog, opts);
@@ -390,37 +358,36 @@ BENCHMARK(BM_ExploreTso)->Arg(2)->Arg(3)->Arg(4);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
-
-  tableHeader("Tso-1: TSO static verdicts vs SC/TSO explorer (ours)");
+  benchutil::Table table(
+      "Tso-1: TSO static verdicts vs SC/TSO explorer (ours)");
   const Tally t = runSweep();
-  tableRow("workloads", ">= 60", static_cast<long long>(t.workloads),
-           t.workloads >= 60);
-  tableRow("complete explorations", "(most)",
-           static_cast<long long>(t.completeExplorations),
-           t.completeExplorations * 2 >= t.workloads);
-  tableRow("true positives (TSO-broken, flagged)", ">= 4",
-           static_cast<long long>(t.truePositives), t.truePositives >= 4);
-  tableRow("false positives (over-approximation)", "(few)",
-           static_cast<long long>(t.falsePositives), true);
-  tableRow("false negatives (soundness misses)", "0",
-           static_cast<long long>(t.falseNegatives), t.falseNegatives == 0);
-  tableRow("true negatives (fences/locks/atomics)", ">= 10",
-           static_cast<long long>(t.trueNegatives), t.trueNegatives >= 10);
-  tableRow("SC-racy, TSO-amplified (outside claim)", "(some)",
-           static_cast<long long>(t.scRacyAmplified), true);
-  tableRow("unknown (budget tripped)", "(few)",
-           static_cast<long long>(t.unknown), true);
-  tableRow("FenceRedundant on load-bearing fences", "0",
-           static_cast<long long>(t.fenceLintOnRepairs),
-           t.fenceLintOnRepairs == 0);
+  table.gate("workloads", ">= 60", t.workloads, t.workloads >= 60,
+             "workloads");
+  table.gate("complete explorations", "(most)", t.completeExplorations,
+             t.completeExplorations * 2 >= t.workloads,
+             "complete_explorations");
+  table.json().set("static_findings", t.staticFindings);
+  table.gate("true positives (TSO-broken, flagged)", ">= 4", t.truePositives,
+             t.truePositives >= 4, "true_positives");
+  table.note("false positives (over-approximation)", "(few)",
+             t.falsePositives, "false_positives");
+  table.gate("false negatives (soundness misses)", "0", t.falseNegatives,
+             t.falseNegatives == 0, "false_negatives");
+  table.gate("true negatives (fences/locks/atomics)", ">= 10",
+             t.trueNegatives, t.trueNegatives >= 10, "true_negatives");
+  table.note("SC-racy, TSO-amplified (outside claim)", "(some)",
+             t.scRacyAmplified, "sc_racy_amplified");
+  table.note("unknown (budget tripped)", "(few)", t.unknown, "unknown");
+  table.gate("FenceRedundant on load-bearing fences", "0",
+             t.fenceLintOnRepairs, t.fenceLintOnRepairs == 0,
+             "fence_lint_on_repairs");
+  table.json()
+      .set("precision", t.precision())
+      .set("recall", t.recall());
   std::printf("  precision %.3f, recall %.3f (of decided workloads)\n",
               t.precision(), t.recall());
-  writeJson(t, "BENCH_tso.json");
-  std::printf("  wrote BENCH_tso.json\n\n");
-
-  const bool sound = t.falseNegatives == 0 && t.fenceLintOnRepairs == 0 &&
-                     t.workloads >= 60;
-  const int benchRc = runBenchmarks(argc, argv);
-  return sound ? benchRc : 1;
+  benchutil::writeBenchJson("BENCH_tso.json",
+                            "tso static verdicts vs SC/TSO explorer",
+                            table.json());
+  return table.finish(argc, argv);
 }

@@ -12,19 +12,15 @@
 //      Observations are valid witnesses even when a budget trips (they
 //      came from real executions), so the check applies unconditionally.
 //
-// Results go to BENCH_vrange.json for trend tracking; CI fails the run
-// when either check reports a violation or no dead branch is found.
-#include <cstdio>
-#include <fstream>
+// Results go to BENCH_vrange.json for trend tracking; the run fails
+// when either check reports a violation, when no dead branch is found,
+// or when the table's coverage floors miss.
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/oracle.h"
 #include "src/driver/pipeline.h"
-#include "src/interp/explore.h"
 #include "src/sanalysis/vrange.h"
-#include "src/support/diag.h"
-#include "src/workload/generator.h"
 
 namespace {
 
@@ -63,10 +59,8 @@ void crossValidate(ir::Program prog, Tally& tally) {
       tally.firstFailure = "cross-check: " + mismatch;
   }
 
-  interp::ExploreOptions opts;
+  interp::ExploreOptions opts = benchutil::oracleExplore();
   opts.recordValues = true;
-  opts.maxSteps = 1u << 18;
-  opts.maxStates = 1u << 16;
   const interp::ExploreResult dyn = interp::exploreAllSchedules(prog, opts);
   tally.completeExplorations += dyn.complete ? 1 : 0;
   for (const auto& [var, range] : dyn.observedRanges) {
@@ -81,66 +75,6 @@ void crossValidate(ir::Program prog, Tally& tally) {
                              "] outside static " + hull.str();
     }
   }
-}
-
-/// >= 100 generated workloads mirroring the csan sweep: racy random
-/// programs, determinate random programs, and lock-structured sweeps —
-/// all small enough that most explorations complete.
-Tally runSweep() {
-  Tally tally;
-  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    workload::GeneratorConfig cfg;
-    cfg.seed = seed;
-    cfg.threads = 2 + static_cast<int>(seed % 2);
-    cfg.sharedVars = 3;
-    cfg.locks = 2;
-    cfg.stmtsPerThread = 3 + static_cast<int>(seed % 3);
-    cfg.maxDepth = 1;
-    cfg.loopProb = 0.0;  // loops explode the schedule space
-    cfg.lockedFraction = 0.25 * static_cast<double>(seed % 4);
-    cfg.determinate = false;
-    crossValidate(workload::generateRandom(cfg), tally);
-  }
-  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    workload::GeneratorConfig cfg;
-    cfg.seed = 1000 + seed;
-    cfg.threads = 2;
-    cfg.sharedVars = 2;
-    cfg.locks = 1;
-    cfg.stmtsPerThread = 4;
-    cfg.maxDepth = 1;
-    cfg.loopProb = 0.0;
-    cfg.determinate = true;
-    crossValidate(workload::generateRandom(cfg), tally);
-  }
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    const double lockedFraction = 0.25 * static_cast<double>(seed % 5);
-    crossValidate(
-        workload::makeLockStructured(2, 1, 2 + static_cast<int>(seed % 2),
-                                     lockedFraction, seed),
-        tally);
-  }
-  return tally;
-}
-
-void writeJson(const Tally& t, const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench_vrange: cannot write %s\n", path);
-    return;
-  }
-  out << "{\n"
-      << "  \"experiment\": \"CVRA soundness vs exhaustive exploration\",\n"
-      << "  \"workloads\": " << t.workloads << ",\n"
-      << "  \"complete_explorations\": " << t.completeExplorations << ",\n"
-      << "  \"values_checked\": " << t.valuesChecked << ",\n"
-      << "  \"cross_check_failures\": " << t.crossCheckFailures << ",\n"
-      << "  \"soundness_violations\": " << t.soundnessViolations << ",\n"
-      << "  \"singleton_defs\": " << t.singletonDefs << ",\n"
-      << "  \"bounded_defs\": " << t.boundedDefs << ",\n"
-      << "  \"dead_branches\": " << t.deadBranches << ",\n"
-      << "  \"asserts_decided\": " << t.assertsDecided << "\n"
-      << "}\n";
 }
 
 // Timing: CVRA cost alone (analysis pipeline prebuilt) as the program
@@ -171,38 +105,35 @@ BENCHMARK(BM_VrangeEndToEnd)->Arg(2)->Arg(4)->Arg(8);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace cssame::benchutil;
-
-  tableHeader("Vr-1: CVRA soundness, static vs dynamic (ours)");
-  const Tally t = runSweep();
-  tableRow("generated workloads", ">= 100",
-           static_cast<long long>(t.workloads), t.workloads >= 100);
-  tableRow("complete explorations", "(most)",
-           static_cast<long long>(t.completeExplorations),
-           t.completeExplorations * 2 >= t.workloads);
-  tableRow("per-variable observations checked", "(many)",
-           static_cast<long long>(t.valuesChecked), t.valuesChecked > 0);
-  tableRow("CSCC cross-check failures", "0",
-           static_cast<long long>(t.crossCheckFailures),
-           t.crossCheckFailures == 0);
-  tableRow("dynamic soundness violations", "0",
-           static_cast<long long>(t.soundnessViolations),
-           t.soundnessViolations == 0);
-  tableRow("singleton defs", "(reported)",
-           static_cast<long long>(t.singletonDefs), true);
-  tableRow("bounded (finite, non-singleton) defs", "(reported)",
-           static_cast<long long>(t.boundedDefs), true);
+  benchutil::Table table("Vr-1: CVRA soundness, static vs dynamic (ours)");
+  Tally t;
+  for (ir::Program& prog : benchutil::oracleCorpus())
+    crossValidate(std::move(prog), t);
+  table.gate("generated workloads", ">= 100", t.workloads, t.workloads >= 100,
+             "workloads");
+  table.gate("complete explorations", "(most)", t.completeExplorations,
+             t.completeExplorations * 2 >= t.workloads,
+             "complete_explorations");
+  table.gate("per-variable observations checked", "(many)", t.valuesChecked,
+             t.valuesChecked > 0, "values_checked");
+  table.gate("CSCC cross-check failures", "0", t.crossCheckFailures,
+             t.crossCheckFailures == 0, "cross_check_failures");
+  table.gate("dynamic soundness violations", "0", t.soundnessViolations,
+             t.soundnessViolations == 0, "soundness_violations");
+  table.note("singleton defs", "(reported)", t.singletonDefs,
+             "singleton_defs");
+  table.note("bounded (finite, non-singleton) defs", "(reported)",
+             t.boundedDefs, "bounded_defs");
   // An oracle that decides nothing shows nothing, so the dead-branch
   // verdicts need a floor. Asserts get none: the generator emits no
   // assert statement, so asserts_decided reads 0 by construction.
-  tableRow("dead branches", ">= 1", static_cast<long long>(t.deadBranches),
-           t.deadBranches > 0);
+  table.gate("dead branches", ">= 1", t.deadBranches, t.deadBranches > 0,
+             "dead_branches");
+  table.json().set("asserts_decided", t.assertsDecided);
   if (!t.firstFailure.empty())
     std::printf("  first failure: %s\n", t.firstFailure.c_str());
-  writeJson(t, "BENCH_vrange.json");
-  std::printf("  wrote BENCH_vrange.json\n\n");
-  if (t.crossCheckFailures != 0 || t.soundnessViolations != 0 ||
-      t.deadBranches == 0)
-    return 1;
-  return runBenchmarks(argc, argv);
+  benchutil::writeBenchJson("BENCH_vrange.json",
+                            "CVRA soundness vs exhaustive exploration",
+                            table.json());
+  return table.finish(argc, argv);
 }

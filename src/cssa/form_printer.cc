@@ -68,16 +68,21 @@ class FormPrinter {
     out_ += "  ";
     switch (s->kind) {
       case ir::StmtKind::Assign: {
-        // A store names its SSA definition. A Deref store through an
-        // empty points-to set has none and keeps its source lvalue.
+        // A scalar store prints as its SSA definition. A Deref or Index
+        // store keeps its source lvalue, whose address operands are uses,
+        // and names the definition it makes, if any: a Deref store
+        // through an empty points-to set makes none.
         auto it = form_.assignDef.find(s);
-        if (it != form_.assignDef.end())
-          out_ += ssaName(it->second);
-        else if (s->lhsKind == ir::LValueKind::Deref)
+        const bool named = it != form_.assignDef.end();
+        if (s->lhsKind == ir::LValueKind::Deref)
           out_ += deref(*s->lhsAddr);
+        else if (s->lhsKind == ir::LValueKind::Index)
+          out_ += syms_.nameOf(s->lhs) + "[" + expr(*s->lhsAddr) + "]";
         else
-          out_ += syms_.nameOf(s->lhs);
+          out_ += named ? ssaName(it->second) : syms_.nameOf(s->lhs);
         out_ += " = " + expr(*s->expr);
+        if (named && s->lhsKind != ir::LValueKind::Var)
+          out_ += " [defines " + ssaName(it->second) + "]";
         break;
       }
       case ir::StmtKind::CallStmt:

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <span>
 
 #include "src/ir/printer.h"
 
@@ -118,7 +118,7 @@ bool wrappableStmt(const ir::Stmt* s) {
 }
 
 /// Sorted, deduplicated lock *names* for a lockset of symbol ids.
-std::vector<std::string> lockNames(const std::set<SymbolId>& locks,
+std::vector<std::string> lockNames(std::span<const SymbolId> locks,
                                    const ir::SymbolTable& syms) {
   std::vector<std::string> names;
   names.reserve(locks.size());

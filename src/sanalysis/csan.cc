@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "src/opt/lock_independence.h"
-#include "src/sanalysis/lockset.h"
 
 namespace cssame::sanalysis {
 
@@ -109,7 +108,7 @@ class Csan {
       }
     }
     s.loc = locOf(s.stmt);
-    s.lockset = locksetAt(node, structures_);
+    s.lockset = structures_.locksAt(node);
     return s;
   }
 
@@ -224,7 +223,7 @@ class Csan {
 
   /// SelfDeadlock and LockLeak over the held-locks dataflow.
   void checkLockLifecycle() {
-    const HeldLocks& held = comp_.heldLocks();
+    const dataflow::HeldLocks& held = comp_.heldLocks();
     for (const pfg::Node& n : graph_.nodes()) {
       if (n.kind != pfg::NodeKind::Lock) continue;
       const SymbolId lock = n.syncStmt->sync;

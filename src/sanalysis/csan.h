@@ -33,6 +33,7 @@
 #pragma once
 
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/driver/pipeline.h"
@@ -48,7 +49,9 @@ struct RaceSite {
   const ir::Stmt* stmt = nullptr;
   SourceLoc loc;
   bool isWrite = false;
-  std::set<SymbolId> lockset;
+  /// The locks whose well-formed mutex bodies contain the site, ascending
+  /// (MutexStructures::locksAt); valid while the Compilation lives.
+  std::span<const SymbolId> lockset;
   /// The access goes through a pointer (`*p`); accessedSym is then
   /// invalid and the points-to chain note names the possible targets.
   bool viaDeref = false;

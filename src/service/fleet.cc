@@ -16,17 +16,6 @@ namespace cssame::service {
 
 namespace {
 
-/// Mirrors server.cc's envelope shape so the gateway's own protocol
-/// errors are byte-identical to a standalone daemon's.
-Json errorEnvelope(const Json& id, const std::string& kind,
-                   const std::string& stage, const std::string& message) {
-  Json error = Json::object();
-  error.set("kind", kind).set("stage", stage).set("message", message);
-  Json env = Json::object();
-  env.set("id", id).set("ok", false).set("error", std::move(error));
-  return env;
-}
-
 /// The supervision probe: a plain stats request. Workers answer it like
 /// any other request; a worker that cannot is not serving.
 const std::string& probePayload() {

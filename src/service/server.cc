@@ -16,8 +16,6 @@
 
 namespace cssame::service {
 
-namespace {
-
 Json errorEnvelope(const Json& id, const std::string& kind,
                    const std::string& stage, const std::string& message) {
   Json error = Json::object();
@@ -26,6 +24,8 @@ Json errorEnvelope(const Json& id, const std::string& kind,
   env.set("id", id).set("ok", false).set("error", std::move(error));
   return env;
 }
+
+namespace {
 
 /// Decodes the per-request option object into the runner's option set.
 /// Unknown keys are ignored (forward compatibility); file-writing output

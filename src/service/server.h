@@ -79,6 +79,13 @@ struct ServiceCounters {
   support::Counter dporDepQueries;   ///< dependence tests evaluated
 };
 
+/// The failure response: `{"id", "ok": false, "error": {"kind", "stage",
+/// "message"}}`. The daemon and the fleet gateway both answer with it, so
+/// a gateway's own protocol errors are byte-identical to a daemon's.
+[[nodiscard]] Json errorEnvelope(const Json& id, const std::string& kind,
+                                 const std::string& stage,
+                                 const std::string& message);
+
 class Server {
  public:
   explicit Server(ServerOptions opts);

@@ -104,7 +104,9 @@ TEST(FormGolden, DerefStoreWithoutDefinition) {
 
 TEST(FormGolden, PointerAndArrayOperands) {
   // AddrOf, Deref and Index operands print in source syntax. p may point
-  // at x or into a, so x and a share one class and `a[1]` reads it.
+  // at x or into a, so x and a share one class and `a[1]` reads it. The
+  // store `*p = 1` keeps its address operand, the π use p4, and names the
+  // definition it makes.
   EXPECT_EQ(formOf("int x, p, y; int a[4]; p = &x; "
                    "cobegin { thread A { *p = 1; y = *p + a[1]; } "
                    "thread B { p = &a[2]; } } print(y);"),
@@ -116,13 +118,33 @@ TEST(FormGolden, PointerAndArrayOperands) {
 #4 coend:
 #5 block [2 stmts] [depth 1 thread 0]:
   p4 = pi(p2, p3)
-  x2 = 1
+  *p4 = 1 [defines x2]
   p5 = pi(p2, p3)
   y2 = *p5 + x2[1]
 #6 block [1 stmts] [depth 1 thread 1]:
   p3 = &a[2]
 #7 block [1 stmts]:
   print(y2)
+)");
+  // `a[i] = 3` keeps its index use i4, a π over the concurrent write to
+  // i, and names the definition of a it makes.
+  EXPECT_EQ(formOf("int a[4]; int i, x; i = 1; cobegin { thread A { "
+                   "a[i] = 3; } thread B { i = 2; x = a[0]; } } print(x);"),
+            R"(#0 entry:
+#1 exit:
+#2 block [1 stmts]:
+  i2 = 1
+#3 cobegin:
+#4 coend:
+#5 block [1 stmts] [depth 1 thread 0]:
+  i4 = pi(i2, i3)
+  a[i4] = 3 [defines a2]
+#6 block [2 stmts] [depth 1 thread 1]:
+  i3 = 2
+  a3 = pi(a0, a2)
+  x2 = a3[0]
+#7 block [1 stmts]:
+  print(x2)
 )");
 }
 
