@@ -9,7 +9,8 @@
 //   --no-cssame       stop at plain CSSA (skip the π rewriting)
 //   --opt             run CSCC + PDCE + LICM and print the optimized program
 //   --run [seed]      execute under the interleaving interpreter
-//   --races           run the lock-consistency data race checks
+//   --races           run csan's lock-discipline checks only: data races,
+//                     inconsistent locking, lock-order deadlocks
 //   --stats           print analysis statistics and per-phase wall-clock
 //   --csan            run the full static concurrency analyzer
 //   --vrange          run the concurrent value-range analysis (CVRA)

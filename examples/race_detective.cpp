@@ -1,14 +1,14 @@
 // Synchronization diagnostics (paper Section 6): the compiler warns about
-// unmatched Lock/Unlock operations, ill-formed mutex bodies, inconsistent
-// locking disciplines and potential data races.
+// unmatched Lock/Unlock operations and ill-formed mutex bodies, and csan's
+// lock-discipline checks (what `cssamec --races` prints) warn about
+// potential data races, inconsistent locking and lock-order deadlocks.
 //
 //   $ ./race_detective
 #include <cstdio>
 
 #include "src/driver/pipeline.h"
-#include "src/mutex/deadlock.h"
-#include "src/mutex/races.h"
 #include "src/parser/parser.h"
+#include "src/sanalysis/csan.h"
 
 using namespace cssame;
 
@@ -18,17 +18,16 @@ void report(const char* title, const char* source) {
   std::printf("=== %s ===\n", title);
   ir::Program prog = parser::parseOrDie(source);
   driver::Compilation c = driver::analyze(prog);
-  mutex::RaceReport races =
-      mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), c.diag());
-  mutex::detectDeadlocks(c.graph(), c.mhp(), c.mutexes(), c.diag());
+  const sanalysis::CsanReport races = sanalysis::runLockChecks(c, c.diag());
   if (c.diag().diagnostics().empty()) {
     std::printf("  no warnings\n");
   } else {
     for (const auto& d : c.diag().diagnostics())
       std::printf("  %s\n", d.str().c_str());
   }
-  std::printf("  (%zu inconsistent-locking, %zu potential races)\n\n",
-              races.inconsistentLocking, races.potentialRaces);
+  std::printf("  (%zu inconsistent-locking, %zu racing site pair(s))\n\n",
+              races.inconsistentLocking,
+              races.potentialRaces + races.mayAliasRaces);
 }
 
 }  // namespace

@@ -12,8 +12,6 @@
 #include "src/interp/explore.h"
 #include "src/interp/interp.h"
 #include "src/ir/printer.h"
-#include "src/mutex/deadlock.h"
-#include "src/mutex/races.h"
 #include "src/opt/lockstats.h"
 #include "src/opt/optimize.h"
 #include "src/parser/parser.h"
@@ -97,8 +95,7 @@ bool renderCompiled(const ir::Program& prog, const Compilation& c,
 
   if (o.doRaces) {
     DiagEngine raceDiag;
-    mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), raceDiag, c.sites());
-    mutex::detectDeadlocks(c.graph(), c.mhp(), c.mutexes(), raceDiag);
+    (void)sanalysis::runLockChecks(c, raceDiag);
     for (const auto& d : raceDiag.diagnostics()) appendDiagLine(err, d);
   }
   // Analyzer diagnostics (csan, then vrange) accumulate into one engine

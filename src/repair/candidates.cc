@@ -299,7 +299,7 @@ void collectRaceTargets(const driver::Compilation& comp,
 
 void collectTsoTargets(const driver::Compilation& comp,
                        const sanalysis::TsoReport& tso,
-                       const std::string& source, std::size_t maxCandidates,
+                       std::size_t maxCandidates,
                        std::vector<RepairTarget>& out) {
   const ir::SymbolTable& syms = comp.program().symbols;
   for (const sanalysis::TsoWitness& w : tso.witnesses) {
@@ -400,7 +400,7 @@ std::vector<RepairTarget> collectTargets(const driver::Compilation& comp,
       filter == FixTarget::MayAlias)
     collectRaceTargets(comp, csan, filter, source, maxCandidates, out);
   if (filter == FixTarget::All || filter == FixTarget::Tso)
-    collectTsoTargets(comp, tso, source, maxCandidates, out);
+    collectTsoTargets(comp, tso, maxCandidates, out);
   if (filter == FixTarget::All || filter == FixTarget::Fence)
     collectFenceTargets(tso, source, out);
   return out;

@@ -1,10 +1,12 @@
 #include "src/sanalysis/csan.h"
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 
 #include "src/opt/lock_independence.h"
+#include "src/support/bitset.h"
 
 namespace cssame::sanalysis {
 
@@ -46,6 +48,18 @@ SourceLoc locOf(const ir::Stmt* stmt) {
   return stmt != nullptr ? stmt->loc : SourceLoc{};
 }
 
+/// Renders a lockset as "{L, M}" or "{}", in the order given (ascending
+/// for MutexStructures::locksAt spans).
+std::string locksetStr(std::span<const SymbolId> locks,
+                       const ir::SymbolTable& syms) {
+  std::string out = "{";
+  for (SymbolId l : locks) {
+    if (out.size() > 1) out += ", ";
+    out += syms.nameOf(l);
+  }
+  return out + "}";
+}
+
 class Csan {
  public:
   Csan(const driver::Compilation& comp, DiagEngine& diag)
@@ -59,16 +73,15 @@ class Csan {
         cobeginStmt_[n.syncStmt->id] = n.syncStmt;
   }
 
-  CsanReport run() {
+  /// Races, inconsistent locking and deadlocks: runLockChecks.
+  void checkLockDiscipline() {
     checkRaces();
     checkInconsistentLocking();
     report_.deadlocks =
         mutex::detectDeadlocks(graph_, comp_.mhp(), structures_, diag_);
-    checkLockLifecycle();
-    checkMutexBodies();
-    checkPiReads();
-    return std::move(report_);
   }
+
+  CsanReport take() { return std::move(report_); }
 
  private:
   /// Appends the MHP justification of a concurrent pair to a diagnostic:
@@ -133,8 +146,7 @@ class Csan {
 
   /// Access-site-granular lockset race check: one PotentialDataRace per
   /// conflicting site pair that may happen in parallel with disjoint
-  /// locksets. A strict superset of mutex::detectRaces, which reports one
-  /// warning per variable under the same condition.
+  /// locksets.
   void checkRaces() {
     const SiteRecords records(comp_.sites());
     std::set<std::tuple<SymbolId, NodeId, NodeId>> seen;
@@ -197,11 +209,11 @@ class Csan {
                         (other.isWrite ? "write" : "read") +
                         " share no common lock");
       d.note(def.loc, "write under lockset " +
-                          mutex::locksetStr(def.lockset, syms_));
+                          locksetStr(def.lockset, syms_));
       d.note(other.loc, std::string("concurrent ") +
                             (other.isWrite ? "write" : "read") +
                             " under lockset " +
-                            mutex::locksetStr(other.lockset, syms_));
+                            locksetStr(other.lockset, syms_));
       notePts(d, def);
       notePts(d, other);
       noteMhp(d, e.from, e.to);
@@ -209,18 +221,72 @@ class Csan {
     }
   }
 
-  /// Per-variable write-consistency check, the one mutex::detectRaces
-  /// runs: one warning per variable, with one witness note per write.
-  void checkInconsistentLocking() {
-    const DynBitset concurrent =
-        mutex::concurrentlyAccessed(graph_, comp_.mhp());
-    for (const auto& [var, defs] : comp_.sites().defs)
-      if (concurrent.test(var.index()) &&
-          mutex::warnInconsistentLocking(var, defs, structures_, syms_,
-                                         diag_))
-        ++report_.inconsistentLocking;
+  /// The writes that may happen in parallel with another access of their
+  /// variable: per alias class (by symbol index), the nodes of the def
+  /// ends of conflict edges whose ends may happen in parallel — the
+  /// `from` end, and the `to` end of a DD edge. Empty for a class no such
+  /// edge touches. Conflict edges are computed without the set/wait
+  /// refinement (they drive dataflow); accesses with a guaranteed
+  /// ordering cannot overlap, so their edges do not count here.
+  std::vector<DynBitset> concurrentWrites() const {
+    std::vector<DynBitset> writes(syms_.size());
+    for (const pfg::ConflictEdge& e : graph_.conflicts) {
+      DynBitset& w = writes[e.var.index()];
+      if (w.size() != 0 && w.test(e.from.index()) &&
+          (!e.toIsDef || w.test(e.to.index())))
+        continue;
+      if (!comp_.mhp().mayHappenInParallel(e.from, e.to)) continue;
+      if (w.size() == 0) w = DynBitset(graph_.nodes().size());
+      w.set(e.from.index());
+      if (e.toIsDef) w.set(e.to.index());
+    }
+    return writes;
   }
 
+  /// InconsistentLocking, one warning per variable: its concurrent
+  /// writes (at least two) hold no common lock, and some of them hold
+  /// one. A write that can overlap no other access cannot race, so the
+  /// locks it holds say nothing about the discipline. One note per
+  /// concurrent write.
+  void checkInconsistentLocking() {
+    const std::vector<DynBitset> writes = concurrentWrites();
+    std::vector<SymbolId> common;
+    for (const auto& [var, defs] : comp_.sites().defs) {
+      const DynBitset& concurrent = writes[var.index()];
+      if (concurrent.size() == 0) continue;
+      // The locks every concurrent write holds. Each node's locks are
+      // ascending and distinct, so membership is a binary search.
+      const analysis::AccessSites::Def* first = nullptr;
+      std::size_t count = 0;
+      bool anyProtected = false;
+      for (const auto& d : defs) {
+        if (!concurrent.test(d.node.index())) continue;
+        const std::span<const SymbolId> locks = structures_.locksAt(d.node);
+        if (count++ == 0) {
+          first = &d;
+          common.assign(locks.begin(), locks.end());
+        }
+        anyProtected |= !locks.empty();
+        std::erase_if(common, [&](SymbolId l) {
+          return !std::binary_search(locks.begin(), locks.end(), l);
+        });
+      }
+      if (count < 2 || !anyProtected || !common.empty()) continue;
+
+      ++report_.inconsistentLocking;
+      Diagnostic& w = diag_.warn(
+          DiagCode::InconsistentLocking, first->stmt->loc,
+          "writes to shared variable '" + syms_.nameOf(var) +
+              "' are not consistently protected by the same lock");
+      for (const auto& d : defs)
+        if (concurrent.test(d.node.index()))
+          w.note(d.stmt->loc, "write under lockset " +
+                                  locksetStr(structures_.locksAt(d.node),
+                                             syms_));
+    }
+  }
+
+ public:
   /// SelfDeadlock and LockLeak over the held-locks dataflow.
   void checkLockLifecycle() {
     const dataflow::HeldLocks& held = comp_.heldLocks();
@@ -358,19 +424,19 @@ class Csan {
             DiagCode::UnprotectedPiRead, locOf(pi.piUseStmt),
             "read of shared variable '" + syms_.nameOf(pi.var) +
                 "' (under lockset " +
-                mutex::locksetStr(structures_.locksAt(pi.node), syms_) +
+                locksetStr(structures_.locksAt(pi.node), syms_) +
                 ") can observe a concurrent write mutual exclusion "
                 "does not order");
         d.note(locOf(arg.defStmt),
                "concurrent write under lockset " +
-                   mutex::locksetStr(structures_.locksAt(arg.fromNode),
-                                     syms_));
+                   locksetStr(structures_.locksAt(arg.fromNode), syms_));
         noteMhp(d, arg.fromNode, pi.node);
         break;
       }
     }
   }
 
+ private:
   const driver::Compilation& comp_;
   DiagEngine& diag_;
   const pfg::Graph& graph_;
@@ -382,8 +448,19 @@ class Csan {
 
 }  // namespace
 
+CsanReport runLockChecks(const driver::Compilation& comp, DiagEngine& diag) {
+  Csan csan(comp, diag);
+  csan.checkLockDiscipline();
+  return csan.take();
+}
+
 CsanReport runCsan(const driver::Compilation& comp, DiagEngine& diag) {
-  return Csan(comp, diag).run();
+  Csan csan(comp, diag);
+  csan.checkLockDiscipline();
+  csan.checkLockLifecycle();
+  csan.checkMutexBodies();
+  csan.checkPiReads();
+  return csan.take();
 }
 
 }  // namespace cssame::sanalysis

@@ -1,5 +1,7 @@
 // csan — the CSSAME-based static concurrency analyzer (growing the
-// paper's Section 6 compiler warnings into a subsystem).
+// paper's Section 6 compiler warnings into a subsystem), and the one
+// lock-discipline engine: `cssamec --races` prints runLockChecks, the
+// first three checks below.
 //
 // Runs every check below over one analyzed Compilation (PFG + MHP +
 // mutex structures + CSSAME form) and reports, through the ordinary
@@ -9,10 +11,15 @@
 //                warning per conflicting site *pair* (not per variable),
 //                each carrying a two-site witness trace: both statements,
 //                their locksets, and the MHP justification (the cobegin
-//                whose sibling arms the sites run in). Also the
-//                per-variable InconsistentLocking write check, with one
-//                note per write site. Subsumes mutex::detectRaces: any
-//                program the old check warns about, csan warns about too.
+//                whose sibling arms the sites run in). MayAliasRace for
+//                pairs that race only if a pointer or array access
+//                aliases.
+//   locking      InconsistentLocking, the paper's Section 6 warning:
+//                the writes of a variable that may happen in parallel
+//                with another of its accesses hold no common lock, and
+//                some of them hold one. A write that can overlap nothing
+//                (an initialiser, a sequential write before or after a
+//                cobegin) is not counted. One note per counted write.
 //   deadlocks    PotentialDeadlock via mutex::detectDeadlocks (ABBA pairs
 //                and longer lock-order cycles, with witness notes).
 //   lifecycle    SelfDeadlock (re-acquiring a lock that may already be
@@ -38,7 +45,6 @@
 
 #include "src/driver/pipeline.h"
 #include "src/mutex/deadlock.h"
-#include "src/mutex/races.h"
 #include "src/support/diag.h"
 
 namespace cssame::sanalysis {
@@ -107,8 +113,14 @@ struct CsanReport {
   }
 };
 
+/// Runs only the lock-discipline checks (races, inconsistent locking,
+/// deadlocks), in that order. The report's other counts stay 0.
+[[nodiscard]] CsanReport runLockChecks(const driver::Compilation& comp,
+                                       DiagEngine& diag);
+
 /// Runs every check over the compilation, emitting diagnostics (with
-/// witness notes) into `diag` and returning the structured report.
+/// witness notes) into `diag` and returning the structured report. Its
+/// first diagnostics are runLockChecks'.
 [[nodiscard]] CsanReport runCsan(const driver::Compilation& comp,
                                  DiagEngine& diag);
 

@@ -3,11 +3,9 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <set>
 
 #include "src/support/fingerprint.h"
 #include "src/support/version.h"
@@ -42,11 +40,15 @@ const char* slotStateName(SlotState s) {
 }
 
 Fleet::Fleet(FleetOptions opts)
-    : opts_(std::move(opts)), local_(opts_.server) {
+    : opts_(std::move(opts)),
+      local_(opts_.server),
+      transport_(
+          opts_.server.maxPayload,
+          [this](const std::string& payload) { return handlePayload(payload); },
+          [this] { counters_.badFrames.inc(); }) {
   if (opts_.workers == 0) opts_.workers = 1;
-  if (::pipe(wakePipe_) != 0) wakePipe_[0] = wakePipe_[1] = -1;
   if (::pipe(childPipe_) != 0) childPipe_[0] = childPipe_[1] = -1;
-  for (int fd : {wakePipe_[0], wakePipe_[1], childPipe_[0], childPipe_[1]})
+  for (int fd : childPipe_)
     if (fd >= 0) {
       ::fcntl(fd, F_SETFD, FD_CLOEXEC);
       // Non-blocking both ways: a signal handler must never park on a
@@ -69,13 +71,6 @@ Fleet::Fleet(FleetOptions opts)
 Fleet::~Fleet() {
   requestShutdown();
   if (supervisor_.joinable()) supervisor_.join();
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lock(connMutex_);
-    conns.swap(connections_);
-  }
-  for (std::thread& t : conns)
-    if (t.joinable()) t.join();
 
   // EOF every worker channel; a serving worker exits its stream loop at
   // the next frame boundary.
@@ -103,17 +98,14 @@ Fleet::~Fleet() {
     }
     slot->pid = -1;
   }
-  for (int fd : {wakePipe_[0], wakePipe_[1], childPipe_[0], childPipe_[1]})
+  for (int fd : childPipe_)
     if (fd >= 0) ::close(fd);
 }
 
 void Fleet::requestShutdown() {
-  shutdown_.store(true, std::memory_order_release);
-  const char b = 'x';
-  if (wakePipe_[1] >= 0) {
-    [[maybe_unused]] ssize_t r = ::write(wakePipe_[1], &b, 1);
-  }
+  transport_.requestShutdown();
   if (childPipe_[1] >= 0) {
+    const char b = 'x';
     [[maybe_unused]] ssize_t r = ::write(childPipe_[1], &b, 1);
   }
 }
@@ -503,64 +495,14 @@ bool Fleet::waitAllLive(int timeoutMs) {
 }
 
 // ---------------------------------------------------------------------------
-// Client-facing transports (mirrors Server's loops).
+// Client-facing transports (shared with Server; see transport.h).
 
 void Fleet::serveStream(support::FdStream& stream) {
-  std::string payload;
-  while (!shutdownRequested()) {
-    const FrameStatus fs = readFrame(stream, payload, opts_.server.maxPayload);
-    if (fs == FrameStatus::Eof) break;
-    if (fs != FrameStatus::Ok) {
-      counters_.badFrames.inc();
-      const Json env = errorEnvelope(
-          Json(), "bad-frame", "protocol",
-          std::string("framing violation: ") + frameStatusName(fs));
-      (void)writeFrame(stream, env.write(), opts_.server.maxPayload);
-      break;
-    }
-    const std::string response = handlePayload(payload);
-    if (Status s = writeFrame(stream, response, opts_.server.maxPayload);
-        !s.ok())
-      break;
-  }
+  transport_.serveFrames(stream, stream);
 }
 
 Status Fleet::serveUnix(const std::string& socketPath) {
-  Expected<support::UnixListener> listener =
-      support::UnixListener::bind(socketPath);
-  if (!listener) return listener.fault();
-
-  std::set<int> liveFds;
-  while (!shutdownRequested()) {
-    Expected<support::FdStream> conn = listener->accept(wakePipe_[0]);
-    if (!conn) return conn.fault();
-    if (!conn->valid()) break;  // woken by requestShutdown()
-    counters_.connections.inc();
-    const int fd = conn->fd();
-    std::lock_guard<std::mutex> lock(connMutex_);
-    liveFds.insert(fd);
-    connections_.emplace_back(
-        [this, &liveFds, stream = std::move(*conn)]() mutable {
-          serveStream(stream);
-          std::lock_guard<std::mutex> cl(connMutex_);
-          liveFds.erase(stream.fd());
-        });
-  }
-
-  // Same drain as Server::serveUnix: SHUT_RD unparks blocked reads while
-  // in-flight responses still write out, then join for happens-before.
-  {
-    std::lock_guard<std::mutex> lock(connMutex_);
-    for (int fd : liveFds) ::shutdown(fd, SHUT_RD);
-  }
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lock(connMutex_);
-    conns.swap(connections_);
-  }
-  for (std::thread& t : conns)
-    if (t.joinable()) t.join();
-  return Status::okStatus();
+  return transport_.serveUnix(socketPath, counters_.connections);
 }
 
 }  // namespace cssame::service

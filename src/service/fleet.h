@@ -123,7 +123,7 @@ class Fleet {
   /// Signal-safe shutdown trigger (SIGINT/SIGTERM handler).
   void requestShutdown();
   [[nodiscard]] bool shutdownRequested() const {
-    return shutdown_.load(std::memory_order_acquire);
+    return transport_.shutdownRequested();
   }
 
   /// Async-signal-safe SIGCHLD hook: wakes the supervisor so a dead
@@ -208,13 +208,10 @@ class Fleet {
   Server local_;
   std::vector<std::unique_ptr<Slot>> slots_;
 
-  std::atomic<bool> shutdown_{false};
-  int wakePipe_[2] = {-1, -1};   ///< accept-loop wakeup
+  Transport transport_;
   int childPipe_[2] = {-1, -1};  ///< SIGCHLD -> supervisor wakeup
 
   std::thread supervisor_;
-  std::mutex connMutex_;
-  std::vector<std::thread> connections_;
 };
 
 }  // namespace cssame::service

@@ -1,12 +1,9 @@
 #include "src/service/server.h"
 
-#include <fcntl.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <future>
-#include <set>
 
 #include "src/driver/runner.h"
 #include "src/interp/explore.h"
@@ -15,15 +12,6 @@
 #include "src/support/version.h"
 
 namespace cssame::service {
-
-Json errorEnvelope(const Json& id, const std::string& kind,
-                   const std::string& stage, const std::string& message) {
-  Json error = Json::object();
-  error.set("kind", kind).set("stage", stage).set("message", message);
-  Json env = Json::object();
-  env.set("id", id).set("ok", false).set("error", std::move(error));
-  return env;
-}
 
 namespace {
 
@@ -96,40 +84,17 @@ std::string resultPayload(driver::RunOutput out) {
 Server::Server(ServerOptions opts)
     : opts_(opts),
       pool_(opts.workers),
-      cache_(opts.memEntries, opts.cacheDir) {
-  if (::pipe(wakePipe_) != 0) {
-    wakePipe_[0] = wakePipe_[1] = -1;
-  } else {
-    ::fcntl(wakePipe_[0], F_SETFD, FD_CLOEXEC);
-    ::fcntl(wakePipe_[1], F_SETFD, FD_CLOEXEC);
-  }
+      cache_(opts.memEntries, opts.cacheDir),
+      transport_(
+          opts.maxPayload,
+          [this](const std::string& payload) { return handleOnPool(payload); },
+          [this] {
+            counters_.badFrames.inc();
+            counters_.errors.inc();
+          }) {
   // A crashed predecessor may have left partial tmp files; they are
   // invisible to lookups but would accumulate forever.
   cache_.disk().sweepTmp();
-}
-
-Server::~Server() {
-  requestShutdown();
-  // Joined outside the lock: connection threads take connMutex_ to
-  // deregister themselves on exit.
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lock(connMutex_);
-    conns.swap(connections_);
-  }
-  for (std::thread& t : conns)
-    if (t.joinable()) t.join();
-  if (wakePipe_[0] >= 0) ::close(wakePipe_[0]);
-  if (wakePipe_[1] >= 0) ::close(wakePipe_[1]);
-}
-
-void Server::requestShutdown() {
-  shutdown_.store(true, std::memory_order_release);
-  if (wakePipe_[1] >= 0) {
-    // Async-signal-safe: one byte wakes the poll in the accept loop.
-    const char b = 'x';
-    [[maybe_unused]] ssize_t r = ::write(wakePipe_[1], &b, 1);
-  }
 }
 
 Json Server::statsJson() {
@@ -561,88 +526,34 @@ std::string Server::handlePayload(const std::string& payload) {
   return response.write();
 }
 
-void Server::serveStream(support::FdStream& stream) {
-  serveDuplex(stream, stream);
+std::string Server::handleOnPool(const std::string& payload) {
+  // Each request is one unit on the shared pool, bounding analysis
+  // parallelism at the pool size regardless of connection count. With
+  // a pool of 1, submit() runs inline on this connection thread.
+  std::string response;
+  std::promise<void> done;
+  pool_.submit([&] {
+    response = handlePayload(payload);
+    done.set_value();
+  });
+  done.get_future().wait();
+  return response;
 }
 
-void Server::serveDuplex(support::FdStream& in, support::FdStream& out) {
-  std::string payload;
-  while (!shutdownRequested()) {
-    const FrameStatus fs = readFrame(in, payload, opts_.maxPayload);
-    if (fs == FrameStatus::Eof) break;
-    if (fs != FrameStatus::Ok) {
-      // The stream position is unrecoverable after a framing violation:
-      // answer once, structurally, and close.
-      counters_.badFrames.inc();
-      counters_.errors.inc();
-      const Json env = errorEnvelope(
-          Json(), "bad-frame", "protocol",
-          std::string("framing violation: ") + frameStatusName(fs));
-      (void)writeFrame(out, env.write(), opts_.maxPayload);
-      break;
-    }
-    // Each request is one unit on the shared pool, bounding analysis
-    // parallelism at the pool size regardless of connection count. With
-    // a pool of 1, submit() runs inline on this connection thread.
-    std::string response;
-    std::promise<void> done;
-    pool_.submit([&] {
-      response = handlePayload(payload);
-      done.set_value();
-    });
-    done.get_future().wait();
-    if (Status s = writeFrame(out, response, opts_.maxPayload); !s.ok())
-      break;
-  }
+void Server::serveStream(support::FdStream& stream) {
+  transport_.serveFrames(stream, stream);
 }
 
 Status Server::serveUnix(const std::string& socketPath) {
-  Expected<support::UnixListener> listener =
-      support::UnixListener::bind(socketPath);
-  if (!listener) return listener.fault();
-
-  std::set<int> liveFds;
-  while (!shutdownRequested()) {
-    Expected<support::FdStream> conn = listener->accept(wakePipe_[0]);
-    if (!conn) return conn.fault();
-    if (!conn->valid()) break;  // woken by requestShutdown()
-    counters_.connections.inc();
-    const int fd = conn->fd();
-    std::lock_guard<std::mutex> lock(connMutex_);
-    liveFds.insert(fd);
-    connections_.emplace_back(
-        [this, &liveFds, stream = std::move(*conn)]() mutable {
-          serveStream(stream);
-          std::lock_guard<std::mutex> cl(connMutex_);
-          liveFds.erase(stream.fd());
-        });
-  }
-
-  // Unblock every connection still parked in a read, then join. Only the
-  // read side is shut down: a connection thread may be mid-way through
-  // writing the response that requested this shutdown, and SHUT_RDWR
-  // would tear that write out from under it. SHUT_RD makes the blocked
-  // read return EOF while the in-flight response still drains. The
-  // joined threads establish happens-before for the final cache state.
-  {
-    std::lock_guard<std::mutex> lock(connMutex_);
-    for (int fd : liveFds) ::shutdown(fd, SHUT_RD);
-  }
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lock(connMutex_);
-    conns.swap(connections_);
-  }
-  for (std::thread& t : conns)
-    if (t.joinable()) t.join();
+  const Status s = transport_.serveUnix(socketPath, counters_.connections);
   pool_.waitIdle();
-  return Status::okStatus();
+  return s;
 }
 
 void Server::serveStdio() {
   support::FdStream in(::dup(0));
   support::FdStream out(::dup(1));
-  serveDuplex(in, out);
+  transport_.serveFrames(in, out);
 }
 
 }  // namespace cssame::service

@@ -5,26 +5,24 @@
 // the two-tier artifact cache and never throwing — every malformed or
 // hostile input degrades into a structured error response. Around that
 // core sit the two transports (a Unix-socket accept loop for concurrent
-// clients, a stdio loop for a single piped client) and the scheduling
-// glue: each connection is its own thread, and each request body runs as
-// one task on the shared support::ThreadPool, which bounds analysis
-// parallelism independently of connection count.
+// clients, a stdio loop for a single piped client; both in transport.h,
+// shared with the fleet gateway) and the scheduling glue: each
+// connection is its own thread, and each request body runs as one task
+// on the shared support::ThreadPool, which bounds analysis parallelism
+// independently of connection count.
 //
 // Protocol, methods and the cache-key derivation are specified in
 // docs/SERVICE.md; the wire framing is src/service/protocol.h.
 #pragma once
 
-#include <atomic>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
 
 #include "src/service/cache.h"
 #include "src/service/json.h"
 #include "src/service/protocol.h"
+#include "src/service/transport.h"
 #include "src/support/counters.h"
 #include "src/support/threadpool.h"
 
@@ -79,17 +77,9 @@ struct ServiceCounters {
   support::Counter dporDepQueries;   ///< dependence tests evaluated
 };
 
-/// The failure response: `{"id", "ok": false, "error": {"kind", "stage",
-/// "message"}}`. The daemon and the fleet gateway both answer with it, so
-/// a gateway's own protocol errors are byte-identical to a daemon's.
-[[nodiscard]] Json errorEnvelope(const Json& id, const std::string& kind,
-                                 const std::string& stage,
-                                 const std::string& message);
-
 class Server {
  public:
   explicit Server(ServerOptions opts);
-  ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -101,7 +91,8 @@ class Server {
 
   /// Serves one already-connected duplex stream (socket or socketpair)
   /// until EOF, a framing violation or shutdown. Each request is
-  /// scheduled on the pool; responses go back in request order.
+  /// scheduled on the pool; responses go back in request order. A
+  /// framing violation counts as a bad frame and an error.
   void serveStream(support::FdStream& stream);
 
   /// Binds `socketPath` and serves until requestShutdown() (from a
@@ -115,9 +106,9 @@ class Server {
   /// Signal-safe shutdown trigger: sets the stop flag and wakes the
   /// accept loop via the self-pipe. Callable from any thread and from
   /// signal handlers.
-  void requestShutdown();
+  void requestShutdown() { transport_.requestShutdown(); }
   [[nodiscard]] bool shutdownRequested() const {
-    return shutdown_.load(std::memory_order_acquire);
+    return transport_.shutdownRequested();
   }
 
   [[nodiscard]] ArtifactCache& cache() { return cache_; }
@@ -128,9 +119,8 @@ class Server {
   [[nodiscard]] Json statsJson();
 
  private:
-  /// The shared read-request/write-response loop behind serveStream (one
-  /// duplex fd) and serveStdio (separate in/out fds).
-  void serveDuplex(support::FdStream& in, support::FdStream& out);
+  /// handlePayload, run as one task on the pool.
+  [[nodiscard]] std::string handleOnPool(const std::string& payload);
   [[nodiscard]] Json handleRequest(const Json& request);
   [[nodiscard]] Json runAnalysisMethod(const std::string& method,
                                        const Json& request);
@@ -158,12 +148,7 @@ class Server {
   support::ThreadPool pool_;
   ArtifactCache cache_;
   ServiceCounters counters_;
-
-  std::atomic<bool> shutdown_{false};
-  int wakePipe_[2] = {-1, -1};
-
-  std::mutex connMutex_;
-  std::vector<std::thread> connections_;
+  Transport transport_;
 };
 
 }  // namespace cssame::service

@@ -1,12 +1,10 @@
 // Tests for the csan static concurrency analyzer: witness traces,
-// per-family minimal triggers, subsumption of the original Section 6
-// checks, and dynamic cross-validation of the race engine.
+// per-family minimal triggers, the lock-discipline verdicts `--races`
+// prints, and dynamic cross-validation of the race engine.
 #include <gtest/gtest.h>
 
 #include "src/driver/pipeline.h"
 #include "src/interp/explore.h"
-#include "src/mutex/deadlock.h"
-#include "src/mutex/races.h"
 #include "src/parser/parser.h"
 #include "src/sanalysis/csan.h"
 #include "src/workload/paper_programs.h"
@@ -88,37 +86,49 @@ TEST(Csan, EveryRaceWitnessHasBothSites) {
     }
 }
 
-// --- subsumption of the original checks ------------------------------
+// --- lock discipline (runLockChecks, what --races prints) ---------------
 
-TEST(Csan, SubsumesOriginalRaceAndDeadlockChecks) {
-  const char* programs[] = {
-      workload::figure1Source(),
-      workload::figure2Source(),
-      "int a; cobegin { thread { a = 1; } thread { a = 2; } } print(a);",
-      "int a; lock L1, L2; cobegin {"
-      "  thread { lock(L1); a = 1; unlock(L1); }"
-      "  thread { lock(L2); a = 2; unlock(L2); } } print(a);",
-      "int a; lock L, M; cobegin {"
-      "  thread { lock(L); lock(M); a = 1; unlock(M); unlock(L); }"
-      "  thread { lock(M); lock(L); a = 2; unlock(L); unlock(M); } }",
+TEST(Csan, LockDisciplineVerdicts) {
+  struct Case {
+    const char* src;
+    std::size_t races, inconsistent, abba, cycles;
   };
-  for (const char* src : programs) {
-    ir::Program p = parser::parseOrDie(src);
+  const Case cases[] = {
+      // T1's unlocked f(a) against T0's locked write; the writes before
+      // the cobegin run alone, so the locked writes are consistent.
+      {workload::figure1Source(), 1, 0, 0, 0},
+      {workload::figure2Source(), 0, 0, 0, 0},
+      {"int a; cobegin { thread { a = 1; } thread { a = 2; } } print(a);",
+       1, 0, 0, 0},
+      {"int a; lock L1, L2; cobegin {"
+       "  thread { lock(L1); a = 1; unlock(L1); }"
+       "  thread { lock(L2); a = 2; unlock(L2); } } print(a);",
+       1, 1, 0, 0},
+      {"int a; lock L, M; cobegin {"
+       "  thread { lock(L); lock(M); a = 1; unlock(M); unlock(L); }"
+       "  thread { lock(M); lock(L); a = 2; unlock(L); unlock(M); } }",
+       0, 0, 1, 0},
+  };
+  for (const Case& k : cases) {
+    ir::Program p = parser::parseOrDie(k.src);
     driver::Compilation c = driver::analyze(p, {.warnings = false});
-    DiagEngine oldDiag;
-    const mutex::RaceReport oldRaces =
-        mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), oldDiag);
-    const mutex::DeadlockReport oldDl =
-        mutex::detectDeadlocks(c.graph(), c.mhp(), c.mutexes(), oldDiag);
+    DiagEngine lockDiag;
+    const CsanReport lock = runLockChecks(c, lockDiag);
+    EXPECT_EQ(lock.potentialRaces, k.races) << k.src;
+    EXPECT_EQ(lock.inconsistentLocking, k.inconsistent) << k.src;
+    EXPECT_EQ(lock.deadlocks.abbaPairs, k.abba) << k.src;
+    EXPECT_EQ(lock.deadlocks.orderCycles, k.cycles) << k.src;
 
+    // The full run starts with the same diagnostics and counts.
     DiagEngine diag;
     const CsanReport r = runCsan(c, diag);
-    // Race granularity differs (site pairs vs variables), so >=; the
-    // deadlock detector is delegated, so counts match exactly.
-    EXPECT_GE(r.potentialRaces, oldRaces.potentialRaces) << src;
-    EXPECT_EQ(r.inconsistentLocking, oldRaces.inconsistentLocking) << src;
-    EXPECT_EQ(r.deadlocks.abbaPairs, oldDl.abbaPairs) << src;
-    EXPECT_EQ(r.deadlocks.orderCycles, oldDl.orderCycles) << src;
+    EXPECT_EQ(r.potentialRaces, lock.potentialRaces) << k.src;
+    EXPECT_EQ(r.inconsistentLocking, lock.inconsistentLocking) << k.src;
+    EXPECT_EQ(r.deadlocks.abbaPairs, lock.deadlocks.abbaPairs) << k.src;
+    EXPECT_EQ(r.racedVars, lock.racedVars) << k.src;
+    ASSERT_GE(diag.diagnostics().size(), lockDiag.diagnostics().size());
+    for (std::size_t i = 0; i < lockDiag.diagnostics().size(); ++i)
+      EXPECT_EQ(diag.diagnostics()[i].str(), lockDiag.diagnostics()[i].str());
   }
 }
 

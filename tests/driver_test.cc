@@ -134,9 +134,21 @@ TEST(Pipeline, PhaseTimesCoverEveryPass) {
 }
 
 TEST(Runner, DiagnosticLongerThan4KBIsNotTruncated) {
-  // The declaration writes make csan report inconsistent locking, with
-  // one note per write of x: 7.5 KB on one line at 64 regions.
-  const std::string src = workload::lockRegionSource(3, 64);
+  // Each thread writes x under two of the locks L, M and N, so every
+  // pair of writes shares a lock (no race) but no lock is common to all:
+  // one inconsistent-locking warning with one note per write, 7.9 KB at
+  // 64 regions per thread.
+  std::string src = "int x;\nlock L;\nlock M;\nlock N;\ncobegin {\n";
+  for (const char* locks : {"LM", "MN", "LN"}) {
+    const std::string a(1, locks[0]);
+    const std::string b(1, locks[1]);
+    src += "  thread {\n";
+    for (int k = 0; k < 64; ++k)
+      src += "    lock(" + a + "); lock(" + b + "); x = x + 1; unlock(" + b +
+             "); unlock(" + a + ");\n";
+    src += "  }\n";
+  }
+  src += "}\nprint(x);\n";
   RunOptions opts;
   opts.doCsan = true;
   const RunOutput r = runSource(src, "regions.cp", opts);

@@ -8,9 +8,9 @@
 #include "src/driver/pipeline.h"
 #include "src/interp/interp.h"
 #include "src/ir/printer.h"
-#include "src/mutex/races.h"
 #include "src/opt/optimize.h"
 #include "src/parser/parser.h"
+#include "src/sanalysis/csan.h"
 
 namespace cssame {
 namespace {
@@ -180,12 +180,11 @@ TEST(BarrierMhp, PhaseSeparationRemovesRaces) {
   )");
   driver::Compilation c = driver::analyze(prog, {.warnings = false});
   DiagEngine diag;
-  mutex::RaceReport races =
-      mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), diag);
+  const sanalysis::CsanReport races = sanalysis::runLockChecks(c, diag);
   // a=1 (phase 0, T0) vs print(a) (phase 1, T1): separated by barrier.
   // b=a+1 (phase 1, T0) vs print(a) (phase 1, T1): same phase but only
   // reads conflict-free... b is written in T0 only. So: no races at all.
-  EXPECT_EQ(races.potentialRaces, 0u);
+  EXPECT_TRUE(races.racedVars.empty());
 }
 
 TEST(BarrierMhp, SamePhaseStillRaces) {
@@ -199,9 +198,9 @@ TEST(BarrierMhp, SamePhaseStillRaces) {
   )");
   driver::Compilation c = driver::analyze(prog, {.warnings = false});
   DiagEngine diag;
-  mutex::RaceReport races =
-      mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), diag);
-  EXPECT_EQ(races.potentialRaces, 1u);
+  const sanalysis::CsanReport races = sanalysis::runLockChecks(c, diag);
+  ASSERT_EQ(races.racedVars.size(), 1u);
+  EXPECT_EQ(c.program().symbols.nameOf(*races.racedVars.begin()), "a");
 }
 
 TEST(BarrierMhp, PiTermsAreNotRemovedByBarriers) {
@@ -240,11 +239,13 @@ TEST(BarrierMhp, BarrierInLoopDisablesRefinement) {
   )");
   driver::Compilation c = driver::analyze(prog, {.warnings = false});
   DiagEngine diag;
-  mutex::RaceReport races =
-      mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), diag);
+  const sanalysis::CsanReport races = sanalysis::runLockChecks(c, diag);
   // With the refinement disabled, a=1 vs print(a) must stay a potential
   // race (conservative).
-  EXPECT_GE(races.potentialRaces, 1u);
+  bool racesOnA = false;
+  for (SymbolId v : races.racedVars)
+    racesOnA |= c.program().symbols.nameOf(v) == "a";
+  EXPECT_TRUE(racesOnA);
 }
 
 TEST(BarrierMhp, LicmNeverCrossesBarrier) {

@@ -19,7 +19,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -308,19 +310,33 @@ TEST(FleetChaos, KillLoopUnderLoadStaysByteIdentical) {
     expected.push_back(body.write());
   }
 
-  unsigned kills = 0;
-  for (int i = 0; i < 200; ++i) {
-    if (i % 25 == 24) {
-      // SIGKILL a live worker mid-stream — scan from a rotating start so
-      // both slots get their turn, skipping slots mid-restart.
+  // Each kill point waits (bounded) for a live worker that has not been
+  // killed yet, scanning from a rotating start so both slots get their
+  // turn: a slot whose killed worker is not yet noticed still reads Live
+  // with the old pid, and killing that pid again would not land.
+  std::set<pid_t> killed;
+  const auto killLiveWorker = [&](unsigned start) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    do {
       for (unsigned probe = 0; probe < fleet.workerCount(); ++probe) {
-        const unsigned s = (i / 25 + probe) % fleet.workerCount();
+        const unsigned s = (start + probe) % fleet.workerCount();
         const pid_t victim = fleet.slotPid(s);
-        if (victim > 0 && ::kill(victim, SIGKILL) == 0) {
-          ++kills;
-          break;
+        if (fleet.slotState(s) == service::SlotState::Live && victim > 0 &&
+            !killed.contains(victim) && ::kill(victim, SIGKILL) == 0) {
+          killed.insert(victim);
+          return true;
         }
       }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    } while (std::chrono::steady_clock::now() < deadline);
+    return false;
+  };
+
+  for (int i = 0; i < 200; ++i) {
+    if (i % 25 == 24) {
+      ASSERT_TRUE(killLiveWorker(static_cast<unsigned>(i / 25)))
+          << "no live worker to kill at request " << i;
     }
     service::Json resp = parseOk(
         fleet.handlePayload(makeRequest(makeSource(i % kPrograms), i)));
@@ -328,8 +344,18 @@ TEST(FleetChaos, KillLoopUnderLoadStaysByteIdentical) {
     ASSERT_EQ(resp.get("result").write(), expected[i % kPrograms])
         << "request " << i;
   }
-  EXPECT_GE(kills, 7u);
-  EXPECT_GE(fleet.counters().workerDeaths.value(), 1u);
+  EXPECT_EQ(killed.size(), 8u);
+  // Supervision: every killed worker is reaped and replaced.
+  const std::uint64_t kills = killed.size();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((fleet.counters().workerDeaths.value() < kills ||
+          fleet.counters().restarts.value() < kills) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(fleet.waitAllLive(10000));
+  EXPECT_GE(fleet.counters().workerDeaths.value(), kills);
+  EXPECT_GE(fleet.counters().restarts.value(), kills);
   // Zero client-visible errors is the whole point; the gateway's own
   // request count must cover every request we sent.
   EXPECT_EQ(fleet.counters().requests.value(), 200u);

@@ -4,15 +4,18 @@
 // full optimization pipeline.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "src/driver/pipeline.h"
 #include "src/interp/explore.h"
 #include "src/interp/interp.h"
 #include "src/ir/printer.h"
 #include "src/ir/verify.h"
-#include "src/mutex/races.h"
 #include "src/opt/lockstats.h"
 #include "src/opt/optimize.h"
 #include "src/parser/parser.h"
+#include "src/sanalysis/csan.h"
 
 namespace cssame {
 namespace {
@@ -197,11 +200,13 @@ TEST(Integration, DiagnosticsOnMessyProgram) {
   )");
   driver::Compilation c = driver::analyze(prog);
   DiagEngine diag;
-  mutex::RaceReport races =
-      mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), diag);
+  const sanalysis::CsanReport races = sanalysis::runLockChecks(c, diag);
   // shared1: inconsistent locks; shared2: unlocked writes.
   EXPECT_EQ(races.inconsistentLocking, 1u);
-  EXPECT_EQ(races.potentialRaces, 2u);
+  std::set<std::string> raced;
+  for (SymbolId v : races.racedVars)
+    raced.insert(c.program().symbols.nameOf(v));
+  EXPECT_EQ(raced, (std::set<std::string>{"shared1", "shared2"}));
 }
 
 TEST(Integration, SequentializationCascade) {
