@@ -431,7 +431,7 @@ int main(int argc, char** argv) {
                                       o.timeoutMs);
   } else {
     support::ThreadPool pool(o.jobs);
-    pool.parallelFor(files.size(), [&](std::size_t i, unsigned) {
+    pool.parallelFor(files.size(), [&](std::size_t i) {
       // A signal stops new work; files already being analyzed finish and
       // their buffered output is flushed below.
       if (gInterrupted.load(std::memory_order_relaxed)) return;

@@ -122,7 +122,8 @@ class DenseSolver {
       if (stats_.iterations >= opts_.maxIterations)
         return Fault{FaultKind::BudgetExceeded, problem_.name(),
                      "dataflow iteration budget exhausted after " +
-                         std::to_string(stats_.iterations) + " iterations"};
+                         std::to_string(stats_.iterations) + " iterations",
+                     {}};
       const NodeId id = work.front();
       work.pop_front();
       queued[id.index()] = false;
@@ -288,7 +289,8 @@ class SsaPropagator {
       if (stats_.iterations >= opts_.maxIterations)
         return Fault{FaultKind::BudgetExceeded, problem_.name(),
                      "ssa propagation budget exhausted after " +
-                         std::to_string(stats_.iterations) + " iterations"};
+                         std::to_string(stats_.iterations) + " iterations",
+                     {}};
       const SsaNameId id = work.front();
       work.pop_front();
       queued[id.index()] = false;

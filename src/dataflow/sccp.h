@@ -81,7 +81,8 @@ class SparseConditional {
       if (stats_.iterations >= opts_.maxIterations)
         return Fault{FaultKind::BudgetExceeded, domain_.name(),
                      "sccp iteration budget exhausted after " +
-                         std::to_string(stats_.iterations) + " iterations"};
+                         std::to_string(stats_.iterations) + " iterations",
+                     {}};
       while (!flowWork_.empty()) {
         auto [from, succIdx] = flowWork_.front();
         flowWork_.pop_front();
@@ -126,6 +127,9 @@ class SparseConditional {
         return domain_.evalBinary(e.binop, evalExpr(*e.operands[0]),
                                   evalExpr(*e.operands[1]));
       case ir::ExprKind::Call:
+      case ir::ExprKind::AddrOf:
+      case ir::ExprKind::Deref:
+      case ir::ExprKind::Index:
         return domain_.unknown();
     }
     return domain_.unknown();

@@ -42,7 +42,7 @@ std::string summarize(const std::vector<std::string>& problems) {
 
 Fault makeFault(FaultKind kind, std::string stage, std::string message,
                 DiagEngine* diag) {
-  Fault fault{kind, std::move(stage), std::move(message)};
+  Fault fault{kind, std::move(stage), std::move(message), {}};
   if (diag != nullptr) diag->reportFault(fault);
   return fault;
 }

@@ -30,9 +30,8 @@
 //    though commit happens at a later flush — keeping the pair dependent
 //    is what preserves `racedVars` bit-exactly under reduction.
 //
-// Everything here is a pure function of the machine state, which is what
-// lets the explorer run it in its deterministic classify phase: the
-// result cannot depend on the worker count.
+// Everything here is a pure function of the machine state; the explorer
+// evaluates it in its classify pass (src/interp/explore.cc).
 //
 // Soundness caveat (shared discipline): dependence only tracks *shared*
 // variables, mirroring the race oracle — the parser scopes thread-local

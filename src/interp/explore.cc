@@ -1,43 +1,36 @@
 // Layered breadth-first schedule exploration.
 //
 // Each loop iteration processes one frontier layer — all candidate
-// states at the same step depth — in fixed phases:
+// states at the same step depth — in three in-order passes:
 //
-//   1. classify (parallel): per state, fingerprint, terminal /
-//      deadlock / normal classification, ready-thread list, value
-//      sampling and dynamic race recording into per-worker partials.
-//   2a. deduplicate (parallel): the visited set is sharded by
-//      fingerprint; each worker owns a fixed subset of shards and scans
-//      the frontier *in order* for keys in its shards, so the dedup
-//      winner among equal states is always the earliest frontier slot —
-//      independent of the worker count.
-//   2b. record (serial): walk the frontier in order, record terminal
-//      outputs and count freshly-deduplicated states, enforcing the
-//      States budget exactly (the count stops at maxStates + 1).
-//   3. expand (parallel): every fresh state emits one successor per
-//      ready thread into a pre-assigned slot of the next frontier, so
-//      the next layer's order is a pure function of this layer.
+//   1. classify: per state, fingerprint, terminal / deadlock / normal
+//      classification, ready-thread list, value sampling and dynamic
+//      race recording. The whole layer is classified before anything is
+//      recorded, so a layer whose record pass trips the States budget
+//      still contributes every state's races and value samples.
+//   2. record: walk the frontier in order; terminal and deadlocked
+//      states record their outputs, the rest are deduplicated against
+//      the visited map (the earliest frontier slot wins among equal
+//      states) and the fresh ones counted against the States budget,
+//      which trips exactly at maxStates + 1.
+//   3. expand: every state with a selected action (a fresh state, or a
+//      revisited one re-expanding what its stored visit slept) appends
+//      one successor per selected action to the next frontier, so the
+//      next layer's order is a pure function of this layer.
 //
 // Budgets are enforced at layer boundaries (Steps, Depth, States,
-// Memory) plus one cooperative check inside expansion: workers
-// accumulate successor bytes into a monotonic atomic counter and stop
-// expanding once it crosses the memory cap. Whether the counter crosses
-// depends only on the layer's total successor footprint — not on thread
-// scheduling — so even the mid-expansion trip is deterministic. The full
-// argument is written out in docs/PERFORMANCE.md.
-// Partial-order reduction (ExploreOptions::dpor) layers onto the phases
-// without disturbing the determinism argument: persistent sets and
-// dependence masks are pure functions of the state, computed in
-// classify; sleep sets ride alongside the frontier and are inherited
-// positionally in expand; and the visited map's sleep-mask merges happen
-// in the same shard-ordered scan the dedup phase already does. With the
-// reduction off every phase degenerates bit-for-bit to the unreduced
-// sweep. docs/PERFORMANCE.md extends the determinism argument to the
-// sleep machinery; src/interp/dpor.h states the soundness contract.
+// Memory) plus one check inside expansion: successor bytes accumulate,
+// and the search stops once they cross the memory cap.
+// Partial-order reduction (ExploreOptions::dpor) layers onto the passes:
+// persistent sets and dependence masks are pure functions of the state,
+// computed in classify; sleep sets ride alongside the frontier and are
+// inherited positionally in expand; and the visited map's sleep-mask
+// merges happen in record's in-order scan. With the reduction off every
+// pass degenerates bit-for-bit to the unreduced sweep.
+// src/interp/dpor.h states the soundness contract.
 #include "src/interp/explore.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <optional>
 #include <utility>
@@ -45,7 +38,6 @@
 
 #include "src/interp/dpor.h"
 #include "src/interp/machine.h"
-#include "src/support/threadpool.h"
 #include "src/support/visited.h"
 
 namespace cssame::interp {
@@ -60,21 +52,10 @@ bool holdCommonLock(const std::vector<SymbolId>& a,
   return false;
 }
 
-/// Per-worker accumulator. Races and value ranges land here during the
-/// parallel classify phase and are folded into the result at the layer
-/// boundary; both folds are commutative, so the merge order (and hence
-/// the worker count) cannot affect the result.
-struct Partial {
-  std::set<SymbolId> racedVars;
-  std::map<SymbolId, std::pair<long long, long long>> observedRanges;
-  std::uint64_t depQueries = 0;  ///< DPOR dependence tests (summed)
-};
-
 class Explorer {
  public:
-  Explorer(const ir::Program& prog, const ExploreOptions& opts,
-           support::ThreadPool& pool)
-      : prog_(prog), opts_(opts), pool_(pool), partials_(pool.workers()) {
+  Explorer(const ir::Program& prog, const ExploreOptions& opts)
+      : prog_(prog), opts_(opts) {
     if (opts_.recordValues) {
       for (const ir::Symbol& s : prog_.symbols.all())
         if (s.kind == ir::SymbolKind::Var) sampledVars_.push_back(s.id);
@@ -83,8 +64,8 @@ class Explorer {
   }
 
   ExploreResult run() {
-    frontier_.emplace_back(Machine(prog_, opts_.model));
-    frontierBytes_ = frontier_.front()->approxBytes();
+    frontier_.emplace_back(prog_, opts_.model);
+    frontierBytes_ = frontier_.front().approxBytes();
     result_.peakFrontierBytes = frontierBytes_;
     if (opts_.dpor) sleepIn_.assign(1, 0);
     std::uint64_t depth = 0;
@@ -95,21 +76,19 @@ class Explorer {
       }
       const bool atDepthCap = depth >= opts_.maxDepthPerRun;
       classifyLayer(atDepthCap);
-      mergePartials();
       if (atDepthCap) {
         // Every remaining state sits at or beyond the cap; states at the
         // cap are sampled (above) but not recorded or expanded.
         trip(support::BudgetKind::Depth);
         break;
       }
-      dedupLayer();
       if (!recordLayer()) break;  // States budget
       memBase_ = frontierBytes_ + visited_.approxBytes();
       if (memBase_ > opts_.maxMemoryBytes) {
         trip(support::BudgetKind::Memory);
         break;
       }
-      if (!expandLayer()) break;  // Memory budget (cooperative)
+      if (!expandLayer()) break;  // Memory budget
       ++depth;
     }
     return std::move(result_);
@@ -125,14 +104,14 @@ class Explorer {
       result_.budgetExceeded = kind;
   }
 
-  /// Folds every variable's current value into a worker's observed
-  /// min/max. Every frontier state — initial, terminal, duplicate and
-  /// depth-capped alike — is sampled in the layer it appears.
-  void sample(const Machine& machine, Partial& p) {
+  /// Folds every variable's current value into the observed min/max.
+  /// Every frontier state — initial, terminal, duplicate and depth-capped
+  /// alike — is sampled in the layer it appears.
+  void sample(const Machine& machine) {
     for (SymbolId v : sampledVars_) {
       // For an array the whole cell region folds into its symbol's range.
       const auto [lo, hi] = machine.valueRangeOf(v);
-      auto [it, fresh] = p.observedRanges.try_emplace(v, lo, hi);
+      auto [it, fresh] = result_.observedRanges.try_emplace(v, lo, hi);
       if (!fresh) {
         it->second.first = std::min(it->second.first, lo);
         it->second.second = std::max(it->second.second, hi);
@@ -145,7 +124,7 @@ class Explorer {
   /// very state, so the conflict is a concrete (not merely may-happen)
   /// race witness.
   void recordRaces(const Machine& machine,
-                   const std::vector<Machine::Action>& actions, Partial& p) {
+                   const std::vector<Machine::Action>& actions) {
     // Only program steps of runnable threads carry pending statements;
     // TSO flush actions commit already-recorded stores and are skipped
     // (under SC every action is a program step, so this filter is the
@@ -159,6 +138,7 @@ class Explorer {
     std::vector<Machine::PendingAccess> acc(ready.size());
     for (std::size_t i = 0; i < ready.size(); ++i)
       acc[i] = machine.pendingAccesses(ready[i]);
+    std::set<SymbolId>& raced = result_.racedVars;
     for (std::size_t i = 0; i < ready.size(); ++i) {
       for (std::size_t j = i + 1; j < ready.size(); ++j) {
         if (holdCommonLock(machine.heldLocksOf(ready[i]),
@@ -168,9 +148,9 @@ class Explorer {
                             const Machine::PendingAccess& r) {
           for (const auto& [cell, sym] : w.writes) {
             for (const auto& [c2, s2] : r.writes)
-              if (c2 == cell) p.racedVars.insert(sym);
+              if (c2 == cell) raced.insert(sym);
             for (const auto& [c2, s2] : r.reads)
-              if (c2 == cell) p.racedVars.insert(sym);
+              if (c2 == cell) raced.insert(sym);
           }
         };
         conflict(acc[i], acc[j]);
@@ -179,36 +159,34 @@ class Explorer {
     }
   }
 
-  /// Phase 1: per-state facts, computed in parallel into per-slot and
-  /// per-worker storage (no shared writes). At the depth cap only the
-  /// value sampling runs — the old per-state order was sample, then
+  /// Pass 1: per-state facts into per-slot storage. At the depth cap only
+  /// the value sampling runs — the old per-state order was sample, then
   /// depth check, then terminal classification.
   void classifyLayer(bool atDepthCap) {
     slots_.assign(frontier_.size(), Slot{});
-    pool_.parallelFor(frontier_.size(), [&](std::size_t i, unsigned w) {
-      const Machine& m = *frontier_[i];
-      if (opts_.recordValues) sample(m, partials_[w]);
-      if (atDepthCap) return;
+    for (std::size_t i = 0; i < frontier_.size(); ++i) {
+      const Machine& m = frontier_[i];
+      if (opts_.recordValues) sample(m);
+      if (atDepthCap) continue;
       Slot& s = slots_[i];
       s.hash = m.stateHash128();
       if (!m.anyAlive()) {
         s.kind = Slot::Terminal;
-        return;
+        continue;
       }
       s.ready = m.readyActions();
       if (s.ready.empty()) {
         s.kind = Slot::Deadlock;
-        return;
+        continue;
       }
       // Race recording scans *all* enabled actions, before any pruning:
       // a race witness is recorded at every visited state where the
       // conflicting pair is co-enabled, slept or not.
-      if (opts_.detectRaces && s.ready.size() >= 2)
-        recordRaces(m, s.ready, partials_[w]);
+      if (opts_.detectRaces && s.ready.size() >= 2) recordRaces(m, s.ready);
       if (opts_.dpor) {
         dpor::StateSets sets =
             dpor::computeStateSets(m, s.ready, *footprints_);
-        partials_[w].depQueries += sets.depQueries;
+        result_.dpor.depQueries += sets.depQueries;
         s.dporOk = sets.ok;
         if (sets.ok) {
           s.pMask = sets.pMask;
@@ -219,67 +197,22 @@ class Explorer {
           s.sleepIn = sleepIn_[i] & sets.enabledMask;
         }
       }
-    });
-  }
-
-  void mergePartials() {
-    for (Partial& p : partials_) {
-      result_.racedVars.merge(p.racedVars);
-      p.racedVars.clear();
-      for (const auto& [v, mm] : p.observedRanges) {
-        auto [it, fresh] = result_.observedRanges.try_emplace(v, mm);
-        if (!fresh) {
-          it->second.first = std::min(it->second.first, mm.first);
-          it->second.second = std::max(it->second.second, mm.second);
-        }
-      }
-      p.observedRanges.clear();
-      result_.dpor.depQueries += p.depQueries;
-      p.depQueries = 0;
     }
   }
 
-  /// Phase 2a: sharded deduplication. Worker task w owns the shards with
-  /// index ≡ w (mod tasks) and scans the whole frontier in order for
-  /// keys in its shards; equal keys land in the same shard, so the
-  /// dedup winner — and, under DPOR, every sleep-mask merge and the
-  /// `missing` masks it yields — follows the deterministic frontier
-  /// order regardless of how many workers run.
-  ///
-  /// This phase also decides each slot's expansion set. Fresh states
-  /// expand their persistent set minus the inherited sleep set; a
+  /// Pass 2: in-order scan. Terminal and deadlocked states are recorded
+  /// (never deduplicated or counted — matching the per-state order
+  /// terminal-check-before-dedup of the original search). The rest are
+  /// deduplicated, which also decides each slot's expansion set: fresh
+  /// states expand their persistent set minus the inherited sleep set; a
   /// revisited state expands whatever the stored visit slept that this
-  /// visit would run (the state-caching repair — see ShardedVisitedMap).
-  void dedupLayer() {
-    const std::size_t tasks = pool_.workers();
-    pool_.parallelFor(tasks, [&](std::size_t t, unsigned) {
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        Slot& s = slots_[i];
-        if (s.kind != Slot::Normal) continue;
-        if (support::ShardedVisited::shardOf(s.hash) % tasks != t) continue;
-        if (opts_.dpor && s.dporOk) {
-          const auto r = visited_.insertOrMerge(s.hash, s.sleepIn, s.pMask);
-          s.fresh = r.fresh;
-          s.expandMask = r.fresh ? s.pMask & ~s.sleepIn : r.missing;
-        } else {
-          // Unreduced (or >32-thread fallback): full expansion, empty
-          // sleep — the map behaves exactly like the plain visited set.
-          s.fresh = visited_.insertOrMerge(s.hash, 0, 0).fresh;
-          s.expandAll = s.fresh;
-        }
-      }
-    });
-  }
-
-  /// Phase 2b: serial in-order scan. Terminal and deadlocked states are
-  /// recorded (never deduplicated or counted — matching the per-state
-  /// order terminal-check-before-dedup of the original search); fresh
+  /// visit would run (the state-caching repair — see VisitedMap). Fresh
   /// states are counted against the States budget, which trips exactly
   /// at maxStates + 1. Returns false when the budget tripped.
   bool recordLayer() {
     for (std::size_t i = 0; i < slots_.size(); ++i) {
-      const Slot& s = slots_[i];
-      const Machine& m = *frontier_[i];
+      Slot& s = slots_[i];
+      const Machine& m = frontier_[i];
       if (s.kind == Slot::Terminal) {
         result_.outputs.insert(m.result().output);
         result_.anyLockError |= m.result().lockError;
@@ -292,7 +225,18 @@ class Explorer {
         result_.outputs.insert(m.result().output);
         continue;
       }
-      if (!s.fresh) {
+      bool fresh = false;
+      if (opts_.dpor && s.dporOk) {
+        const auto r = visited_.insertOrMerge(s.hash, s.sleepIn, s.pMask);
+        fresh = r.fresh;
+        s.expandMask = r.fresh ? s.pMask & ~s.sleepIn : r.missing;
+      } else {
+        // Unreduced (or >32-thread fallback): full expansion, empty
+        // sleep — the map behaves exactly like a plain visited set.
+        fresh = visited_.insertOrMerge(s.hash, 0, 0).fresh;
+        s.expandAll = fresh;
+      }
+      if (!fresh) {
         // A revisited state re-expanding slept actions is not a new
         // state — it only repairs coverage — so it never counts against
         // the States budget.
@@ -314,71 +258,58 @@ class Explorer {
     return true;
   }
 
-  /// Phase 3: expand each slot's selected actions into pre-assigned
-  /// slots of the next frontier (the last successor steals the parent
-  /// machine instead of copying it). Under DPOR the selection is the
-  /// expansion mask decided in dedup, and each successor inherits its
-  /// sleep set positionally: the inherited sleep plus every action
-  /// expanded before it in ready order, minus everything dependent with
-  /// the action taken — a pure function of the slot, so the next layer's
-  /// sleep sets are as worker-count-independent as its machines.
-  /// Successor bytes accumulate in a monotonic atomic; crossing the
-  /// memory cap stops all workers cooperatively. Returns false when
-  /// memory tripped.
+  /// Pass 3: append each slot's selected actions to the next frontier
+  /// (the last successor steals the parent machine instead of copying
+  /// it). Under DPOR the selection is the expansion mask decided in
+  /// record, and each successor inherits its sleep set positionally: the
+  /// inherited sleep plus every action expanded before it in ready order,
+  /// minus everything dependent with the action taken. Returns false,
+  /// having tripped Memory, once the successors' bytes on top of the
+  /// layer-boundary footprint cross the memory cap.
   bool expandLayer() {
+    // Sized up front: growing a layer of 10^5-10^6 machines by doubling
+    // made production-shape explorations about a tenth slower.
     std::size_t total = 0;
-    std::vector<std::size_t> expand;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
-      if (s.kind != Slot::Normal) continue;
-      const std::size_t count =
-          s.expandAll ? s.ready.size()
-                      : static_cast<std::size_t>(std::popcount(s.expandMask));
-      if (count == 0) continue;
-      s.succOffset = total;
-      total += count;
-      expand.push_back(i);
-    }
-    std::vector<std::optional<Machine>> next(total);
+    for (const Slot& s : slots_)
+      if (s.kind == Slot::Normal)
+        total += s.expandAll ? s.ready.size()
+                             : static_cast<std::size_t>(
+                                   std::popcount(s.expandMask));
+    std::vector<Machine> next;
+    next.reserve(total);
     std::vector<std::uint64_t> nextSleep;
-    if (opts_.dpor) nextSleep.assign(total, 0);
-    if (total != 0) {
-      std::atomic<std::uint64_t> succBytes{0};
-      std::atomic<bool> memTripped{false};
-      pool_.parallelFor(expand.size(), [&](std::size_t e, unsigned) {
-        const std::size_t i = expand[e];
-        const Slot& s = slots_[i];
-        std::vector<std::size_t> sel;  // selected ready indices, in order
-        sel.reserve(s.ready.size());
-        for (std::size_t k = 0; k < s.ready.size(); ++k)
-          if (s.expandAll ||
-              (s.expandMask & dpor::actionKeyBit(s.ready[k])) != 0)
-            sel.push_back(k);
-        std::uint64_t acc = s.sleepIn;  // sleep ∪ actions expanded so far
-        for (std::size_t j = 0; j < sel.size(); ++j) {
-          if (memTripped.load(std::memory_order_relaxed)) return;
-          const std::size_t k = sel[j];
-          const bool last = j + 1 == sel.size();
-          if (opts_.dpor && s.dporOk) {
-            nextSleep[s.succOffset + j] = acc & ~s.depMask[k];
-            acc |= dpor::actionKeyBit(s.ready[k]);
-          }
-          Machine succ = last ? std::move(*frontier_[i]) : *frontier_[i];
-          succ.perform(s.ready[k]);
-          const std::uint64_t bytes = succ.approxBytes();
-          const std::uint64_t sum =
-              succBytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-          next[s.succOffset + j].emplace(std::move(succ));
-          if (memBase_ + sum > opts_.maxMemoryBytes)
-            memTripped.store(true, std::memory_order_relaxed);
+    if (opts_.dpor) nextSleep.reserve(total);
+    std::uint64_t bytes = 0;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      const Slot& s = slots_[i];
+      if (s.kind != Slot::Normal) continue;
+      std::vector<std::size_t> sel;  // selected ready indices, in order
+      sel.reserve(s.ready.size());
+      for (std::size_t k = 0; k < s.ready.size(); ++k)
+        if (s.expandAll ||
+            (s.expandMask & dpor::actionKeyBit(s.ready[k])) != 0)
+          sel.push_back(k);
+      std::uint64_t acc = s.sleepIn;  // sleep ∪ actions expanded so far
+      for (std::size_t j = 0; j < sel.size(); ++j) {
+        const std::size_t k = sel[j];
+        if (opts_.dpor) {
+          nextSleep.push_back(s.dporOk ? acc & ~s.depMask[k] : 0);
+          if (s.dporOk) acc |= dpor::actionKeyBit(s.ready[k]);
         }
-      });
-      if (memTripped.load()) {
-        trip(support::BudgetKind::Memory);
-        return false;
+        Machine& succ = j + 1 == sel.size()
+                            ? next.emplace_back(std::move(frontier_[i]))
+                            : next.emplace_back(frontier_[i]);
+        succ.perform(s.ready[k]);
+        bytes += succ.approxBytes();
+        if (memBase_ + bytes > opts_.maxMemoryBytes) {
+          trip(support::BudgetKind::Memory);
+          return false;
+        }
       }
-      stepsUsed_ += total;
-      frontierBytes_ = succBytes.load();
+    }
+    stepsUsed_ += next.size();
+    if (!next.empty()) {
+      frontierBytes_ = bytes;
       result_.peakFrontierBytes =
           std::max(result_.peakFrontierBytes, frontierBytes_);
     }
@@ -391,16 +322,14 @@ class Explorer {
     enum Kind : std::uint8_t { Normal, Terminal, Deadlock };
     support::Hash128 hash;
     Kind kind = Normal;
-    bool fresh = false;
     std::vector<Machine::Action> ready;
-    std::size_t succOffset = 0;
     // DPOR per-state data (classify). dporOk falls back to full
     // expansion for states the 64-bit action-key encoding cannot cover.
     bool dporOk = false;
     std::uint64_t pMask = 0;    ///< persistent-set action keys
     std::uint64_t sleepIn = 0;  ///< inherited sleep, clamped to enabled
     std::vector<std::uint64_t> depMask;  ///< per ready action
-    // Expansion selection (dedup): either everything (unreduced path),
+    // Expansion selection (record): either everything (unreduced path),
     // or the action keys in expandMask.
     bool expandAll = false;
     std::uint64_t expandMask = 0;
@@ -408,17 +337,15 @@ class Explorer {
 
   const ir::Program& prog_;
   const ExploreOptions& opts_;
-  support::ThreadPool& pool_;
   ExploreResult result_;
   std::vector<SymbolId> sampledVars_;  ///< Var symbols, when recordValues
-  std::vector<Partial> partials_;      ///< one per pool worker
-  std::vector<std::optional<Machine>> frontier_;
+  std::vector<Machine> frontier_;
   /// Per frontier slot: inherited sleep mask (only maintained with dpor).
   std::vector<std::uint64_t> sleepIn_;
   std::vector<Slot> slots_;
   /// Static whole-body footprints, built once per exploration (dpor).
   std::optional<dpor::StaticFootprints> footprints_;
-  support::ShardedVisitedMap visited_;
+  support::VisitedMap visited_;
   std::uint64_t stepsUsed_ = 0;
   std::uint64_t frontierBytes_ = 0;  ///< footprint of the current layer
   std::uint64_t memBase_ = 0;        ///< frontier + visited at the boundary
@@ -428,14 +355,7 @@ class Explorer {
 
 ExploreResult exploreAllSchedules(const ir::Program& program,
                                   ExploreOptions opts) {
-  support::ThreadPool pool(opts.workers == 0 ? 0 : opts.workers);
-  return Explorer(program, opts, pool).run();
-}
-
-ExploreResult exploreAllSchedules(const ir::Program& program,
-                                  const ExploreOptions& opts,
-                                  support::ThreadPool& pool) {
-  return Explorer(program, opts, pool).run();
+  return Explorer(program, opts).run();
 }
 
 }  // namespace cssame::interp

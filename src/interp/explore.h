@@ -12,14 +12,11 @@
 // optimizer may reduce nondeterminism, never introduce new behaviors),
 // and outputs must be preserved exactly for determinate programs.
 //
-// The search is a layered breadth-first frontier sweep: layer d holds
-// every candidate state reachable in exactly d steps, and each layer is
-// processed in fixed phases (classify / deduplicate / record / expand).
-// The phases parallelize across ExploreOptions::workers threads, and the
-// phase structure — not luck — guarantees the returned ExploreResult is
-// byte-identical for every worker count (docs/PERFORMANCE.md gives the
-// determinism argument). States are deduplicated by 128-bit fingerprint
-// (src/support/visited.h discusses the collision bound).
+// The search is one serial, layered breadth-first frontier sweep: layer
+// d holds every candidate state reachable in exactly d steps, and each
+// layer is processed in fixed in-order passes (classify / record /
+// expand; docs/PERFORMANCE.md). States are deduplicated by 128-bit
+// fingerprint (src/support/visited.h discusses the collision bound).
 //
 // State-space size is exponential in the interleaving depth; the
 // explorer is intended for the small adversarial programs in the test
@@ -34,10 +31,6 @@
 #include "src/ir/program.h"
 #include "src/support/budget.h"
 #include "src/support/memmodel.h"
-
-namespace cssame::support {
-class ThreadPool;
-}  // namespace cssame::support
 
 namespace cssame::interp {
 
@@ -60,11 +53,6 @@ struct ExploreOptions {
   /// is dynamically cross-validated against these observations: a static
   /// interval that excludes an observed value is a soundness bug.
   bool recordValues = false;
-  /// Threads draining each frontier layer. 1 (the default) explores
-  /// serially on the calling thread; 0 picks one worker per hardware
-  /// thread. The result is identical for every value — parallelism only
-  /// changes wall-clock time.
-  unsigned workers = 1;
   /// Dynamic partial-order reduction (src/interp/dpor.h): per-state
   /// persistent sets and inherited sleep sets prune interleavings that
   /// only permute independent actions. `outputs`, `racedVars` and the
@@ -116,7 +104,6 @@ struct ExploreResult {
   bool anyPtrError = false;
 
   /// Reduction counters (all zero when ExploreOptions::dpor is off).
-  /// Deterministic for any worker count, like every other field.
   struct DporStats {
     /// Enabled actions not expanded (full fan-out minus actual fan-out,
     /// summed over every fresh state).
@@ -145,12 +132,5 @@ struct ExploreResult {
 
 [[nodiscard]] ExploreResult exploreAllSchedules(const ir::Program& program,
                                                 ExploreOptions opts = {});
-
-/// Same, but drains layers on an existing pool (opts.workers is ignored;
-/// the pool's worker count is used). Batch drivers that explore many
-/// programs reuse one pool instead of respawning threads per program.
-[[nodiscard]] ExploreResult exploreAllSchedules(const ir::Program& program,
-                                                const ExploreOptions& opts,
-                                                support::ThreadPool& pool);
 
 }  // namespace cssame::interp

@@ -442,13 +442,21 @@ class Machine {
   void markCompleted() { result_.completed = true; }
   void markDeadlocked() { result_.deadlocked = true; }
 
-  /// Hash of the full dynamic state (memory, control, sync, output) for
-  /// explored-state deduplication. Output is included: two states that
-  /// differ only in what they already printed must not be merged.
-  [[nodiscard]] std::uint64_t stateHash() const {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  /// 128-bit fingerprint of the full dynamic state (memory, control,
+  /// sync, output) for explored-state deduplication: one traversal folded
+  /// through two independent mixing functions. Output is included: two
+  /// states that differ only in what they already printed must not be
+  /// merged. The explorer dedups states by fingerprint only, so a
+  /// collision silently prunes a reachable state; 128 bits push the
+  /// birthday-bound collision probability below 1e-24 at the default
+  /// state budget (docs/ANALYSIS.md).
+  [[nodiscard]] support::Hash128 stateHash128() const {
+    std::uint64_t h1 = 0xcbf29ce484222325ull;
+    std::uint64_t h2 = 0x6c62272e07bb0142ull;
+    auto mix = [&h1, &h2](std::uint64_t v) {
+      h1 ^= v + 0x9e3779b97f4a7c15ull + (h1 << 6) + (h1 >> 2);
+      h2 = (h2 ^ v) * 0xff51afd7ed558ccdull;
+      h2 ^= h2 >> 33;
     };
     for (long long v : vars_) mix(static_cast<std::uint64_t>(v));
     for (bool b : eventSet_) mix(b);
@@ -476,43 +484,6 @@ class Machine {
     mix(result_.assertFailed);
     // Only mixed when set, so error-free runs (every scalar-only run)
     // hash exactly as before the pointer extension.
-    if (result_.ptrError) mix(1);
-    return h;
-  }
-
-  /// 128-bit state fingerprint: the same traversal as stateHash() folded
-  /// through two independent mixing functions. The explorer dedups states
-  /// by fingerprint only, so a collision silently prunes a reachable
-  /// state; 128 bits push the birthday-bound collision probability below
-  /// 1e-24 at the default state budget (docs/ANALYSIS.md).
-  [[nodiscard]] support::Hash128 stateHash128() const {
-    std::uint64_t h1 = 0xcbf29ce484222325ull;
-    std::uint64_t h2 = 0x6c62272e07bb0142ull;
-    auto mix = [&h1, &h2](std::uint64_t v) {
-      h1 ^= v + 0x9e3779b97f4a7c15ull + (h1 << 6) + (h1 >> 2);
-      h2 = (h2 ^ v) * 0xff51afd7ed558ccdull;
-      h2 ^= h2 >> 33;
-    };
-    for (long long v : vars_) mix(static_cast<std::uint64_t>(v));
-    for (bool b : eventSet_) mix(b);
-    for (std::size_t l : lockHolder_) mix(l);
-    for (const Thread& t : threads_) {
-      mix(static_cast<std::uint64_t>(t.status));
-      mix(t.waitSym.valid() ? t.waitSym.value() : 0xffffu);
-      mix(t.barrierEpoch);
-      for (const Frame& f : t.frames) {
-        mix(reinterpret_cast<std::uintptr_t>(f.list));
-        mix(f.idx);
-        mix(reinterpret_cast<std::uintptr_t>(f.loop));
-      }
-      for (const BufferedStore& st : t.storeBuf) {
-        mix(st.first);
-        mix(static_cast<std::uint64_t>(st.second));
-      }
-      mix(0x5eedu);
-    }
-    for (long long v : result_.output) mix(static_cast<std::uint64_t>(v));
-    mix(result_.assertFailed);
     if (result_.ptrError) mix(1);
     return support::Hash128{h1, h2};
   }

@@ -33,7 +33,7 @@ RepairResult repairSource(const std::string& source, FixTarget target,
   RepairResult res;
   res.patchedSource = source;
 
-  Snapshot base = analyzeForRepair(source, limits);
+  Snapshot base = analyzeForRepair(source);
   if (!base.ok) {
     res.status = RepairStatus::Error;
     res.error = base.error;
@@ -64,7 +64,7 @@ RepairResult repairSource(const std::string& source, FixTarget target,
       ++res.stats.candidatesTried;
       const std::string patchedText =
           applyEdits(working, cand.edits(working));
-      Snapshot snap = analyzeForRepair(patchedText, limits);
+      Snapshot snap = analyzeForRepair(patchedText);
       const Verdict v = verifyCandidate(base, snap, *t, limits);
       if (v.ok) {
         ++res.stats.candidatesVerified;
@@ -94,17 +94,19 @@ RepairResult repairSource(const std::string& source, FixTarget target,
 
   res.patchedSource = working;
   res.diff = diffLines(source, working);
-  res.finalExploreComplete = base.scOk && base.sc.complete;
-  res.finalRaceFree = res.finalExploreComplete && base.scRaced.empty();
-  res.finalDeadlockFree = res.finalExploreComplete && !base.sc.anyDeadlock &&
-                          !base.sc.anyLockError;
+  const Exploration& sc =
+      ensureExplored(base, support::MemoryModel::SC, limits);
+  res.finalExploreComplete = sc.ok && sc.result.complete;
+  res.finalRaceFree = res.finalExploreComplete && sc.raced.empty();
+  res.finalDeadlockFree = res.finalExploreComplete &&
+                          !sc.result.anyDeadlock && !sc.result.anyLockError;
   if (touchedTso && res.finalExploreComplete) {
     res.finalTsoChecked = true;
-    ensureTsoExplored(base, limits);
-    res.finalTsoJustified =
-        base.tsoExec.complete && !base.tsoExec.anyDeadlock &&
-        base.tsoExec.outputs == base.sc.outputs &&
-        base.tsoRaced == base.scRaced;
+    const Exploration& tso =
+        ensureExplored(base, support::MemoryModel::TSO, limits);
+    res.finalTsoJustified = tso.result.complete && !tso.result.anyDeadlock &&
+                            tso.result.outputs == sc.result.outputs &&
+                            tso.raced == sc.raced;
   }
 
   const std::vector<RepairTarget> remaining =

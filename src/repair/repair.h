@@ -87,7 +87,7 @@ struct RepairResult {
 };
 
 /// Runs the repair loop on `source`. Deterministic: equal inputs yield
-/// byte-equal results for any worker count. Never throws.
+/// byte-equal results. Never throws.
 [[nodiscard]] RepairResult repairSource(const std::string& source,
                                         FixTarget target,
                                         const RepairLimits& limits = {});

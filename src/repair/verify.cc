@@ -51,10 +51,27 @@ Verdict unverifiable(std::string reason) {
   return v;
 }
 
+/// Explores the base under `model`, then the candidate — only when the
+/// base's exploration completed, since otherwise the candidate is
+/// unverifiable whatever its own exploration finds. Returns why the
+/// candidate is unverifiable, or "" when both explorations completed.
+std::string unexplored(Snapshot& base, Snapshot& patched,
+                       support::MemoryModel model,
+                       const RepairLimits& limits) {
+  const bool sc = model == support::MemoryModel::SC;
+  for (Snapshot* snap : {&base, &patched}) {
+    const Exploration& e = ensureExplored(*snap, model, limits);
+    if (sc && !e.ok) return "schedule exploration failed";
+    if (!e.result.complete)
+      return sc ? "schedule exploration budget exhausted"
+                : "TSO exploration budget exhausted";
+  }
+  return "";
+}
+
 }  // namespace
 
-Snapshot analyzeForRepair(const std::string& source,
-                          const RepairLimits& limits) {
+Snapshot analyzeForRepair(const std::string& source) {
   Snapshot s;
   s.source = source;
   parser::ParseResult pr = parser::parseChecked(source);
@@ -83,28 +100,24 @@ Snapshot analyzeForRepair(const std::string& source,
     return s;
   }
   s.ok = true;
-  try {
-    s.sc = interp::exploreAllSchedules(
-        *s.program, exploreOptions(limits, support::MemoryModel::SC));
-    s.scOk = true;
-    s.scRaced = racedNames(s.sc, s.program->symbols);
-  } catch (const std::exception&) {
-    s.scOk = false;
-  }
   return s;
 }
 
-void ensureTsoExplored(Snapshot& snap, const RepairLimits& limits) {
-  if (snap.tsoExplored || !snap.ok) return;
-  snap.tsoExplored = true;
+const Exploration& ensureExplored(Snapshot& snap, support::MemoryModel model,
+                                  const RepairLimits& limits) {
+  Exploration& e =
+      model == support::MemoryModel::SC ? snap.scExec : snap.tsoExec;
+  if (e.ran) return e;
+  e.ran = true;
   try {
-    snap.tsoExec = interp::exploreAllSchedules(
-        *snap.program, exploreOptions(limits, support::MemoryModel::TSO));
-    snap.tsoRaced = racedNames(snap.tsoExec, snap.program->symbols);
+    e.result = interp::exploreAllSchedules(*snap.program,
+                                           exploreOptions(limits, model));
+    e.ok = true;
+    e.raced = racedNames(e.result, snap.program->symbols);
   } catch (const std::exception&) {
-    snap.tsoExec = interp::ExploreResult{};
-    snap.tsoExec.complete = false;
+    e.result.complete = false;
   }
+  return e;
 }
 
 Verdict verifyCandidate(Snapshot& base, Snapshot& patched,
@@ -124,37 +137,39 @@ Verdict verifyCandidate(Snapshot& base, Snapshot& patched,
                     diagCodeName(code) + ")");
 
   // Dynamic contract, SC.
-  if (!base.scOk || !patched.scOk)
-    return unverifiable("schedule exploration failed");
-  if (!base.sc.complete || !patched.sc.complete)
-    return unverifiable("schedule exploration budget exhausted");
-  if (patched.sc.anyDeadlock)
+  if (std::string why =
+          unexplored(base, patched, support::MemoryModel::SC, limits);
+      !why.empty())
+    return unverifiable(why);
+  const Exploration& baseSc = base.scExec;
+  const Exploration& sc = patched.scExec;
+  if (sc.result.anyDeadlock)
     return reject("a schedule of the patched program deadlocks");
-  if (patched.sc.anyLockError)
+  if (sc.result.anyLockError)
     return reject("a schedule of the patched program misuses a lock");
-  if (patched.sc.anyAssertFailure && !base.sc.anyAssertFailure)
+  if (sc.result.anyAssertFailure && !baseSc.result.anyAssertFailure)
     return reject("introduces an assertion failure");
-  if (patched.sc.anyPtrError && !base.sc.anyPtrError)
+  if (sc.result.anyPtrError && !baseSc.result.anyPtrError)
     return reject("introduces a wild pointer access");
-  if (!isSubset(patched.scRaced, base.scRaced))
+  if (!isSubset(sc.raced, baseSc.raced))
     return reject("introduces a dynamic race on '" +
-                  firstExtra(patched.scRaced, base.scRaced) + "'");
+                  firstExtra(sc.raced, baseSc.raced) + "'");
 
   switch (target.kind) {
     case TargetKind::Race:
     case TargetKind::MayAlias: {
-      if (patched.scRaced.count(target.varName) != 0)
+      if (sc.raced.count(target.varName) != 0)
         return reject("the race on '" + target.varName +
                       "' is still dynamically reachable");
       // A repair may only remove behaviors, never add them.
-      for (const auto& seq : patched.sc.outputs)
-        if (base.sc.outputs.find(seq) == base.sc.outputs.end())
+      for (const auto& seq : sc.result.outputs)
+        if (baseSc.result.outputs.find(seq) == baseSc.result.outputs.end())
           return reject("changes the program's outputs under SC");
       break;
     }
     case TargetKind::Tso: {
       // Fences and atomics are SC no-ops: outputs must match exactly.
-      if (patched.sc.outputs != base.sc.outputs)
+      if (sc.result.outputs != baseSc.result.outputs)
         return reject("changes the program's outputs under SC");
       // Per-candidate the TSO contract is *monotone progress*, not full
       // restoration: a symmetric protocol (Peterson) needs one fence per
@@ -163,34 +178,38 @@ Verdict verifyCandidate(Snapshot& base, Snapshot& patched,
       // witnesses; dynamically it must never add a TSO behavior or race.
       // Whether mutual exclusion is fully justified again is measured on
       // the final program (RepairResult::finalTsoJustified).
-      ensureTsoExplored(base, limits);
-      ensureTsoExplored(patched, limits);
-      if (!base.tsoExec.complete || !patched.tsoExec.complete)
-        return unverifiable("TSO exploration budget exhausted");
-      if (patched.tsoExec.anyDeadlock && !base.tsoExec.anyDeadlock)
+      if (std::string why =
+              unexplored(base, patched, support::MemoryModel::TSO, limits);
+          !why.empty())
+        return unverifiable(why);
+      const Exploration& baseTso = base.tsoExec;
+      const Exploration& tso = patched.tsoExec;
+      if (tso.result.anyDeadlock && !baseTso.result.anyDeadlock)
         return reject("a TSO schedule of the patched program deadlocks");
-      if (!isSubset(patched.tsoRaced, base.tsoRaced))
+      if (!isSubset(tso.raced, baseTso.raced))
         return reject("introduces a TSO race on '" +
-                      firstExtra(patched.tsoRaced, base.tsoRaced) + "'");
-      for (const auto& seq : patched.tsoExec.outputs)
-        if (base.tsoExec.outputs.find(seq) == base.tsoExec.outputs.end())
+                      firstExtra(tso.raced, baseTso.raced) + "'");
+      for (const auto& seq : tso.result.outputs)
+        if (baseTso.result.outputs.find(seq) == baseTso.result.outputs.end())
           return reject("introduces a TSO-only behavior");
       break;
     }
     case TargetKind::Fence: {
       // Deleting a redundant fence must change nothing under any model.
-      if (patched.sc.outputs != base.sc.outputs)
+      if (sc.result.outputs != baseSc.result.outputs)
         return reject("changes the program's outputs under SC");
-      ensureTsoExplored(base, limits);
-      ensureTsoExplored(patched, limits);
-      if (!base.tsoExec.complete || !patched.tsoExec.complete)
-        return unverifiable("TSO exploration budget exhausted");
-      if (patched.tsoExec.outputs != base.tsoExec.outputs)
+      if (std::string why =
+              unexplored(base, patched, support::MemoryModel::TSO, limits);
+          !why.empty())
+        return unverifiable(why);
+      const Exploration& baseTso = base.tsoExec;
+      const Exploration& tso = patched.tsoExec;
+      if (tso.result.outputs != baseTso.result.outputs)
         return reject("removing the fence changes TSO outputs — it was "
                       "not redundant");
-      if (patched.tsoRaced != base.tsoRaced)
+      if (tso.raced != baseTso.raced)
         return reject("removing the fence changes the TSO race set");
-      if (patched.tsoExec.anyDeadlock && !base.tsoExec.anyDeadlock)
+      if (tso.result.anyDeadlock && !baseTso.result.anyDeadlock)
         return reject("a TSO schedule of the patched program deadlocks");
       break;
     }

@@ -2,9 +2,9 @@
 //
 // A candidate patch is *never* trusted on syntactic grounds. Each one is
 // re-analyzed through exactly the pipeline `driver::runSource` runs —
-// parseChecked → driver::analyze → runCsan + runTso — and re-explored by
-// the schedule explorer (DPOR on), and must pass every rule below before
-// the engine may return it:
+// parseChecked → driver::analyze → runCsan + runTso — and, once the
+// static rule passes, re-explored by the schedule explorer (DPOR on). It
+// must pass every rule below before the engine may return it:
 //
 //   static   the target diagnostic's count strictly decreased, and no
 //            diagnostic code's count increased (this is what keeps fixes
@@ -25,6 +25,10 @@
 //
 // When an exploration budget trips, the candidate is *unverifiable* and
 // rejected — the engine never returns a fix it could not prove out.
+// Explorations run lazily, at most once per snapshot and memory model:
+// a candidate is explored only after its static rule passes, and only
+// when the base program's own exploration completed — otherwise it is
+// unverifiable whatever its own exploration would find.
 #pragma once
 
 #include <map>
@@ -51,10 +55,22 @@ struct RepairLimits {
   std::size_t maxCandidatesPerTarget = 12;
 };
 
+/// One memory model's exploration of a snapshot (races recorded, DPOR
+/// on), filled in by ensureExplored on first use.
+struct Exploration {
+  bool ran = false;  ///< ensureExplored has run for this model
+  bool ok = false;   ///< the explorer returned without escaping
+  /// The explorer's result; incomplete when it escaped.
+  interp::ExploreResult result;
+  /// result.racedVars as variable *names* — symbol ids are not
+  /// comparable across two parses of different texts.
+  std::set<std::string> raced;
+};
+
 /// One fully analyzed program state: the source text, its compilation,
-/// the analyzer reports, per-code diagnostic counts, and the SC (always)
-/// / TSO (on demand) exploration results. The engine keeps one snapshot
-/// of the current working program and builds one per candidate.
+/// the analyzer reports, per-code diagnostic counts, and the SC and TSO
+/// explorations (each run on demand). The engine keeps one snapshot of
+/// the current working program and builds one per candidate.
 struct Snapshot {
   std::string source;
   bool ok = false;     ///< parsed and analyzed cleanly
@@ -67,13 +83,7 @@ struct Snapshot {
   /// csan and tso tool diagnostics — everything runSource would print.
   std::map<DiagCode, std::size_t> diagCounts;
 
-  interp::ExploreResult sc;   ///< SC exploration (races recorded, DPOR on)
-  bool scOk = false;          ///< the SC exploration ran without escaping
-  interp::ExploreResult tsoExec;  ///< TSO exploration (lazy)
-  bool tsoExplored = false;
-  /// racedVars of each exploration as variable *names* — symbol ids are
-  /// not comparable across two parses of different texts.
-  std::set<std::string> scRaced, tsoRaced;
+  Exploration scExec, tsoExec;
 
   [[nodiscard]] std::size_t countOf(DiagCode code) const {
     auto it = diagCounts.find(code);
@@ -81,14 +91,15 @@ struct Snapshot {
   }
 };
 
-/// Parses, analyzes and SC-explores `source`. Analysis failures (parse
-/// errors, invariant escapes on hostile inputs) yield ok == false with
-/// the reason in `error` — never a throw.
-[[nodiscard]] Snapshot analyzeForRepair(const std::string& source,
-                                        const RepairLimits& limits);
+/// Parses and analyzes `source`; explores nothing. Analysis failures
+/// (parse errors, invariant escapes on hostile inputs) yield ok == false
+/// with the reason in `error` — never a throw.
+[[nodiscard]] Snapshot analyzeForRepair(const std::string& source);
 
-/// Runs the TSO exploration for a snapshot if it has not run yet.
-void ensureTsoExplored(Snapshot& snap, const RepairLimits& limits);
+/// Runs the exploration of `snap` (which must be ok) under `model` if it
+/// has not run yet, and returns it.
+const Exploration& ensureExplored(Snapshot& snap, support::MemoryModel model,
+                                  const RepairLimits& limits);
 
 struct Verdict {
   bool ok = false;
@@ -97,7 +108,7 @@ struct Verdict {
 };
 
 /// Applies the full contract to one candidate's snapshot. May run the
-/// lazy TSO exploration on either snapshot (hence non-const).
+/// lazy explorations of either snapshot (hence non-const).
 [[nodiscard]] Verdict verifyCandidate(Snapshot& base, Snapshot& patched,
                                       const RepairTarget& target,
                                       const RepairLimits& limits);

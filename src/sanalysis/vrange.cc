@@ -304,6 +304,9 @@ class Diagnoser {
         return sharpBinary(e.binop, sharp(*e.operands[0]),
                            sharp(*e.operands[1]));
       case ir::ExprKind::Call:
+      case ir::ExprKind::AddrOf:
+      case ir::ExprKind::Deref:
+      case ir::ExprKind::Index:
         return Interval::full();
     }
     return Interval::full();

@@ -14,7 +14,7 @@ ThreadPool::ThreadPool(unsigned workers) {
   workers_ = std::clamp(workers, 1u, 64u);
   threads_.reserve(workers_ - 1);
   for (unsigned w = 1; w < workers_; ++w)
-    threads_.emplace_back([this, w] { workerLoop(w); });
+    threads_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -26,15 +26,15 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::runJob(unsigned worker) {
+void ThreadPool::runJob() {
   while (true) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= jobSize_) return;
-    (*job_)(i, worker);
+    (*job_)(i);
   }
 }
 
-void ThreadPool::workerLoop(unsigned worker) {
+void ThreadPool::workerLoop() {
   std::uint64_t seen = 0;
   while (true) {
     std::function<void()> task;
@@ -60,7 +60,7 @@ void ThreadPool::workerLoop(unsigned worker) {
       if (--pendingTasks_ == 0) idle_.notify_all();
       continue;
     }
-    runJob(worker);
+    runJob();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--active_ == 0) done_.notify_all();
@@ -87,11 +87,11 @@ void ThreadPool::waitIdle() {
   idle_.wait(lock, [&] { return pendingTasks_ == 0; });
 }
 
-void ThreadPool::parallelFor(
-    std::size_t n, const std::function<void(std::size_t, unsigned)>& fn) {
+void ThreadPool::parallelFor(std::size_t n,
+                             const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   if (workers_ == 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i, 0);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   {
@@ -103,7 +103,7 @@ void ThreadPool::parallelFor(
     ++generation_;
   }
   wake_.notify_all();
-  runJob(0);  // the caller is worker 0
+  runJob();  // the caller drains indices too
   std::unique_lock<std::mutex> lock(mutex_);
   done_.wait(lock, [&] { return active_ == 0; });
   job_ = nullptr;

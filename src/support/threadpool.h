@@ -1,22 +1,20 @@
 // A small fixed-size thread pool for index-parallel loops and queued
 // tasks.
 //
-// Three consumers share it: the schedule explorer's layered state-space
-// search (src/interp/explore.cc), the batch analysis drivers (the bench
+// Two consumers share it: the batch analysis drivers (the bench
 // harnesses and `cssamec --jobs=N`) that analyze independent programs
 // concurrently, and the analysis service (src/service) that schedules
 // each incoming request as one task. Two entry points:
 //
 //   - parallelFor: a fork/join loop with dynamic (work-stealing-style)
-//     index distribution. Consumers that need deterministic results use
-//     this shape: they accumulate into per-worker or per-index slots and
-//     merge at the join, so the outcome never depends on which worker ran
-//     which index.
+//     index distribution. Consumers that need deterministic results
+//     write into per-index slots and read them after the join, so the
+//     outcome never depends on which worker ran which index.
 //   - submit/waitIdle: a FIFO task queue for independent fire-and-forget
 //     units (service requests). Tasks may interleave with parallelFor
 //     jobs — a worker finishes its current task before joining a loop.
 //
-// The calling thread participates as worker 0, so a pool of size 1
+// The calling thread participates in parallelFor, so a pool of size 1
 // spawns no threads at all: parallelFor degrades to a plain loop and
 // submit runs the task inline before returning.
 #pragma once
@@ -45,15 +43,12 @@ class ThreadPool {
 
   [[nodiscard]] unsigned workers() const { return workers_; }
 
-  /// Runs fn(index, worker) for every index in [0, n), distributing
-  /// indices dynamically across the pool; blocks until all calls return.
-  /// `worker` is in [0, workers()) and is stable for the duration of one
-  /// call, so fn can accumulate into per-worker slots without locking.
+  /// Runs fn(index) for every index in [0, n), distributing indices
+  /// dynamically across the pool; blocks until all calls return.
   /// parallelFor establishes a happens-before edge from every fn call to
   /// its own return, so results written by workers are safe to read
   /// after it. Must not be called reentrantly from inside fn.
-  void parallelFor(std::size_t n,
-                   const std::function<void(std::size_t, unsigned)>& fn);
+  void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Enqueues one independent task (FIFO) and returns immediately; a
   /// worker thread runs it as soon as one is free. With a pool of size 1
@@ -72,8 +67,8 @@ class ThreadPool {
   [[nodiscard]] static unsigned defaultWorkers();
 
  private:
-  void workerLoop(unsigned worker);
-  void runJob(unsigned worker);
+  void workerLoop();
+  void runJob();
 
   unsigned workers_ = 1;
   std::vector<std::thread> threads_;
@@ -81,7 +76,7 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;
-  const std::function<void(std::size_t, unsigned)>* job_ = nullptr;
+  const std::function<void(std::size_t)>* job_ = nullptr;
   std::size_t jobSize_ = 0;
   std::uint64_t generation_ = 0;
   unsigned active_ = 0;

@@ -1,4 +1,4 @@
-// 128-bit state fingerprints and a lock-striped sharded visited set.
+// 128-bit state fingerprints and the explorer's visited map.
 //
 // The schedule explorer deduplicates dynamic states by hash only — it
 // never keeps the states themselves, so a fingerprint collision silently
@@ -9,21 +9,11 @@
 // run, and a fleet of runs multiplies it. Two *independently* mixed
 // 64-bit hashes push the bound to ~2^44/2^129, i.e. below 1e-24 —
 // negligible even across millions of CI runs. See docs/ANALYSIS.md.
-//
-// ShardedVisited splits the set into 64 lock-striped shards keyed by the
-// high hash bits. The parallel explorer assigns whole shards to workers
-// during its deduplication phase, so insert order *within one shard* is
-// the deterministic frontier order — the property its determinism
-// argument rests on (docs/PERFORMANCE.md); the stripes additionally make
-// concurrent use from arbitrary threads safe.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace cssame::support {
 
@@ -41,73 +31,20 @@ struct Hash128Hasher {
   }
 };
 
-/// Hash set of Hash128 keys, lock-striped across kShards shards.
-class ShardedVisited {
- public:
-  static constexpr std::size_t kShards = 64;
-
-  /// Shard of a key — a pure function of the fingerprint, so callers can
-  /// partition work by shard. Uses high bits disjoint from the bits the
-  /// in-shard bucket hash favors.
-  [[nodiscard]] static std::size_t shardOf(const Hash128& h) {
-    return static_cast<std::size_t>(h.hi >> 58) % kShards;
-  }
-
-  /// Inserts the key; true when it was not present before.
-  bool insert(const Hash128& h) {
-    Shard& s = shards_[shardOf(h)];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.set.insert(h).second;
-  }
-
-  [[nodiscard]] bool contains(const Hash128& h) const {
-    const Shard& s = shards_[shardOf(h)];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.set.contains(h);
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::size_t n = 0;
-    for (const Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      n += s.set.size();
-    }
-    return n;
-  }
-
-  /// Approximate footprint: each entry costs its key plus bucket overhead.
-  [[nodiscard]] std::uint64_t approxBytes() const {
-    return static_cast<std::uint64_t>(size()) * 2 * sizeof(Hash128);
-  }
-
- private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_set<Hash128, Hash128Hasher> set;
-  };
-  std::array<Shard, kShards> shards_;
-};
-
-/// Visited map for the DPOR-enabled explorer: each fingerprint carries
-/// the sleep mask the state was (last) expanded under. Sleep sets and
-/// state caching are unsound when combined naively — a state first
-/// reached with sleep set S1 only expanded its non-slept actions, so a
-/// later visit with sleep set S2 must re-expand whatever S1 suppressed
-/// that S2 would allow (Godefroid's state-caching rule). insertOrMerge
-/// implements exactly that: `missing` is the persistent-set actions the
-/// stored visit slept but the new one would run, and the stored mask
-/// shrinks to the intersection (the state is now covered for both).
-/// Each action of a state re-expands at most once: `missing` excludes
-/// everything outside the stored mask, and the stored mask loses every
-/// bit that `missing` returns — re-expansion terminates.
-///
-/// The shard layout mirrors ShardedVisited (same shardOf), so the
-/// explorer's in-order per-shard dedup scan keeps merge order — and with
-/// it every `missing` mask — independent of the worker count. With the
-/// reduction off, every call passes sleep == pmask == 0 and the class
-/// degenerates to ShardedVisited::insert bit-for-bit (approxBytes uses
-/// the same formula, keeping Memory-budget trip points identical).
-class ShardedVisitedMap {
+/// The explorer's visited map: each fingerprint carries the sleep mask
+/// the state was (last) expanded under. Sleep sets and state caching are
+/// unsound when combined naively — a state first reached with sleep set
+/// S1 only expanded its non-slept actions, so a later visit with sleep
+/// set S2 must re-expand whatever S1 suppressed that S2 would allow
+/// (Godefroid's state-caching rule). insertOrMerge implements exactly
+/// that: `missing` is the persistent-set actions the stored visit slept
+/// but the new one would run, and the stored mask shrinks to the
+/// intersection (the state is now covered for both). Each action of a
+/// state re-expands at most once: `missing` excludes everything outside
+/// the stored mask, and the stored mask loses every bit that `missing`
+/// returns — re-expansion terminates. With the reduction off, every call
+/// passes sleep == pmask == 0 and the map is a plain visited set.
+class VisitedMap {
  public:
   struct MergeResult {
     bool fresh = false;          ///< key was not present before
@@ -116,34 +53,23 @@ class ShardedVisitedMap {
 
   MergeResult insertOrMerge(const Hash128& h, std::uint64_t sleep,
                             std::uint64_t pmask) {
-    Shard& s = shards_[ShardedVisited::shardOf(h)];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    auto [it, inserted] = s.map.try_emplace(h, sleep);
+    auto [it, inserted] = map_.try_emplace(h, sleep);
     if (inserted) return {true, 0};
     const std::uint64_t stored = it->second;
     it->second = stored & sleep;
     return {false, pmask & stored & ~sleep};
   }
 
-  [[nodiscard]] std::size_t size() const {
-    std::size_t n = 0;
-    for (const Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      n += s.map.size();
-    }
-    return n;
-  }
+  [[nodiscard]] std::size_t size() const { return map_.size(); }
 
+  /// Approximate footprint, for the explorer's Memory budget: each entry
+  /// costs its key plus bucket overhead.
   [[nodiscard]] std::uint64_t approxBytes() const {
     return static_cast<std::uint64_t>(size()) * 2 * sizeof(Hash128);
   }
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<Hash128, std::uint64_t, Hash128Hasher> map;
-  };
-  std::array<Shard, ShardedVisited::kShards> shards_;
+  std::unordered_map<Hash128, std::uint64_t, Hash128Hasher> map_;
 };
 
 }  // namespace cssame::support

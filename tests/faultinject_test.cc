@@ -13,12 +13,10 @@
 //   3. Injected pass crashes — the injector throws from inside the pass
 //      boundary; the optimizer must contain the exception and name the
 //      pass, never terminate the process.
-//   4. Mutated workloads under the parallel explorer — the survivors of
-//      surface 1 are also exhaustively explored with workers > 1 on a
-//      shared pool, with tight budgets: the parallel frontier sweep must
-//      end gracefully on hostile shapes AND return exactly the serial
-//      result (its determinism contract does not get to assume
-//      well-behaved input).
+//   4. Mutated workloads under the explorer — the survivors of surface 1
+//      are also exhaustively explored with tight budgets: the frontier
+//      sweep must end gracefully on hostile shapes, either complete or
+//      naming the budget that tripped.
 #include <gtest/gtest.h>
 
 #include "src/driver/pipeline.h"
@@ -27,7 +25,6 @@
 #include "src/ir/verify.h"
 #include "src/opt/optimize.h"
 #include "src/support/faultinject.h"
-#include "src/support/threadpool.h"
 #include "src/workload/generator.h"
 
 namespace cssame {
@@ -99,8 +96,7 @@ TEST(FaultInjection, MutatedWorkloadsAreDiagnosedNeverCrash) {
   EXPECT_GT(optimized, 10);
 }
 
-TEST(FaultInjection, MutatedWorkloadsExploreInParallelDeterministically) {
-  support::ThreadPool pool(4);
+TEST(FaultInjection, MutatedWorkloadsExploreToCompletionOrNamedBudget) {
   int explored = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     ir::Program p = makeWorkload(seed);
@@ -112,23 +108,9 @@ TEST(FaultInjection, MutatedWorkloadsExploreInParallelDeterministically) {
     opts.maxStates = 1024;
     opts.maxDepthPerRun = 256;
     opts.detectRaces = true;
-    opts.workers = 1;
-    const interp::ExploreResult serial = interp::exploreAllSchedules(p, opts);
-    EXPECT_TRUE(serial.complete ||
-                serial.budgetExceeded != support::BudgetKind::None)
+    const interp::ExploreResult r = interp::exploreAllSchedules(p, opts);
+    EXPECT_TRUE(r.complete || r.budgetExceeded != support::BudgetKind::None)
         << "seed " << seed;
-
-    const interp::ExploreResult parallel =
-        interp::exploreAllSchedules(p, opts, pool);
-    EXPECT_EQ(serial.outputs, parallel.outputs) << "seed " << seed;
-    EXPECT_EQ(serial.complete, parallel.complete) << "seed " << seed;
-    EXPECT_EQ(serial.budgetExceeded, parallel.budgetExceeded)
-        << "seed " << seed;
-    EXPECT_EQ(serial.anyDeadlock, parallel.anyDeadlock) << "seed " << seed;
-    EXPECT_EQ(serial.anyLockError, parallel.anyLockError) << "seed " << seed;
-    EXPECT_EQ(serial.statesExplored, parallel.statesExplored)
-        << "seed " << seed;
-    EXPECT_EQ(serial.racedVars, parallel.racedVars) << "seed " << seed;
     ++explored;
   }
   // Mutations leave plenty of structurally-valid programs to explore.

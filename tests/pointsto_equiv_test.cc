@@ -133,7 +133,8 @@ class SsaPropagator {
       if (stats_.iterations >= opts_.maxIterations)
         return Fault{FaultKind::BudgetExceeded, problem_.name(),
                      "ssa propagation budget exhausted after " +
-                         std::to_string(stats_.iterations) + " iterations"};
+                         std::to_string(stats_.iterations) + " iterations",
+                     {}};
       const SsaNameId id = work.front();
       work.pop_front();
       queued[id.index()] = false;

@@ -1,5 +1,5 @@
 // Unit tests for the support layer: typed ids, dynamic bitsets,
-// diagnostics, the thread pool and the sharded visited set.
+// diagnostics, the thread pool and the explorer's visited map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -296,9 +296,10 @@ TEST(Diag, CountOf) {
 
 TEST(Diag, Formatting) {
   Diagnostic d{DiagSeverity::Warning, DiagCode::InconsistentLocking,
-               {12, 3}, "msg"};
+               {12, 3}, "msg", {}};
   EXPECT_EQ(d.str(), "warning [inconsistent-locking] 12:3: msg");
-  Diagnostic noLoc{DiagSeverity::Error, DiagCode::SyntaxError, {}, "bad"};
+  Diagnostic noLoc{DiagSeverity::Error, DiagCode::SyntaxError, {}, "bad",
+                   {}};
   EXPECT_EQ(noLoc.str(), "error [syntax-error] bad");
 }
 
@@ -315,29 +316,17 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   EXPECT_EQ(pool.workers(), 4u);
   constexpr std::size_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallelFor(kN, [&](std::size_t i, unsigned worker) {
-    EXPECT_LT(worker, pool.workers());
+  pool.parallelFor(kN, [&](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPool, PerWorkerAccumulationSums) {
-  support::ThreadPool pool(3);
-  std::vector<long long> partial(pool.workers(), 0);
-  pool.parallelFor(1000, [&](std::size_t i, unsigned worker) {
-    partial[worker] += static_cast<long long>(i);
-  });
-  long long sum = 0;
-  for (long long p : partial) sum += p;
-  EXPECT_EQ(sum, 999LL * 1000 / 2);
 }
 
 TEST(ThreadPool, ReusableAcrossJobs) {
   support::ThreadPool pool(2);
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> count{0};
-    pool.parallelFor(round, [&](std::size_t, unsigned) {
+    pool.parallelFor(round, [&](std::size_t) {
       count.fetch_add(1, std::memory_order_relaxed);
     });
     EXPECT_EQ(count.load(), round);
@@ -348,8 +337,7 @@ TEST(ThreadPool, SizeOneRunsInline) {
   support::ThreadPool pool(1);
   EXPECT_EQ(pool.workers(), 1u);
   const auto self = std::this_thread::get_id();
-  pool.parallelFor(10, [&](std::size_t, unsigned worker) {
-    EXPECT_EQ(worker, 0u);
+  pool.parallelFor(10, [&](std::size_t) {
     EXPECT_EQ(std::this_thread::get_id(), self);
   });
 }
@@ -361,39 +349,39 @@ TEST(ThreadPool, ZeroPicksDefaultAndClamps) {
   EXPECT_GE(support::ThreadPool::defaultWorkers(), 1u);
 }
 
-TEST(ShardedVisited, InsertContainsAndDuplicates) {
-  support::ShardedVisited visited;
+// The state-caching merge rule the DPOR explorer's dedup relies on
+// (VisitedMap's comment): a revisit re-expands exactly what the stored
+// visit slept and this one would run, and the stored mask shrinks so
+// nothing re-expands twice.
+TEST(VisitedMap, InsertOrMergeFollowsTheStateCachingRule) {
+  support::VisitedMap visited;
   const support::Hash128 a{0x1234, 0x5678};
   const support::Hash128 b{0x1234, 0x9999};  // same hi, different lo
-  EXPECT_FALSE(visited.contains(a));
-  EXPECT_TRUE(visited.insert(a));
-  EXPECT_FALSE(visited.insert(a));  // duplicate
-  EXPECT_TRUE(visited.insert(b));
-  EXPECT_TRUE(visited.contains(a));
-  EXPECT_TRUE(visited.contains(b));
+  constexpr std::uint64_t kSleep1 = 0b0110;  // first visit slept {1, 2}
+  constexpr std::uint64_t kSleep2 = 0b1100;  // second visit sleeps {2, 3}
+  constexpr std::uint64_t kPmask = 0b1111;
+
+  const auto first = visited.insertOrMerge(a, kSleep1, kPmask);
+  EXPECT_TRUE(first.fresh);
+  EXPECT_EQ(first.missing, 0u);
+
+  // missing = pmask & stored & ~sleep: action 1, slept before, runs now.
+  const auto second = visited.insertOrMerge(a, kSleep2, kPmask);
+  EXPECT_FALSE(second.fresh);
+  EXPECT_EQ(second.missing, kPmask & kSleep1 & ~kSleep2);
+  EXPECT_EQ(second.missing, 0b0010u);
+
+  // The stored mask shrank to stored & sleep = {2}: the same masks again
+  // re-expand nothing.
+  const auto third = visited.insertOrMerge(a, kSleep2, kPmask);
+  EXPECT_FALSE(third.fresh);
+  EXPECT_EQ(third.missing, 0u);
+  // Only action 2 is still slept in the stored mask.
+  EXPECT_EQ(visited.insertOrMerge(a, 0, kPmask).missing, 0b0100u);
+
+  EXPECT_TRUE(visited.insertOrMerge(b, 0, 0).fresh);
   EXPECT_EQ(visited.size(), 2u);
   EXPECT_EQ(visited.approxBytes(), 2u * 2 * sizeof(support::Hash128));
-}
-
-TEST(ShardedVisited, ShardOfIsStableAndInRange) {
-  for (std::uint64_t hi = 0; hi < 256; ++hi) {
-    const support::Hash128 h{hi << 56, 42};
-    const std::size_t shard = support::ShardedVisited::shardOf(h);
-    EXPECT_LT(shard, support::ShardedVisited::kShards);
-    EXPECT_EQ(shard, support::ShardedVisited::shardOf(h));
-  }
-}
-
-TEST(ShardedVisited, ConcurrentInsertsAllLand) {
-  support::ShardedVisited visited;
-  support::ThreadPool pool(4);
-  constexpr std::size_t kN = 4096;
-  pool.parallelFor(kN, [&](std::size_t i, unsigned) {
-    // Spread hi so every shard sees traffic.
-    visited.insert(support::Hash128{static_cast<std::uint64_t>(i) << 52,
-                                    static_cast<std::uint64_t>(i)});
-  });
-  EXPECT_EQ(visited.size(), kN);
 }
 
 TEST(ThreadPool, SubmitRunsEveryTask) {
@@ -420,7 +408,7 @@ TEST(ThreadPool, SubmitInterleavesWithParallelFor) {
   std::atomic<int> indices{0};
   for (int i = 0; i < 16; ++i)
     pool.submit([&] { tasks.fetch_add(1, std::memory_order_relaxed); });
-  pool.parallelFor(64, [&](std::size_t, unsigned) {
+  pool.parallelFor(64, [&](std::size_t) {
     indices.fetch_add(1, std::memory_order_relaxed);
   });
   pool.waitIdle();
@@ -441,7 +429,7 @@ TEST(Counter, IncrementsAndReads) {
 TEST(Counter, ConcurrentIncrementsAllLand) {
   support::Counter c;
   support::ThreadPool pool(4);
-  pool.parallelFor(1000, [&](std::size_t, unsigned) { c.inc(); });
+  pool.parallelFor(1000, [&](std::size_t) { c.inc(); });
   EXPECT_EQ(c.value(), 1000u);
 }
 

@@ -280,11 +280,9 @@ TEST(TsoMachine, StateHashSeesBufferedStores) {
 
   // x = 0 stored into memory holding 0: memory identical, buffer not.
   EXPECT_FALSE(tso.stateHash128() == sc.stateHash128());
-  EXPECT_NE(tso.stateHash(), sc.stateHash());
 
   tso.perform({1, true});
   EXPECT_TRUE(tso.stateHash128() == sc.stateHash128());
-  EXPECT_EQ(tso.stateHash(), sc.stateHash());
 }
 
 // --- explorer: the SC-vs-TSO oracle ---------------------------------
