@@ -31,9 +31,7 @@ std::size_t reachingDefsOfGUse(bool cssame) {
   ir::Program prog = parser::parseOrDie(workload::figure1Source());
   driver::Compilation c =
       driver::analyze(prog, {.enableCssame = cssame, .warnings = false});
-  cssa::ReachingInfo reach =
-      cssa::computeParallelReachingDefs(c.graph(), c.ssa());
-  return reach.defs(findGUse(prog)).size();
+  return cssa::reachingDefs(c.ssa(), findGUse(prog)).size();
 }
 
 void BM_Fig1_AnalyzeCssa(benchmark::State& state) {

@@ -22,8 +22,10 @@
 //   5. Lock regions: a doubling series of the 3-thread
 //      `lock(L); x = x + c; unlock(L); lock(M); z = z + 1; unlock(M);`
 //      shape, timing parseChecked of the source, the mutex-structure
-//      phase, the CSSAME rewrite and csan. Conflict edges grow 4x per
-//      doubling of the region count, so the rewrite and csan, which
+//      phase, the CSSAME rewrite, csan and parallel reaching definitions
+//      (Algorithm A.4 for every use, sharing one visited set as PDCE
+//      does). Conflict edges grow 4x per doubling of the
+//      region count, so the rewrite, csan and the reaching walk, which
 //      visit each edge a bounded number of times, may grow up to 5x per
 //      doubling; the parse and the mutex phase, linear in the program,
 //      at most 2.5x. Growth per doubling is taken over the
@@ -66,6 +68,7 @@
 #include "src/analysis/concurrency.h"
 #include "src/analysis/dominance.h"
 #include "src/cssa/cssa.h"
+#include "src/cssa/reaching.h"
 #include "src/cssa/rewrite.h"
 #include "src/dataflow/heldlocks.h"
 #include "src/driver/pipeline.h"
@@ -514,6 +517,7 @@ constexpr double kMutexGrowthBound = 2.5;
 constexpr double kParseGrowthBound = 2.5;
 constexpr double kRewriteGrowthBound = 5.0;
 constexpr double kCsanGrowthBound = 5.0;
+constexpr double kReachingGrowthBound = 5.0;
 
 struct LockRegionPoint {
   int regions = 0;
@@ -524,6 +528,7 @@ struct LockRegionPoint {
   double mutexSeconds = 1e30;
   double rewriteSeconds = 1e30;
   double csanSeconds = 1e30;
+  double reachingSeconds = 1e30;  ///< Algorithm A.4 for every use
   double mhpSweepSeconds = 1e30;  ///< one query per Ecf edge
   double heldLocksSeconds = 1e30;
   bool mhpIdentical = false;  ///< every Ecf pair agrees with RefMhp
@@ -545,8 +550,9 @@ int callsPerSample(double secondsPerCall) {
 /// compilation with warm caches, so the series shows each phase's own
 /// growth: the MutexStructures
 /// construction (with its Section 6 warnings), cssa::rewritePiTerms on
-/// fresh copies of the unrewritten CSSA form, sanalysis::runCsan, a
-/// mayHappenInParallel sweep over the Ecf edges and the held-locks solve.
+/// fresh copies of the unrewritten CSSA form, sanalysis::runCsan, the
+/// reaching-definition walk, a mayHappenInParallel sweep over the Ecf
+/// edges and the held-locks solve.
 /// The point keeps the best per-call time of every phase.
 class LockRegionCase {
  public:
@@ -587,6 +593,15 @@ class LockRegionCase {
       DiagEngine diag;
       benchmark::DoNotOptimize(
           sanalysis::runCsan(comp_, diag).potentialRaces);
+    });
+    burst(point_.reachingSeconds, reachingCalls_, [&] {
+      const ssa::SsaForm& form = comp_.ssa();
+      DynBitset walked(form.defs.size());
+      std::size_t defs = 0;
+      for (const auto& [use, name] : form.useDef)
+        cssa::forEachReachingDef(form, name, walked,
+                                 [&](SsaNameId) { ++defs; });
+      benchmark::DoNotOptimize(defs);
     });
     burst(point_.mhpSweepSeconds, mhpCalls_, [&] {
       std::size_t parallel = 0;
@@ -630,7 +645,7 @@ class LockRegionCase {
   ssa::SsaForm cssa_;
   std::vector<ssa::SsaForm> forms_;
   int parseCalls_ = 1, mutexCalls_ = 1, rewriteCalls_ = 1, csanCalls_ = 1,
-      mhpCalls_ = 1, heldLocksCalls_ = 1;
+      reachingCalls_ = 1, mhpCalls_ = 1, heldLocksCalls_ = 1;
   LockRegionPoint point_;
 };
 
@@ -657,11 +672,15 @@ struct LockRegionScale {
   [[nodiscard]] double csanGrowth() const {
     return growth(&LockRegionPoint::csanSeconds);
   }
+  [[nodiscard]] double reachingGrowth() const {
+    return growth(&LockRegionPoint::reachingSeconds);
+  }
   [[nodiscard]] bool withinBounds() const {
     return parseGrowth() <= kParseGrowthBound &&
            mutexGrowth() <= kMutexGrowthBound &&
            rewriteGrowth() <= kRewriteGrowthBound &&
-           csanGrowth() <= kCsanGrowthBound;
+           csanGrowth() <= kCsanGrowthBound &&
+           reachingGrowth() <= kReachingGrowthBound;
   }
   [[nodiscard]] bool mhpIdentical() const {
     return std::all_of(points.begin(), points.end(),
@@ -844,6 +863,7 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
         .set("mutex_seconds", p.mutexSeconds)
         .set("rewrite_seconds", p.rewriteSeconds)
         .set("csan_seconds", p.csanSeconds)
+        .set("reaching_seconds", p.reachingSeconds)
         .set("mhp_ns_per_query", p.mhpNsPerQuery())
         .set("heldlocks_ms", p.heldLocksSeconds * 1e3);
     lrSeries.push(std::move(point));
@@ -858,11 +878,13 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
       .set("growth_bound_mutex", kMutexGrowthBound)
       .set("growth_bound_rewrite", kRewriteGrowthBound)
       .set("growth_bound_csan", kCsanGrowthBound)
+      .set("growth_bound_reaching", kReachingGrowthBound)
       .set("series", std::move(lrSeries))
       .set("growth_x2_parse", lr.parseGrowth())
       .set("growth_x2_mutex", lr.mutexGrowth())
       .set("growth_x2_rewrite", lr.rewriteGrowth())
       .set("growth_x2_csan", lr.csanGrowth())
+      .set("growth_x2_reaching", lr.reachingGrowth())
       .set("mhp_identical_to_reference", lr.mhpIdentical())
       .set("within_bounds", lr.withinBounds());
   service::Json ptrSeries = service::Json::array();
@@ -966,13 +988,17 @@ int main(int argc, char** argv) {
   table.gate("  csan growth per doubling", "<= 5x",
              fmt("%.2fx", lr.csanGrowth()),
              lr.csanGrowth() <= kCsanGrowthBound);
+  table.gate("  reaching-defs (A.4) growth per doubling", "<= 5x",
+             fmt("%.2fx", lr.reachingGrowth()),
+             lr.reachingGrowth() <= kReachingGrowthBound);
   table.gate("  MHP per Ecf pair identical to reference", "1",
              lr.mhpIdentical(), lr.mhpIdentical());
   for (const LockRegionPoint& p : lr.points)
-    table.note(fmt("  k=%d: parse, MHP query, held-locks solve", p.regions),
+    table.note(fmt("  k=%d: parse, MHP, held-locks, reaching", p.regions),
                "(reported)",
-               fmt("%.3f ms, %.2f ns, %.3f ms", p.parseSeconds * 1e3,
-                   p.mhpNsPerQuery(), p.heldLocksSeconds * 1e3));
+               fmt("%.3f ms, %.2f ns, %.3f ms, %.3f ms", p.parseSeconds * 1e3,
+                   p.mhpNsPerQuery(), p.heldLocksSeconds * 1e3,
+                   p.reachingSeconds * 1e3));
   table.gate("pointer programs: analyze growth per doubling", "<= 5x",
              fmt("%.2fx", ptr.growth()), ptr.withinBounds());
   for (const PointerPoint& p : ptr.points)

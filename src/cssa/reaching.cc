@@ -4,63 +4,16 @@
 
 namespace cssame::cssa {
 
-namespace {
-
-/// SsaPropagator problem: each SSA name carries the set of *real*
-/// definitions (Entry and Assign) that may flow into it. R(d) = {d} for a
-/// real definition; φ and π terms union over their arguments — exactly
-/// the transitive FUD-chain expansion of Algorithm A.4, but solved once
-/// for every name instead of re-walked per use.
-struct RealDefsProblem {
-  using Value = std::vector<SsaNameId>;  ///< sorted, unique
-
-  [[nodiscard]] const char* name() const { return "reaching-defs"; }
-  [[nodiscard]] Value initial(const ssa::Definition& d) const {
-    return {d.name};
-  }
-  [[nodiscard]] Value identity() const { return {}; }
-  void join(Value& into, const Value& arg) const {
-    Value merged;
-    merged.reserve(into.size() + arg.size());
-    std::set_union(into.begin(), into.end(), arg.begin(), arg.end(),
-                   std::back_inserter(merged));
-    into = std::move(merged);
-  }
-};
-
-}  // namespace
-
-ReachingInfo computeParallelReachingDefs(const pfg::Graph& graph,
-                                         const ssa::SsaForm& form) {
-  ReachingInfo info;
-
-  dataflow::SsaPropagator<RealDefsProblem> solver(form, {});
-  const Status status = solver.solve();
-  CSSAME_CHECK(status.ok(), "reaching-defs propagation did not converge");
-  info.stats = solver.stats();
-
-  auto recordUses = [&](const ir::Expr& root) {
-    ir::forEachExpr(root, [&](const ir::Expr& sub) {
-      // Every reading expression with a use-def link: VarRef, Index load,
-      // Deref load. Non-reading kinds (and empty-points-to derefs) have
-      // no entry and are skipped naturally.
-      auto it = form.useDef.find(&sub);
-      if (it == form.useDef.end()) return;
-      const std::vector<SsaNameId>& defs = solver.valueOf(it->second);
-      info.defsOf[&sub] = defs;
-      for (SsaNameId d : defs) info.usesOf[d].push_back(&sub);
-    });
-  };
-
-  for (const pfg::Node& n : graph.nodes()) {
-    for (const ir::Stmt* s : n.stmts) {
-      if (s->expr) recordUses(*s->expr);
-      if (s->lhsAddr) recordUses(*s->lhsAddr);
-    }
-    if (n.terminator != nullptr && n.terminator->expr)
-      recordUses(*n.terminator->expr);
-  }
-  return info;
+std::vector<SsaNameId> reachingDefs(const ssa::SsaForm& form,
+                                    const ir::Expr* use) {
+  std::vector<SsaNameId> defs;
+  auto it = form.useDef.find(use);
+  if (it == form.useDef.end()) return defs;
+  DynBitset visited(form.defs.size());
+  forEachReachingDef(form, it->second, visited,
+                     [&](SsaNameId d) { defs.push_back(d); });
+  std::sort(defs.begin(), defs.end());
+  return defs;
 }
 
 }  // namespace cssame::cssa

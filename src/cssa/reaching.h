@@ -1,47 +1,48 @@
 // Parallel reaching definitions over FUD chains (paper Algorithm A.4).
 //
-// For every use of a variable, follows its factored use-def chain,
-// expanding φ and π terms transitively, down to the *real* definitions
-// (Assign statements and the Entry value). Also produces the inverse
-// def-use links required by the constant propagation and dead code
-// elimination passes.
+// A use's parallel reaching definitions are the *real* definitions
+// (Assign statements and the Entry value) its factored use-def chain
+// reaches through φ arguments and π control and conflict arguments. A
+// query walks that chain; nothing is solved or cached ahead of time.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
-#include "src/dataflow/framework.h"
 #include "src/ssa/ssa.h"
+#include "src/support/bitset.h"
 
 namespace cssame::cssa {
 
-struct ReachingInfo {
-  /// defs(u): real definitions that may reach each VarRef.
-  std::unordered_map<const ir::Expr*, std::vector<SsaNameId>> defsOf;
-  /// uses(d): VarRefs each real definition may reach.
-  std::unordered_map<SsaNameId, std::vector<const ir::Expr*>> usesOf;
-
-  /// Reaching definitions of one use (empty if the use is unknown).
-  [[nodiscard]] const std::vector<SsaNameId>& defs(const ir::Expr* use) const {
-    static const std::vector<SsaNameId> kEmpty;
-    auto it = defsOf.find(use);
-    return it == defsOf.end() ? kEmpty : it->second;
+/// Calls fn(d) for every Entry or Assign definition reachable from `name`
+/// through φ and π arguments, skipping names already set in `visited`
+/// (sized to form.defs) and setting every name it walks. A visited set
+/// shared by several calls reports each real definition at most once in
+/// total, so a caller that only accumulates walks the form in time linear
+/// in its arguments.
+template <typename Fn>
+void forEachReachingDef(const ssa::SsaForm& form, SsaNameId name,
+                        DynBitset& visited, Fn&& fn) {
+  if (visited.test(name.index())) return;
+  visited.set(name.index());
+  std::vector<SsaNameId> stack{name};
+  auto push = [&](SsaNameId arg) {
+    if (visited.test(arg.index())) return;
+    visited.set(arg.index());
+    stack.push_back(arg);
+  };
+  while (!stack.empty()) {
+    const ssa::Definition& d = form.def(stack.back());
+    stack.pop_back();
+    if (d.kind == ssa::DefKind::Entry || d.kind == ssa::DefKind::Assign)
+      fn(d.name);
+    else
+      ssa::forEachArg(d, push);
   }
+}
 
-  /// Uses one real definition may reach (empty if the def reaches none).
-  /// csan joins the lockset of each use against its reaching definitions
-  /// through this inverse view.
-  [[nodiscard]] const std::vector<const ir::Expr*>& uses(SsaNameId def) const {
-    static const std::vector<const ir::Expr*> kEmpty;
-    auto it = usesOf.find(def);
-    return it == usesOf.end() ? kEmpty : it->second;
-  }
-
-  /// Convergence report of the underlying sparse solver.
-  dataflow::SolveStats stats;
-};
-
-[[nodiscard]] ReachingInfo computeParallelReachingDefs(
-    const pfg::Graph& graph, const ssa::SsaForm& form);
+/// The parallel reaching definitions of one reading expression, sorted by
+/// SSA name; empty when the expression has no use-def link.
+[[nodiscard]] std::vector<SsaNameId> reachingDefs(const ssa::SsaForm& form,
+                                                  const ir::Expr* use);
 
 }  // namespace cssame::cssa

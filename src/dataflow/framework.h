@@ -1,34 +1,35 @@
 // Generic dataflow framework over the PFG and the CSSAME form.
 //
-// Three hand-rolled fixpoints used to live in the library — the held-locks
-// may/must sweep (sanalysis), the parallel reaching-definition chase
-// (cssa) and the CSCC propagation engine (opt). They are now instances of
-// the three solver shapes defined here:
+// The library's fixpoints are instances of the three solver shapes
+// defined here:
 //
 //   DenseSolver<P>       a classic forward worklist solver over PFG
 //                        control edges: per-node IN/OUT values, a meet
 //                        over predecessors and a transfer function. P
 //                        picks the lattice (may = union, must =
 //                        intersect, or anything else with a monotone
-//                        meet).
+//                        meet). Held locks and TSO's pending stores.
 //
 //   SsaPropagator<P>     a sparse solver over the SSA names of the
 //                        CSSAME form: each definition carries one lattice
 //                        value, φ/π terms re-join their arguments, and
 //                        changes ripple along the factored def-use edges
-//                        only — no per-node state at all.
+//                        only — no per-node state at all. Points-to.
 //
 //   SparseConditional<D> (sccp.h) the Wegman–Zadeck conditional engine —
 //                        SSA values plus control-edge executability —
 //                        shared by CSCC constant propagation and the
 //                        concurrent value-range analysis.
 //
-// All solvers run under an iteration budget and report structured
-// SolveStats; a blown budget degrades to a Fault (BudgetExceeded) through
-// the existing Expected/Status machinery instead of hanging.
+// A closure over φ/π arguments alone needs no solver: parallel reaching
+// definitions walk the FUD chains (cssa/reaching.h).
+//
+// All solvers run under one iteration budget (kMaxIterations) and report
+// structured SolveStats; a blown budget degrades to a Fault
+// (BudgetExceeded) through the existing Expected/Status machinery instead
+// of hanging.
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -40,18 +41,15 @@
 
 namespace cssame::dataflow {
 
-struct SolverOptions {
-  /// Cap on node (dense) or definition (sparse) re-evaluations. The
-  /// default is generous: real programs converge in a few sweeps, and the
-  /// cap only exists so a non-monotone transfer function cannot hang the
-  /// compiler.
-  std::uint64_t maxIterations = 1u << 22;
-};
+/// Cap on node (dense) or definition (sparse) re-evaluations. It is
+/// generous: real programs converge in a few sweeps, and the cap only
+/// exists so a non-monotone transfer function cannot hang the compiler.
+inline constexpr std::uint64_t kMaxIterations = 1u << 22;
 
 /// Convergence report of one solver run, surfaced through
 /// driver::Compilation::solverStats() and `cssamec --stats`.
 struct SolveStats {
-  std::string analysis;           ///< e.g. "held-locks", "reaching-defs"
+  std::string analysis;           ///< e.g. "held-locks", "points-to"
   std::uint64_t iterations = 0;   ///< node/def re-evaluations performed
   std::uint64_t changes = 0;      ///< evaluations that lowered a value
   bool converged = false;
@@ -79,8 +77,8 @@ class DenseSolver {
  public:
   using Value = typename P::Value;
 
-  DenseSolver(const pfg::Graph& graph, P problem, SolverOptions opts = {})
-      : graph_(graph), problem_(std::move(problem)), opts_(opts) {}
+  DenseSolver(const pfg::Graph& graph, P problem)
+      : graph_(graph), problem_(std::move(problem)) {}
 
   /// Runs to fixpoint. Returns a BudgetExceeded fault if the iteration
   /// cap trips first (the partial result is still readable and sound for
@@ -119,7 +117,7 @@ class DenseSolver {
     }
 
     while (!work.empty()) {
-      if (stats_.iterations >= opts_.maxIterations)
+      if (stats_.iterations >= kMaxIterations)
         return Fault{FaultKind::BudgetExceeded, problem_.name(),
                      "dataflow iteration budget exhausted after " +
                          std::to_string(stats_.iterations) + " iterations",
@@ -151,9 +149,7 @@ class DenseSolver {
   }
 
   [[nodiscard]] const Value& inOf(NodeId n) const { return in_[n.index()]; }
-  [[nodiscard]] const Value& outOf(NodeId n) const { return out_[n.index()]; }
   [[nodiscard]] const SolveStats& stats() const { return stats_; }
-  [[nodiscard]] P& problem() { return problem_; }
 
  private:
   /// Post-order of the control flow reachable from `root`.
@@ -183,7 +179,6 @@ class DenseSolver {
 
   const pfg::Graph& graph_;
   P problem_;
-  SolverOptions opts_;
   std::vector<Value> in_, out_;
   SolveStats stats_;
 };
@@ -192,16 +187,9 @@ class DenseSolver {
 ///
 ///   using Value = ...;                      // with operator==
 ///   const char* name() const;
-///   Value initial(const ssa::Definition& d) const;  // Entry/Assign value
+///   Value initial(const ssa::Definition& d) const;  // Entry value
 ///   Value identity() const;                 // neutral element of join
 ///   void join(Value& into, const Value& arg) const;
-///
-/// φ values join their arguments, π values join their control argument
-/// with every conflict argument — the concurrent merge the CSSAME form
-/// makes explicit. Removed definitions are skipped.
-///
-/// Two *optional* hooks extend the propagation beyond the factored φ/π
-/// edges (existing problems compile unchanged without them):
 ///
 ///   std::vector<SsaNameId> extraDeps(const ssa::Definition& d) const;
 ///     Further definitions `d` reads — typically the use-def links of an
@@ -210,10 +198,14 @@ class DenseSolver {
 ///
 ///   template <typename Get>
 ///   Value evalAssign(const ssa::Definition& d, const Get& get) const;
-///     Transfer function for Assign definitions (Entry still uses
-///     initial). `get(id)` returns the current value of any SSA name
-///     (identity() for names not yet seeded). The points-to client uses
-///     this to evaluate `p = &x; q = p;` chains sparsely.
+///     Transfer function for Assign definitions. `get(id)` returns the
+///     current value of any SSA name (identity() for names not yet
+///     seeded). The points-to client evaluates `p = &x; q = p;` chains
+///     sparsely through it.
+///
+/// φ values join their arguments, π values join their control argument
+/// with every conflict argument — the concurrent merge the CSSAME form
+/// makes explicit. Removed definitions are skipped.
 ///
 /// The def-use edges are built once, by the constructor, into one flat
 /// array; the form must not change afterwards. solve() may run again
@@ -246,19 +238,9 @@ class SsaPropagator {
     const SsaPropagator* solver_;
   };
 
-  static constexpr bool kHasExtraDeps =
-      requires(const P& p, const ssa::Definition& d) {
-        { p.extraDeps(d) } -> std::convertible_to<std::vector<SsaNameId>>;
-      };
-  static constexpr bool kHasEvalAssign =
-      requires(const P& p, const ssa::Definition& d, const Getter& get) {
-        { p.evalAssign(d, get) } -> std::convertible_to<Value>;
-      };
-
-  SsaPropagator(const ssa::SsaForm& form, P problem, SolverOptions opts = {})
+  SsaPropagator(const ssa::SsaForm& form, P problem)
       : form_(form),
         problem_(std::move(problem)),
-        opts_(opts),
         identity_(problem_.identity()) {
     buildUsers();
   }
@@ -276,17 +258,14 @@ class SsaPropagator {
     std::vector<bool> queued(n, false);
     for (const ssa::Definition& d : form_.defs) {
       values_[d.name.index()] = evaluate(d);
-      const bool seeded =
-          d.kind == ssa::DefKind::Phi || d.kind == ssa::DefKind::Pi ||
-          (kHasEvalAssign && d.kind == ssa::DefKind::Assign);
-      if (!d.removed && seeded) {
+      if (!d.removed && d.kind != ssa::DefKind::Entry) {
         work.push_back(d.name);
         queued[d.name.index()] = true;
       }
     }
 
     while (!work.empty()) {
-      if (stats_.iterations >= opts_.maxIterations)
+      if (stats_.iterations >= kMaxIterations)
         return Fault{FaultKind::BudgetExceeded, problem_.name(),
                      "ssa propagation budget exhausted after " +
                          std::to_string(stats_.iterations) + " iterations",
@@ -329,13 +308,11 @@ class SsaPropagator {
     std::vector<std::pair<std::uint32_t, SsaNameId>> edges;
     for (const ssa::Definition& d : form_.defs) {
       if (d.removed) continue;
-      forEachArg(d,
-                 [&](SsaNameId a) { edges.emplace_back(a.index(), d.name); });
-      if constexpr (kHasExtraDeps) {
-        for (SsaNameId dep : problem_.extraDeps(d))
-          if (dep.valid() && dep.index() < n)
-            edges.emplace_back(dep.index(), d.name);
-      }
+      ssa::forEachArg(
+          d, [&](SsaNameId a) { edges.emplace_back(a.index(), d.name); });
+      for (SsaNameId dep : problem_.extraDeps(d))
+        if (dep.valid() && dep.index() < n)
+          edges.emplace_back(dep.index(), d.name);
     }
     userBegin_.assign(n + 1, 0);
     for (const auto& [from, user] : edges) ++userBegin_[from + 1];
@@ -345,31 +322,17 @@ class SsaPropagator {
     for (const auto& [from, user] : edges) users_[next[from]++] = user;
   }
 
-  /// Calls fn for every φ argument, or a π's control argument and then
-  /// each conflict argument.
-  template <typename Fn>
-  static void forEachArg(const ssa::Definition& d, Fn&& fn) {
-    if (d.kind == ssa::DefKind::Phi) {
-      for (const ssa::PhiArg& a : d.phiArgs) fn(a.def);
-    } else if (d.kind == ssa::DefKind::Pi) {
-      fn(d.piControlArg);
-      for (const ssa::PiConflictArg& a : d.piConflictArgs) fn(a.def);
-    }
-  }
-
   [[nodiscard]] Value evaluate(const ssa::Definition& d) const {
     switch (d.kind) {
       case ssa::DefKind::Assign:
-        if constexpr (kHasEvalAssign)
-          return problem_.evalAssign(d, Getter(*this));
-        [[fallthrough]];
+        return problem_.evalAssign(d, Getter(*this));
       case ssa::DefKind::Entry:
         return problem_.initial(d);
       case ssa::DefKind::Phi:
       case ssa::DefKind::Pi: {
         Value v = identity_;
-        forEachArg(d,
-                   [&](SsaNameId a) { problem_.join(v, values_[a.index()]); });
+        ssa::forEachArg(
+            d, [&](SsaNameId a) { problem_.join(v, values_[a.index()]); });
         return v;
       }
     }
@@ -385,7 +348,7 @@ class SsaPropagator {
     const bool term = d.kind == ssa::DefKind::Phi || d.kind == ssa::DefKind::Pi;
     if (!term || last == 0) return evaluate(d);
     Value v = values_[d.name.index()];
-    forEachArg(d, [&](SsaNameId a) {
+    ssa::forEachArg(d, [&](SsaNameId a) {
       if (changedAt_[a.index()] > last) problem_.join(v, values_[a.index()]);
     });
     return v;
@@ -393,7 +356,6 @@ class SsaPropagator {
 
   const ssa::SsaForm& form_;
   P problem_;
-  SolverOptions opts_;
   Value identity_;
   std::vector<std::uint32_t> userBegin_;
   std::vector<SsaNameId> users_;

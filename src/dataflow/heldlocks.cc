@@ -2,9 +2,8 @@
 
 namespace cssame::dataflow {
 
-HeldLocks::HeldLocks(const pfg::Graph& graph, SolverOptions opts)
-    : graph_(graph),
-      solver_(graph, Problem{graph.program().symbols.size()}, opts) {
+HeldLocks::HeldLocks(const pfg::Graph& graph)
+    : graph_(graph), solver_(graph, Problem{graph.program().symbols.size()}) {
   // The lock lattice is finite and the transfer function monotone, so
   // the budget can only trip on absurd caps; treat that as an internal
   // error rather than a recoverable state (callers hold locksets, not

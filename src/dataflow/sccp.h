@@ -53,8 +53,8 @@ class SparseConditional {
   using Value = typename D::Value;
 
   SparseConditional(const pfg::Graph& graph, const ssa::SsaForm& form,
-                    D domain, SolverOptions opts = {})
-      : graph_(graph), form_(form), domain_(std::move(domain)), opts_(opts) {}
+                    D domain)
+      : graph_(graph), form_(form), domain_(std::move(domain)) {}
 
   Status solve() {
     stats_ = SolveStats{domain_.name(), 0, 0, false};
@@ -78,7 +78,7 @@ class SparseConditional {
       flowWork_.push_back({graph_.entry, i});
 
     while (!flowWork_.empty() || !ssaWork_.empty()) {
-      if (stats_.iterations >= opts_.maxIterations)
+      if (stats_.iterations >= kMaxIterations)
         return Fault{FaultKind::BudgetExceeded, domain_.name(),
                      "sccp iteration budget exhausted after " +
                          std::to_string(stats_.iterations) + " iterations",
@@ -106,11 +106,7 @@ class SparseConditional {
   [[nodiscard]] bool nodeExecutable(NodeId n) const {
     return nodeExec_[n.index()];
   }
-  [[nodiscard]] bool edgeExecutable(NodeId from, std::size_t succIdx) const {
-    return edgeExec_[from.index()][succIdx];
-  }
   [[nodiscard]] const SolveStats& stats() const { return stats_; }
-  [[nodiscard]] const D& domain() const { return domain_; }
 
   /// Evaluates an expression in the current lattice environment (VarRefs
   /// read their use-def values). Callers use this post-fixpoint to grade
@@ -294,7 +290,6 @@ class SparseConditional {
   const pfg::Graph& graph_;
   const ssa::SsaForm& form_;
   D domain_;
-  SolverOptions opts_;
 
   std::vector<Value> lattice_;
   std::vector<std::uint32_t> growths_;

@@ -14,7 +14,6 @@
 #include "src/analysis/concurrency.h"
 #include "src/analysis/dominance.h"
 #include "src/cssa/cssa.h"
-#include "src/cssa/reaching.h"
 #include "src/cssa/rewrite.h"
 #include "src/dataflow/heldlocks.h"
 #include "src/mutex/mutex_structures.h"
@@ -63,7 +62,6 @@ class Compilation {
         piStats_(other.piStats_),
         rewriteStats_(other.rewriteStats_),
         heldLocks_(std::move(other.heldLocks_)),
-        reaching_(std::move(other.reaching_)),
         phaseTimes_(std::move(other.phaseTimes_)),
         diag_(std::move(other.diag_)) {}
   Compilation& operator=(Compilation&&) = delete;
@@ -125,28 +123,13 @@ class Compilation {
     return *heldLocks_;
   }
 
-  /// Concurrent reaching definitions (Algorithm A.4 expansion of φ/π to
-  /// real definitions), computed on first use and cached. Thread-safe
-  /// like heldLocks().
-  [[nodiscard]] const cssa::ReachingInfo& reaching() const {
-    std::lock_guard<std::mutex> lock(lazyMutex_);
-    if (!reaching_) {
-      support::Stopwatch watch;
-      reaching_ = std::make_unique<cssa::ReachingInfo>(
-          cssa::computeParallelReachingDefs(*graph_, *ssa_));
-      phaseTimes_.push_back(support::PhaseTime{"reaching", watch.seconds()});
-    }
-    return *reaching_;
-  }
-
-  /// Iteration counts of the cached dataflow solves that have run so far
-  /// (empty entries for analyses not yet requested) — surfaced by the
-  /// driver's --stats output next to the lock statistics.
+  /// Iteration counts of the cached dataflow solve, once it has run
+  /// (empty before) — surfaced by the driver's --stats output next to the
+  /// lock statistics.
   [[nodiscard]] std::vector<dataflow::SolveStats> solverStats() const {
     std::lock_guard<std::mutex> lock(lazyMutex_);
     std::vector<dataflow::SolveStats> out;
     if (heldLocks_) out.push_back(heldLocks_->stats());
-    if (reaching_) out.push_back(reaching_->stats);
     return out;
   }
 
@@ -154,10 +137,9 @@ class Compilation {
   /// constructor's fixed chain (pfg, dom, pdom, mhp, sites, conflicts,
   /// mutex, ssa, cssa-pi, cssame-rewrite; pointer programs add pointsto
   /// and sites-refined, and their conflicts, cssa-pi and cssame-rewrite
-  /// build the conservative form described at pointsTo()) plus an entry
-  /// for each lazy solve (heldlocks, reaching) appended when it first
-  /// runs. `cssamec
-  /// --stats` prints this table. Returns a snapshot by value: a lazy
+  /// build the conservative form described at pointsTo()) plus a
+  /// heldlocks entry appended when the lazy solve first runs. `cssamec
+  /// --stats` prints this table. Returns a snapshot by value: the lazy
   /// solve on another thread may append concurrently, and handing out a
   /// reference would let the reader race the push_back.
   [[nodiscard]] std::vector<support::PhaseTime> phaseTimes() const {
@@ -185,15 +167,14 @@ class Compilation {
   std::unique_ptr<sanalysis::PointsToResult> pointsTo_;
   cssa::PiPlacementStats piStats_;
   cssa::RewriteStats rewriteStats_;
-  /// Lazily computed analysis caches (mutable: computing them on demand
+  /// Lazily computed analysis cache (mutable: computing it on demand
   /// does not change the observable compilation). Guarded by lazyMutex_:
   /// the analysis service calls the accessors from concurrent requests
   /// sharing one Compilation, so unsynchronized lazy init would be a
   /// data race (tests/driver_concurrent_test.cc is the tsan regression).
   mutable std::mutex lazyMutex_;
   mutable std::unique_ptr<dataflow::HeldLocks> heldLocks_;
-  mutable std::unique_ptr<cssa::ReachingInfo> reaching_;
-  /// Phase timing table (guarded by lazyMutex_: lazy solves append).
+  /// Phase timing table (guarded by lazyMutex_: the lazy solve appends).
   mutable std::vector<support::PhaseTime> phaseTimes_;
   DiagEngine diag_;
 };

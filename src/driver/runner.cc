@@ -276,9 +276,8 @@ bool renderCompiled(const ir::Program& prog, const Compilation& c,
             "(%.0f%%)\n",
             cs.totalInterior, cs.totalIndependent,
             100.0 * cs.independentFraction());
-    // Force the lazy dataflow caches so the stats are deterministic.
+    // Force the lazy dataflow cache so the stats are deterministic.
     (void)c.heldLocks();
-    (void)c.reaching();
     for (const dataflow::SolveStats& s : c.solverStats())
       appendf(out, "solver:            %s\n", s.str().c_str());
     for (const support::PhaseTime& p : c.phaseTimes())

@@ -1,5 +1,9 @@
 #include "src/opt/optimize.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "src/cssa/reaching.h"
 #include "src/ir/verify.h"
 #include "src/support/faultinject.h"
@@ -130,18 +134,36 @@ class CheckedOptimizer {
       }
       // CSSAME only ever *removes* π reaching paths that mutual exclusion
       // proves dead, so for every use the CSSAME reaching-definition set
-      // must stay within the CSSA set (paper Theorem 2).
-      const cssa::ReachingInfo& rPlain = plain.reaching();
-      const cssa::ReachingInfo& rFull = full.reaching();
-      for (const auto& [use, defs] : rFull.defsOf) {
-        if (defs.size() > rPlain.defs(use).size()) {
-          fail(FaultKind::VerifyError, pass,
-               "CSSAME reaching-definition set exceeds the CSSA set after "
-               "pass (" +
-                   std::to_string(defs.size()) + " > " +
-                   std::to_string(rPlain.defs(use).size()) + ")");
-          return;
+      // must stay within the CSSA set (paper Theorem 2). Both forms read
+      // one IR, so a real definition is named by its Assign statement, or
+      // by its variable's CSSA class for the Entry value.
+      const ir::AliasClasses& classes = plain.graph().aliases;
+      auto realDefs = [&](const driver::Compilation& c, const ir::Expr& use) {
+        std::vector<std::pair<const ir::Stmt*, SymbolId>> out;
+        for (SsaNameId d : cssa::reachingDefs(c.ssa(), &use)) {
+          const ssa::Definition& def = c.ssa().def(d);
+          out.emplace_back(def.stmt,
+                           def.stmt ? SymbolId{} : classes.repOf(def.var));
         }
+        std::sort(out.begin(), out.end());
+        return out;
+      };
+      const ir::Expr* outside = nullptr;
+      ir::forEachStmt(prog_.body, [&](const ir::Stmt& s) {
+        ir::forEachStmtExpr(s, [&](const ir::Expr& root) {
+          ir::forEachExpr(root, [&](const ir::Expr& use) {
+            const auto sub = realDefs(full, use), sup = realDefs(plain, use);
+            if (!outside &&
+                !std::includes(sup.begin(), sup.end(), sub.begin(), sub.end()))
+              outside = &use;
+          });
+        });
+      });
+      if (outside != nullptr) {
+        fail(FaultKind::VerifyError, pass,
+             "CSSAME reaching-definition set of the use at " +
+                 outside->loc.str() + " is not within its CSSA set after pass");
+        return;
       }
     } catch (const InvariantError& e) {
       fail(FaultKind::InvariantViolation, pass, e.what());

@@ -12,7 +12,7 @@ namespace {
 class Pdce {
  public:
   explicit Pdce(driver::Compilation& comp)
-      : comp_(comp), graph_(comp.graph()), reach_(comp.reaching()) {}
+      : comp_(comp), graph_(comp.graph()), walked_(comp.ssa().defs.size()) {}
 
   DceStats run() {
     seed();
@@ -62,16 +62,21 @@ class Pdce {
       work_.pop_front();
 
       // Condition 2: definitions reaching this statement's uses are live.
-      // Algorithm A.4 already expanded φ and π terms to real definitions.
-      // Every reading expression — VarRef, Index, Deref — has a reaching
-      // set; so do the uses inside a store's address (`i` in `a[i] = e`),
-      // which keep index/pointer computations alive.
+      // Algorithm A.4 walks φ and π terms down to real definitions. Every
+      // reading expression — VarRef, Index, Deref — has a use-def link;
+      // so do the uses inside a store's address (`i` in `a[i] = e`),
+      // which keep index/pointer computations alive. Liveness only
+      // grows, so a name walked for an earlier use needs no second walk.
+      const ssa::SsaForm& form = comp_.ssa();
       auto markReaching = [&](const ir::Expr& root) {
         ir::forEachExpr(root, [&](const ir::Expr& e) {
-          for (SsaNameId d : reach_.defs(&e)) {
-            const ssa::Definition& def = comp_.ssa().def(d);
-            if (def.kind == ssa::DefKind::Assign) markLive(def.stmt);
-          }
+          auto it = form.useDef.find(&e);
+          if (it == form.useDef.end()) return;
+          cssa::forEachReachingDef(
+              form, it->second, walked_, [&](SsaNameId d) {
+                const ssa::Definition& def = form.def(d);
+                if (def.kind == ssa::DefKind::Assign) markLive(def.stmt);
+              });
         });
       };
       if (s->expr) markReaching(*s->expr);
@@ -158,7 +163,7 @@ class Pdce {
 
   driver::Compilation& comp_;
   pfg::Graph& graph_;
-  const cssa::ReachingInfo& reach_;
+  DynBitset walked_;  ///< SSA names Algorithm A.4 has walked so far
   std::unordered_set<const ir::Stmt*> live_;
   std::deque<const ir::Stmt*> work_;
 };

@@ -430,27 +430,31 @@ struct PointsToProblem {
   }
 };
 
-/// SsaPropagator problem of the conservative round: does some Assign
-/// definition reach a name through its φ/π arguments?
-struct AssignReachProblem {
-  using Value = std::uint8_t;
-
-  [[nodiscard]] const char* name() const { return "assignment-reach"; }
-  [[nodiscard]] Value identity() const { return 0; }
-  [[nodiscard]] Value initial(const ssa::Definition& d) const {
-    return d.kind == ssa::DefKind::Assign ? 1 : 0;
-  }
-  void join(Value& into, const Value& arg) const { into |= arg; }
-};
-
-/// One flag per SSA name: 1 when some assignment reaches it.
+/// One flag per SSA name of the conservative round: 1 when some Assign
+/// definition reaches it through φ/π arguments. One forward pass from the
+/// Assign definitions over the terms reading each name; a backward walk
+/// per name would be quadratic on the conservative form, where every
+/// variable shares one class.
 std::vector<std::uint8_t> assignmentsReaching(const ssa::SsaForm& form) {
-  dataflow::SsaPropagator<AssignReachProblem> solver(form, {});
-  const Status status = solver.solve();
-  CSSAME_CHECK(status.ok(), "assignment reach did not converge");
-  std::vector<std::uint8_t> reached(form.defs.size());
+  std::vector<std::vector<SsaNameId>> readers(form.defs.size());
   for (const ssa::Definition& d : form.defs)
-    reached[d.name.index()] = solver.valueOf(d.name);
+    if (!d.removed)
+      ssa::forEachArg(
+          d, [&](SsaNameId a) { readers[a.index()].push_back(d.name); });
+  std::vector<std::uint8_t> reached(form.defs.size(), 0);
+  std::vector<SsaNameId> work;
+  auto reach = [&](SsaNameId n) {
+    if (reached[n.index()] != 0) return;
+    reached[n.index()] = 1;
+    work.push_back(n);
+  };
+  for (const ssa::Definition& d : form.defs)
+    if (d.kind == ssa::DefKind::Assign) reach(d.name);
+  while (!work.empty()) {
+    const SsaNameId a = work.back();
+    work.pop_back();
+    for (SsaNameId t : readers[a.index()]) reach(t);
+  }
   return reached;
 }
 

@@ -75,6 +75,18 @@ struct Definition {
   std::vector<PiConflictArg> piConflictArgs;
 };
 
+/// Calls fn for every φ argument of `d`, or for a π's control argument
+/// and then each conflict argument; real definitions have none.
+template <typename Fn>
+void forEachArg(const Definition& d, Fn&& fn) {
+  if (d.kind == DefKind::Phi) {
+    for (const PhiArg& a : d.phiArgs) fn(a.def);
+  } else if (d.kind == DefKind::Pi) {
+    fn(d.piControlArg);
+    for (const PiConflictArg& a : d.piConflictArgs) fn(a.def);
+  }
+}
+
 class SsaForm {
  public:
   std::vector<Definition> defs;

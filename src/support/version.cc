@@ -7,9 +7,10 @@ namespace cssame::support {
 const char* versionString() { return "0.5.0"; }
 
 const std::string& buildFingerprint() {
-  // __DATE__/__TIME__ expand when this translation unit is compiled, so
-  // any rebuild that relinks version.cc gets a fresh fingerprint; a
-  // binary's own fingerprint never changes between runs.
+  // __DATE__/__TIME__ expand when this translation unit is compiled, and
+  // src/CMakeLists.txt recompiles it whenever any library file changes,
+  // so such a rebuild gets a fresh fingerprint; a binary's own
+  // fingerprint never changes between runs.
   static const std::string fp = [] {
     Fingerprinter f;
     f.mixBytes(versionString());

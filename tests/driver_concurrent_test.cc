@@ -1,15 +1,15 @@
 // Concurrency regression for driver::Compilation's lazily-computed
-// analysis caches.
+// analysis cache.
 //
 // The analysis service shares one Compilation between concurrent
-// requests: a csan request and a vrange request for the same source hit
-// the same cached artifact and both force heldLocks()/reaching() on
-// first use. Before lazyMutex_ those accessors were check-then-build on
-// plain unique_ptrs — two threads would race the build and one would use
-// a half-constructed solver. This test drives every lazy accessor from
-// many threads at once; run under ThreadSanitizer (the `tsan` CI job) it
-// is the regression proof, and under the plain build it still checks
-// that all threads observe one consistent solve.
+// requests: two csan requests for the same source hit the same cached
+// artifact and both force heldLocks() on first use. Before lazyMutex_
+// that accessor was check-then-build on a plain unique_ptr — two threads
+// would race the build and one would use a half-constructed solver. This
+// test drives every lazy accessor from many threads at once; run under
+// ThreadSanitizer (the `tsan` CI job) it is the regression proof, and
+// under the plain build it still checks that all threads observe one
+// consistent solve.
 //
 // The same sharing applies to the immutable analyses every request reads:
 // cssamed with several workers answers MHP queries and runs csan on one
@@ -50,16 +50,14 @@ TEST(DriverConcurrent, LazyAccessorsAreThreadSafe) {
   constexpr unsigned kThreads = 8;
   constexpr unsigned kRounds = 25;
   std::vector<std::size_t> heldSizes(kThreads, 0);
-  std::vector<std::size_t> reachingStats(kThreads, 0);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c, &heldSizes, &reachingStats, t] {
+    threads.emplace_back([&c, &heldSizes, t] {
       for (unsigned round = 0; round < kRounds; ++round) {
-        // The two lazy solves plus every accessor that reads the shared
-        // lazy state, interleaved with the always-ready structures.
+        // The lazy solve plus every accessor that reads the shared lazy
+        // state, interleaved with the always-ready structures.
         heldSizes[t] = c.heldLocks().stats().iterations;
-        reachingStats[t] = c.reaching().stats.iterations;
         (void)c.solverStats();
         (void)c.phaseTimes();
         (void)c.sites();
@@ -70,18 +68,14 @@ TEST(DriverConcurrent, LazyAccessorsAreThreadSafe) {
   for (std::thread& th : threads) th.join();
 
   // Exactly one solve happened: every thread saw the same iteration
-  // counts, and the phase table gained exactly the two lazy entries.
-  for (unsigned t = 1; t < kThreads; ++t) {
+  // count, and the phase table gained exactly the one lazy entry.
+  for (unsigned t = 1; t < kThreads; ++t)
     EXPECT_EQ(heldSizes[t], heldSizes[0]);
-    EXPECT_EQ(reachingStats[t], reachingStats[0]);
-  }
   std::size_t lazyPhases = 0;
   for (const support::PhaseTime& p : c.phaseTimes())
-    if (p.name == std::string("heldlocks") ||
-        p.name == std::string("reaching"))
-      ++lazyPhases;
-  EXPECT_EQ(lazyPhases, 2u);
-  EXPECT_EQ(c.solverStats().size(), 2u);
+    if (p.name == std::string("heldlocks")) ++lazyPhases;
+  EXPECT_EQ(lazyPhases, 1u);
+  EXPECT_EQ(c.solverStats().size(), 1u);
 }
 
 TEST(DriverConcurrent, PhaseTimesSnapshotIsStable) {
@@ -89,7 +83,7 @@ TEST(DriverConcurrent, PhaseTimesSnapshotIsStable) {
   const driver::Compilation c = driver::analyze(prog);
 
   // One thread repeatedly snapshots the phase table while another forces
-  // the lazy solves that append to it. The snapshot-by-value contract
+  // the lazy solve that appends to it. The snapshot-by-value contract
   // means the reader's vector never changes under it.
   std::thread reader([&c] {
     for (int i = 0; i < 200; ++i) {
@@ -98,10 +92,7 @@ TEST(DriverConcurrent, PhaseTimesSnapshotIsStable) {
       for (const support::PhaseTime& p : snap) EXPECT_FALSE(p.name.empty());
     }
   });
-  std::thread forcer([&c] {
-    (void)c.heldLocks();
-    (void)c.reaching();
-  });
+  std::thread forcer([&c] { (void)c.heldLocks(); });
   reader.join();
   forcer.join();
   EXPECT_GE(c.phaseTimes().size(), 2u);

@@ -124,8 +124,6 @@ TEST(Figure1, LockKillsCrossThreadDefForSecondUse) {
   // after `a = 3`) is not upward-exposed, so T0's definition of `a` cannot
   // reach it: its only reaching definition is `a = 3`.
   driver::Compilation c = driver::analyze(prog);
-  cssa::ReachingInfo reach =
-      cssa::computeParallelReachingDefs(c.graph(), c.ssa());
 
   const ir::SymbolTable& syms = c.program().symbols;
   const SymbolId a = syms.lookup("a");
@@ -143,7 +141,7 @@ TEST(Figure1, LockKillsCrossThreadDefForSecondUse) {
   ASSERT_NE(gUse, nullptr);
   ASSERT_EQ(gUse->var, a);
 
-  const auto& defs = reach.defs(gUse);
+  const std::vector<SsaNameId> defs = cssa::reachingDefs(c.ssa(), gUse);
   ASSERT_EQ(defs.size(), 1u);
   const ssa::Definition& d = c.ssa().def(defs.front());
   ASSERT_EQ(d.kind, ssa::DefKind::Assign);
@@ -153,8 +151,6 @@ TEST(Figure1, LockKillsCrossThreadDefForSecondUse) {
   // Under plain CSSA the same use sees both `a = 3` and T0's `a = a + b`.
   ir::Program prog2 = parser::parseOrDie(kFigure1);
   driver::Compilation c2 = driver::analyze(prog2, {.enableCssame = false});
-  cssa::ReachingInfo reach2 =
-      cssa::computeParallelReachingDefs(c2.graph(), c2.ssa());
   const ir::Expr* gUse2 = nullptr;
   ir::forEachStmt(c2.program().body, [&](const ir::Stmt& s) {
     if (s.kind != ir::StmtKind::Assign || !s.expr) return;
@@ -165,7 +161,7 @@ TEST(Figure1, LockKillsCrossThreadDefForSecondUse) {
     });
   });
   ASSERT_NE(gUse2, nullptr);
-  EXPECT_EQ(reach2.defs(gUse2).size(), 2u);
+  EXPECT_EQ(cssa::reachingDefs(c2.ssa(), gUse2).size(), 2u);
 }
 
 }  // namespace

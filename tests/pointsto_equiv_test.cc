@@ -7,10 +7,12 @@
 // edges for the conservative form. dataflow::SsaPropagator builds its
 // def-use edges once and re-joins only the arguments that changed, and
 // solvePointsTo runs on flat per-symbol state. All of it promises exactly
-// the results of the code as first written. This test holds it to that:
-// a verbatim transcription of the original SsaPropagator, solvePointsTo,
-// computeParallelReachingDefs and pointer phase of Compilation's
-// constructor serves as the reference, and the alias_* gallery, the
+// the results of the code as first written, and parallel reaching
+// definitions walk the FUD chains instead of solving a fixpoint. This test
+// holds it to that: a verbatim transcription of the original
+// SsaPropagator, solvePointsTo, computeParallelReachingDefs and pointer
+// phase of Compilation's constructor serves as the reference, and the
+// alias_* gallery, the
 // pointsto_test shapes, the bench_alias corpus, >= 400 generated programs
 // (pointers, arrays, events, fences and locks varied, up to 4 threads x 48
 // statements), programs with a wild (⊤) store, hand-written programs whose
@@ -23,13 +25,16 @@
 //   * locPts, loadPts, storePts and every PointsToStats field,
 //   * the final Ecf/Emutex/Edsync edges, piStats, rewriteStats and the
 //     rendered CSSAME form,
-//   * reaching definitions (defsOf, usesOf, SolveStats) on the final
-//     form — here and on scalar and lock-region programs.
+//   * the reaching definitions of every use (cssa::reachingDefs against
+//     the reference's defsOf) on the final form — here and on scalar and
+//     lock-region programs.
 //
 // Programs with more symbols than a DynBitset keeps inline cover the
 // solver's heap-backed values.
 #include <gtest/gtest.h>
 
+#include <concepts>
+#include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
@@ -38,6 +43,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/analysis/concurrency.h"
@@ -68,8 +74,12 @@ namespace {
 // ---------------------------------------------------------------------------
 namespace ref {
 
-using dataflow::SolverOptions;
 using dataflow::SolveStats;
+
+/// The library's solver options when this reference was written.
+struct SolverOptions {
+  std::uint64_t maxIterations = 1u << 22;
+};
 using sanalysis::PointsToResult;
 using sanalysis::PtSet;
 
@@ -465,9 +475,17 @@ struct RealDefsProblem {
   }
 };
 
-cssa::ReachingInfo computeParallelReachingDefs(const pfg::Graph& graph,
+/// The tables of the solve: defs(u) per VarRef, uses(d) per real
+/// definition, and the solver's convergence report.
+struct ReachingInfo {
+  std::unordered_map<const ir::Expr*, std::vector<SsaNameId>> defsOf;
+  std::unordered_map<SsaNameId, std::vector<const ir::Expr*>> usesOf;
+  dataflow::SolveStats stats;
+};
+
+ReachingInfo computeParallelReachingDefs(const pfg::Graph& graph,
                                          const ssa::SsaForm& form) {
-  cssa::ReachingInfo info;
+  ReachingInfo info;
 
   SsaPropagator<RealDefsProblem> solver(form, {});
   const Status status = solver.solve();
@@ -720,16 +738,17 @@ std::string renderEdges(const pfg::Graph& graph, const ir::Program& prog) {
   return out;
 }
 
-/// Reaching definitions of the production solver against the reference
-/// on one form.
-void expectSameReaching(const pfg::Graph& graph, const ssa::SsaForm& form,
-                        const std::string& what) {
-  const cssa::ReachingInfo got = cssa::computeParallelReachingDefs(graph, form);
-  const cssa::ReachingInfo want = ref::computeParallelReachingDefs(graph, form);
-  EXPECT_TRUE(got.defsOf == want.defsOf) << "reaching defsOf: " << what;
-  EXPECT_TRUE(got.usesOf == want.usesOf) << "reaching usesOf: " << what;
-  EXPECT_EQ(got.stats.str(), want.stats.str())
-      << "reaching stats: " << what;
+/// The walk's reaching definitions of every use of `form` against the
+/// reference's, solved on `graph` and `refForm` (the same form, or one
+/// printing identically).
+void expectSameReaching(const ssa::SsaForm& form, const pfg::Graph& graph,
+                        const ssa::SsaForm& refForm, const std::string& what) {
+  const ref::ReachingInfo want =
+      ref::computeParallelReachingDefs(graph, refForm);
+  EXPECT_EQ(form.useDef.size(), want.defsOf.size()) << "uses: " << what;
+  for (const auto& [use, defs] : want.defsOf)
+    EXPECT_TRUE(cssa::reachingDefs(form, use) == defs)
+        << "reaching defs at " << use->loc.str() << ": " << what;
 }
 
 /// What the new first round did on one program.
@@ -827,14 +846,10 @@ void checkOnce(ir::Program& prog, bool enableCssame, const std::string& what,
             cssa::printForm(*want.graph_, *want.ssa_))
       << "form: " << tag;
 
-  // The production solver against the reference on the same form, and
-  // the cached compilation entry point.
-  expectSameReaching(got.graph(), got.ssa(), tag);
-  const cssa::ReachingInfo wantReach =
-      ref::computeParallelReachingDefs(*want.graph_, *want.ssa_);
-  EXPECT_TRUE(got.reaching().defsOf == wantReach.defsOf) << tag;
-  EXPECT_EQ(got.reaching().stats.str(), wantReach.stats.str())
-      << tag;
+  // The walk against the reference, solved on the same form and on the
+  // reference pipeline's own.
+  expectSameReaching(got.ssa(), got.graph(), got.ssa(), tag);
+  expectSameReaching(got.ssa(), *want.graph_, *want.ssa_, tag);
 }
 
 void checkProgram(ir::Program prog, const std::string& what, Coverage& cov) {
@@ -1104,7 +1119,7 @@ TEST(PointsToEquivalence, ReachingDefinitionsOnScalarAndLockRegionPrograms) {
   auto check = [&](ir::Program prog, const std::string& what) {
     driver::Compilation c = driver::analyze(prog, {.warnings = false});
     EXPECT_EQ(c.pointsTo(), nullptr) << what;
-    expectSameReaching(c.graph(), c.ssa(), what);
+    expectSameReaching(c.ssa(), c.graph(), c.ssa(), what);
     ++checked;
   };
   check(parser::parseOrDie(workload::figure1Source()), "figure1");

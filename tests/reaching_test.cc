@@ -1,5 +1,5 @@
 // Unit tests for parallel reaching definitions (Algorithm A.4): FUD chain
-// traversal through φ and π terms, cycle handling, and def-use links.
+// traversal through φ and π terms, cycle handling, and one set per use.
 #include <gtest/gtest.h>
 
 #include "src/cssa/reaching.h"
@@ -12,13 +12,11 @@ namespace {
 struct Fixture {
   ir::Program prog;
   driver::Compilation comp;
-  ReachingInfo reach;
 
   explicit Fixture(const char* src, bool cssame = true)
       : prog(parser::parseOrDie(src)),
         comp(driver::analyze(prog,
-                             {.enableCssame = cssame, .warnings = false})),
-        reach(computeParallelReachingDefs(comp.graph(), comp.ssa())) {}
+                             {.enableCssame = cssame, .warnings = false})) {}
 
   /// First VarRef of `var` inside the statement tagged by constant `tag`.
   const ir::Expr* useIn(long long tag, const std::string& var) {
@@ -42,7 +40,7 @@ struct Fixture {
 
   std::vector<long long> reachingConstants(const ir::Expr* use) {
     std::vector<long long> vals;
-    for (SsaNameId d : reach.defs(use)) {
+    for (SsaNameId d : reachingDefs(comp.ssa(), use)) {
       const ssa::Definition& def = comp.ssa().def(d);
       if (def.kind == ssa::DefKind::Assign &&
           def.stmt->expr->kind == ir::ExprKind::IntConst)
@@ -117,34 +115,21 @@ TEST(Reaching, CssameReducesReachingSet) {
   EXPECT_EQ(plain.reachingConstants(u2), (std::vector<long long>{1, 2}));
 }
 
-TEST(Reaching, DefUseLinksAreInverse) {
-  Fixture f(R"(
-    int a, b, c;
-    a = 1;
-    if (c > 0) { a = 2; }
-    b = a + 100;
-    c = a + 200;
-  )");
-  for (const auto& [use, defs] : f.reach.defsOf) {
-    for (SsaNameId d : defs) {
-      const auto& uses = f.reach.usesOf.at(d);
-      EXPECT_NE(std::find(uses.begin(), uses.end(), use), uses.end());
-    }
-  }
-}
-
 TEST(Reaching, MultipleUsesInOneStatement) {
   Fixture f("int a, b; a = 1; b = a + a + 100;");
-  // Each VarRef gets its own entry.
+  // Each VarRef gets its own set.
   std::size_t usesOfA = 0;
-  for (const auto& [use, defs] : f.reach.defsOf)
-    if (f.prog.symbols.nameOf(use->var) == "a") ++usesOfA;
+  for (const auto& [use, name] : f.comp.ssa().useDef)
+    if (f.prog.symbols.nameOf(use->var) == "a") {
+      EXPECT_EQ(f.reachingConstants(use), (std::vector<long long>{1}));
+      ++usesOfA;
+    }
   EXPECT_EQ(usesOfA, 2u);
 }
 
 TEST(Reaching, SelfReferenceInLoop) {
   // i = i + 1 inside the loop: the rhs use reaches both the init and the
-  // loop's own def — the marked() memoization must stop the cycle.
+  // loop's own def — the walk's visited set must stop the cycle.
   Fixture f(R"(
     int i;
     i = 0;
@@ -152,8 +137,8 @@ TEST(Reaching, SelfReferenceInLoop) {
   )");
   const ir::Expr* u = f.useIn(100, "i");
   ASSERT_NE(u, nullptr);
-  const auto& defs = f.reach.defs(u);
-  EXPECT_EQ(defs.size(), 2u);  // i = 0 and i = i + 100
+  // i = 0 and i = i + 100
+  EXPECT_EQ(reachingDefs(f.comp.ssa(), u).size(), 2u);
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 // CSSAME reaching-definition set is a subset of the CSSA set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
-#include <map>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "src/cssa/reaching.h"
 #include "src/driver/pipeline.h"
@@ -107,42 +109,49 @@ TEST(Robustness, PipelineOnEveryGeneratorShape) {
 }
 
 TEST(Consistency, CssameReachingSetsAreSubsets) {
+  // The two programs are structurally identical clones, so both name a
+  // real definition by its Assign statement's id, or by its variable for
+  // the Entry value, and list their uses in the same program order.
+  using RealDef = std::pair<StmtId, SymbolId>;
+  auto useSets = [](const ir::Program& prog, const driver::Compilation& comp) {
+    std::vector<std::pair<StmtId, std::vector<RealDef>>> sets;
+    ir::forEachStmt(prog.body, [&](const ir::Stmt& s) {
+      ir::forEachStmtExpr(s, [&](const ir::Expr& root) {
+        ir::forEachExpr(root, [&](const ir::Expr& e) {
+          std::vector<RealDef> defs;
+          for (SsaNameId d : cssa::reachingDefs(comp.ssa(), &e)) {
+            const ssa::Definition& def = comp.ssa().def(d);
+            defs.emplace_back(def.stmt ? def.stmt->id : StmtId{},
+                              def.stmt ? SymbolId{} : def.var);
+          }
+          std::sort(defs.begin(), defs.end());
+          sets.emplace_back(s.id, std::move(defs));
+        });
+      });
+    });
+    return sets;
+  };
+  std::size_t uses = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     ir::Program p1 = workload::makeLockStructured(3, 3, 4, 0.8, seed);
     ir::Program p2 = workload::makeLockStructured(3, 3, 4, 0.8, seed);
     driver::Compilation cssa =
         driver::analyze(p1, {.enableCssame = false, .warnings = false});
     driver::Compilation cssame = driver::analyze(p2, {.warnings = false});
-    cssa::ReachingInfo rPlain =
-        cssa::computeParallelReachingDefs(cssa.graph(), cssa.ssa());
-    cssa::ReachingInfo rCssame =
-        cssa::computeParallelReachingDefs(cssame.graph(), cssame.ssa());
-
-    // The two programs are structurally identical clones; match uses by
-    // statement id + position. Simplest robust mapping: compare total
-    // reaching-def counts per statement id.
-    auto countsPerStmt = [](const ir::Program& prog,
-                            const cssa::ReachingInfo& info,
-                            const driver::Compilation& comp) {
-      std::map<StmtId, std::size_t> counts;
-      (void)comp;
-      ir::forEachStmt(prog.body, [&](const ir::Stmt& s) {
-        if (!s.expr) return;
-        ir::forEachExpr(*s.expr, [&](const ir::Expr& e) {
-          if (e.kind == ir::ExprKind::VarRef)
-            counts[s.id] += info.defs(&e).size();
-        });
-      });
-      return counts;
-    };
-    auto plainCounts = countsPerStmt(p1, rPlain, cssa);
-    auto cssameCounts = countsPerStmt(p2, rCssame, cssame);
-    for (const auto& [stmt, n] : cssameCounts) {
-      auto it = plainCounts.find(stmt);
-      ASSERT_NE(it, plainCounts.end());
-      EXPECT_LE(n, it->second) << "seed " << seed;
+    const auto plainSets = useSets(p1, cssa);
+    const auto cssameSets = useSets(p2, cssame);
+    ASSERT_EQ(plainSets.size(), cssameSets.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < cssameSets.size(); ++i) {
+      const auto& [stmt, defs] = cssameSets[i];
+      ASSERT_EQ(stmt, plainSets[i].first) << "seed " << seed;
+      const std::vector<RealDef>& within = plainSets[i].second;
+      EXPECT_TRUE(std::includes(within.begin(), within.end(), defs.begin(),
+                                defs.end()))
+          << "seed " << seed << ", statement " << stmt.index();
+      uses += defs.empty() ? 0 : 1;
     }
   }
+  EXPECT_GT(uses, 0u);
 }
 
 TEST(Robustness, OptimizerOnGarbageFreePrograms) {
