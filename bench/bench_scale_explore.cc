@@ -22,19 +22,20 @@
 //   5. Lock regions: a doubling series of the 3-thread
 //      `lock(L); x = x + c; unlock(L); lock(M); z = z + 1; unlock(M);`
 //      shape, timing parseChecked of the source, the mutex-structure
-//      phase, the CSSAME rewrite, csan and parallel reaching definitions
+//      phase, the CSSAME rewrite, csan (its lock-lifecycle walks
+//      included), the TSO check and parallel reaching definitions
 //      (Algorithm A.4 for every use, sharing one visited set as PDCE
 //      does). Conflict edges grow 4x per doubling of the
-//      region count, so the rewrite, csan and the reaching walk, which
-//      visit each edge a bounded number of times, may grow up to 5x per
-//      doubling; the parse and the mutex phase, linear in the program,
-//      at most 2.5x. Growth per doubling is taken over the
+//      region count, so the rewrite, csan, TSO and the reaching walk,
+//      which visit each edge a bounded number of times, may grow up to 5x
+//      per doubling; the parse and the mutex phase, linear in the
+//      program, at most 2.5x. Growth per doubling is taken over the
 //      whole series, (t_last / t_first)^(1 / doublings), which damps one
 //      noisy point; the all-candidates construction grew 12-14x per
 //      doubling, so a super-linear phase fails the run on any machine.
 //      Each point also reports the cost of one mayHappenInParallel query
-//      (swept over every Ecf edge) and of the held-locks solve, and
-//      checks every Ecf pair's MHP answer against part 1's reference.
+//      (swept over every Ecf edge), and checks every Ecf pair's MHP
+//      answer against part 1's reference.
 //   6. Pointer programs: a doubling series of generated 4-thread
 //      programs with pointer updates (ptrProb 0.15, the shape of the
 //      repository benchmark's pointer versions) at 12 … 96 statements
@@ -70,7 +71,6 @@
 #include "src/cssa/cssa.h"
 #include "src/cssa/reaching.h"
 #include "src/cssa/rewrite.h"
-#include "src/dataflow/heldlocks.h"
 #include "src/driver/pipeline.h"
 #include "src/interp/explore.h"
 #include "src/ir/builder.h"
@@ -78,6 +78,7 @@
 #include "src/parser/parser.h"
 #include "src/pfg/build.h"
 #include "src/sanalysis/csan.h"
+#include "src/sanalysis/tso.h"
 #include "src/support/memmodel.h"
 #include "src/support/threadpool.h"
 #include "src/support/timer.h"
@@ -517,6 +518,7 @@ constexpr double kMutexGrowthBound = 2.5;
 constexpr double kParseGrowthBound = 2.5;
 constexpr double kRewriteGrowthBound = 5.0;
 constexpr double kCsanGrowthBound = 5.0;
+constexpr double kTsoGrowthBound = 5.0;
 constexpr double kReachingGrowthBound = 5.0;
 
 struct LockRegionPoint {
@@ -528,9 +530,9 @@ struct LockRegionPoint {
   double mutexSeconds = 1e30;
   double rewriteSeconds = 1e30;
   double csanSeconds = 1e30;
+  double tsoSeconds = 1e30;
   double reachingSeconds = 1e30;  ///< Algorithm A.4 for every use
   double mhpSweepSeconds = 1e30;  ///< one query per Ecf edge
-  double heldLocksSeconds = 1e30;
   bool mhpIdentical = false;  ///< every Ecf pair agrees with RefMhp
 
   [[nodiscard]] double mhpNsPerQuery() const {
@@ -552,7 +554,7 @@ int callsPerSample(double secondsPerCall) {
 /// construction (with its Section 6 warnings), cssa::rewritePiTerms on
 /// fresh copies of the unrewritten CSSA form, sanalysis::runCsan, the
 /// reaching-definition walk, a mayHappenInParallel sweep over the Ecf
-/// edges and the held-locks solve.
+/// edges and sanalysis::runTso.
 /// The point keeps the best per-call time of every phase.
 class LockRegionCase {
  public:
@@ -561,7 +563,6 @@ class LockRegionCase {
         prog_(parser::parseOrDie(source_)),
         comp_(driver::analyze(prog_)),
         cssa_(ssa::buildSequentialSsa(comp_.graph(), comp_.dom())) {
-    (void)comp_.heldLocks();  // csan's lazy dataflow solve is not csan's
     cssa::placePiTerms(comp_.graph(), cssa_, comp_.mhp(), comp_.sites());
     point_.regions = regions;
     point_.nodes = comp_.graph().size();
@@ -609,9 +610,11 @@ class LockRegionCase {
         parallel += comp_.mhp().mayHappenInParallel(e.from, e.to) ? 1 : 0;
       benchmark::DoNotOptimize(parallel);
     });
-    burst(point_.heldLocksSeconds, heldLocksCalls_, [&] {
-      const dataflow::HeldLocks held(graph);
-      benchmark::DoNotOptimize(held.stats().iterations);
+    // TSO sweeps far more memory than the walks above, so it runs after
+    // them rather than leaving them a cold cache.
+    burst(point_.tsoSeconds, tsoCalls_, [&] {
+      DiagEngine diag;
+      benchmark::DoNotOptimize(sanalysis::runTso(comp_, diag).notJustified);
     });
     // The rewrite edits the form in place, so every call gets its own
     // copy, made outside the timed burst.
@@ -645,7 +648,7 @@ class LockRegionCase {
   ssa::SsaForm cssa_;
   std::vector<ssa::SsaForm> forms_;
   int parseCalls_ = 1, mutexCalls_ = 1, rewriteCalls_ = 1, csanCalls_ = 1,
-      reachingCalls_ = 1, mhpCalls_ = 1, heldLocksCalls_ = 1;
+      tsoCalls_ = 1, reachingCalls_ = 1, mhpCalls_ = 1;
   LockRegionPoint point_;
 };
 
@@ -672,6 +675,9 @@ struct LockRegionScale {
   [[nodiscard]] double csanGrowth() const {
     return growth(&LockRegionPoint::csanSeconds);
   }
+  [[nodiscard]] double tsoGrowth() const {
+    return growth(&LockRegionPoint::tsoSeconds);
+  }
   [[nodiscard]] double reachingGrowth() const {
     return growth(&LockRegionPoint::reachingSeconds);
   }
@@ -680,6 +686,7 @@ struct LockRegionScale {
            mutexGrowth() <= kMutexGrowthBound &&
            rewriteGrowth() <= kRewriteGrowthBound &&
            csanGrowth() <= kCsanGrowthBound &&
+           tsoGrowth() <= kTsoGrowthBound &&
            reachingGrowth() <= kReachingGrowthBound;
   }
   [[nodiscard]] bool mhpIdentical() const {
@@ -863,9 +870,9 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
         .set("mutex_seconds", p.mutexSeconds)
         .set("rewrite_seconds", p.rewriteSeconds)
         .set("csan_seconds", p.csanSeconds)
+        .set("tso_seconds", p.tsoSeconds)
         .set("reaching_seconds", p.reachingSeconds)
-        .set("mhp_ns_per_query", p.mhpNsPerQuery())
-        .set("heldlocks_ms", p.heldLocksSeconds * 1e3);
+        .set("mhp_ns_per_query", p.mhpNsPerQuery());
     lrSeries.push(std::move(point));
   }
   service::Json lockRegions = service::Json::object();
@@ -878,12 +885,14 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
       .set("growth_bound_mutex", kMutexGrowthBound)
       .set("growth_bound_rewrite", kRewriteGrowthBound)
       .set("growth_bound_csan", kCsanGrowthBound)
+      .set("growth_bound_tso", kTsoGrowthBound)
       .set("growth_bound_reaching", kReachingGrowthBound)
       .set("series", std::move(lrSeries))
       .set("growth_x2_parse", lr.parseGrowth())
       .set("growth_x2_mutex", lr.mutexGrowth())
       .set("growth_x2_rewrite", lr.rewriteGrowth())
       .set("growth_x2_csan", lr.csanGrowth())
+      .set("growth_x2_tso", lr.tsoGrowth())
       .set("growth_x2_reaching", lr.reachingGrowth())
       .set("mhp_identical_to_reference", lr.mhpIdentical())
       .set("within_bounds", lr.withinBounds());
@@ -988,16 +997,18 @@ int main(int argc, char** argv) {
   table.gate("  csan growth per doubling", "<= 5x",
              fmt("%.2fx", lr.csanGrowth()),
              lr.csanGrowth() <= kCsanGrowthBound);
+  table.gate("  tso growth per doubling", "<= 5x",
+             fmt("%.2fx", lr.tsoGrowth()), lr.tsoGrowth() <= kTsoGrowthBound);
   table.gate("  reaching-defs (A.4) growth per doubling", "<= 5x",
              fmt("%.2fx", lr.reachingGrowth()),
              lr.reachingGrowth() <= kReachingGrowthBound);
   table.gate("  MHP per Ecf pair identical to reference", "1",
              lr.mhpIdentical(), lr.mhpIdentical());
   for (const LockRegionPoint& p : lr.points)
-    table.note(fmt("  k=%d: parse, MHP, held-locks, reaching", p.regions),
+    table.note(fmt("  k=%d: parse, MHP, tso, reaching", p.regions),
                "(reported)",
                fmt("%.3f ms, %.2f ns, %.3f ms, %.3f ms", p.parseSeconds * 1e3,
-                   p.mhpNsPerQuery(), p.heldLocksSeconds * 1e3,
+                   p.mhpNsPerQuery(), p.tsoSeconds * 1e3,
                    p.reachingSeconds * 1e3));
   table.gate("pointer programs: analyze growth per doubling", "<= 5x",
              fmt("%.2fx", ptr.growth()), ptr.withinBounds());

@@ -321,8 +321,8 @@ Tally runSweep() {
 }
 
 // Timing: the pass alone (pipeline prebuilt) as the program grows — the
-// pending-store windows ride the same dense solver as held-locks, so
-// the cost must stay near-linear in program size.
+// pending-store windows are reachability walks from each store's block,
+// so the cost must stay near-linear in program size.
 void BM_RunTso(benchmark::State& state) {
   ir::Program prog = workload::makeLockStructured(
       static_cast<int>(state.range(0)), 4, 8, 0.7, 42);

@@ -1,14 +1,6 @@
-// Generic dataflow framework over the PFG and the CSSAME form.
+// Generic dataflow framework over the CSSAME form.
 //
-// The library's fixpoints are instances of the three solver shapes
-// defined here:
-//
-//   DenseSolver<P>       a classic forward worklist solver over PFG
-//                        control edges: per-node IN/OUT values, a meet
-//                        over predecessors and a transfer function. P
-//                        picks the lattice (may = union, must =
-//                        intersect, or anything else with a monotone
-//                        meet). Held locks and TSO's pending stores.
+// The library's fixpoints are instances of two solver shapes:
 //
 //   SsaPropagator<P>     a sparse solver over the SSA names of the
 //                        CSSAME form: each definition carries one lattice
@@ -21,10 +13,13 @@
 //                        shared by CSCC constant propagation and the
 //                        concurrent value-range analysis.
 //
-// A closure over φ/π arguments alone needs no solver: parallel reaching
-// definitions walk the FUD chains (cssa/reaching.h).
+// Problems that need no solver are walks. A closure over φ/π arguments
+// follows the FUD chains (parallel reaching definitions, cssa/reaching.h);
+// a control-flow fact generated and killed one at a time is reachability
+// over control edges (held locks and TSO's pending stores,
+// dataflow/reach.h).
 //
-// All solvers run under one iteration budget (kMaxIterations) and report
+// Both solvers run under one iteration budget (kMaxIterations) and report
 // structured SolveStats; a blown budget degrades to a Fault
 // (BudgetExceeded) through the existing Expected/Status machinery instead
 // of hanging.
@@ -35,152 +30,22 @@
 #include <string>
 #include <vector>
 
-#include "src/pfg/graph.h"
 #include "src/ssa/ssa.h"
 #include "src/support/status.h"
 
 namespace cssame::dataflow {
 
-/// Cap on node (dense) or definition (sparse) re-evaluations. It is
-/// generous: real programs converge in a few sweeps, and the cap only
-/// exists so a non-monotone transfer function cannot hang the compiler.
+/// Cap on solver re-evaluations. It is generous: real programs converge
+/// in a few sweeps, and the cap only exists so a non-monotone transfer
+/// function cannot hang the compiler.
 inline constexpr std::uint64_t kMaxIterations = 1u << 22;
 
-/// Convergence report of one solver run, surfaced through
-/// driver::Compilation::solverStats() and `cssamec --stats`.
+/// Convergence report of one solver run.
 struct SolveStats {
-  std::string analysis;           ///< e.g. "held-locks", "points-to"
-  std::uint64_t iterations = 0;   ///< node/def re-evaluations performed
+  std::string analysis;           ///< e.g. "points-to", "cscc"
+  std::uint64_t iterations = 0;   ///< re-evaluations performed
   std::uint64_t changes = 0;      ///< evaluations that lowered a value
   bool converged = false;
-
-  [[nodiscard]] std::string str() const {
-    return analysis + ": " + std::to_string(iterations) + " iteration(s), " +
-           std::to_string(changes) + " change(s)" +
-           (converged ? "" : " [budget exceeded]");
-  }
-};
-
-/// Dense forward iterative solver. The problem type P supplies:
-///
-///   using Value = ...;                      // with operator==
-///   const char* name() const;
-///   Value boundary() const;                 // value at the entry node
-///   Value top(NodeId n) const;              // optimistic initial value
-///   void meet(Value& into, const Value& from) const;
-///   Value transfer(const pfg::Node& n, const Value& in) const;
-///
-/// IN[entry] = boundary(); IN[n] = meet over out-values of control
-/// predecessors; OUT[n] = transfer(n, IN[n]).
-template <typename P>
-class DenseSolver {
- public:
-  using Value = typename P::Value;
-
-  DenseSolver(const pfg::Graph& graph, P problem)
-      : graph_(graph), problem_(std::move(problem)) {}
-
-  /// Runs to fixpoint. Returns a BudgetExceeded fault if the iteration
-  /// cap trips first (the partial result is still readable and sound for
-  /// monotone problems only after convergence).
-  Status solve() {
-    const std::size_t n = graph_.size();
-    const NodeId boundary = graph_.entry;
-    stats_ = SolveStats{problem_.name(), 0, 0, false};
-
-    in_.clear();
-    out_.clear();
-    in_.reserve(n);
-    out_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId id{static_cast<NodeId::value_type>(i)};
-      in_.push_back(id == boundary ? problem_.boundary() : problem_.top(id));
-      out_.push_back(problem_.transfer(graph_.node(id), in_.back()));
-    }
-
-    // Seed in reverse post-order so the first sweep already visits most
-    // nodes after their inputs.
-    std::deque<NodeId> work;
-    std::vector<bool> queued(n, false);
-    for (NodeId id : postorder(boundary)) {
-      work.push_front(id);
-      queued[id.index()] = true;
-    }
-    // Nodes unreachable from the boundary still get solved (their top()
-    // values may matter to callers); append them after the ordered seed.
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId id{static_cast<NodeId::value_type>(i)};
-      if (!queued[i]) {
-        work.push_back(id);
-        queued[i] = true;
-      }
-    }
-
-    while (!work.empty()) {
-      if (stats_.iterations >= kMaxIterations)
-        return Fault{FaultKind::BudgetExceeded, problem_.name(),
-                     "dataflow iteration budget exhausted after " +
-                         std::to_string(stats_.iterations) + " iterations",
-                     {}};
-      const NodeId id = work.front();
-      work.pop_front();
-      queued[id.index()] = false;
-      ++stats_.iterations;
-
-      const pfg::Node& node = graph_.node(id);
-      if (id != boundary) {
-        Value v = problem_.top(id);
-        for (NodeId p : node.preds) problem_.meet(v, out_[p.index()]);
-        if (!(v == in_[id.index()])) in_[id.index()] = std::move(v);
-      }
-      Value o = problem_.transfer(node, in_[id.index()]);
-      if (o == out_[id.index()]) continue;
-      out_[id.index()] = std::move(o);
-      ++stats_.changes;
-      for (NodeId s : node.succs) {
-        if (!queued[s.index()]) {
-          queued[s.index()] = true;
-          work.push_back(s);
-        }
-      }
-    }
-    stats_.converged = true;
-    return Status::okStatus();
-  }
-
-  [[nodiscard]] const Value& inOf(NodeId n) const { return in_[n.index()]; }
-  [[nodiscard]] const SolveStats& stats() const { return stats_; }
-
- private:
-  /// Post-order of the control flow reachable from `root`.
-  [[nodiscard]] std::vector<NodeId> postorder(NodeId root) const {
-    std::vector<NodeId> order;
-    if (!root.valid()) return order;
-    std::vector<bool> seen(graph_.size(), false);
-    // Iterative DFS with an explicit edge cursor per frame.
-    std::vector<std::pair<NodeId, std::size_t>> stack{{root, 0}};
-    seen[root.index()] = true;
-    while (!stack.empty()) {
-      auto& [id, cursor] = stack.back();
-      const auto& next = graph_.node(id).succs;
-      if (cursor < next.size()) {
-        const NodeId s = next[cursor++];
-        if (!seen[s.index()]) {
-          seen[s.index()] = true;
-          stack.emplace_back(s, 0);
-        }
-      } else {
-        order.push_back(id);
-        stack.pop_back();
-      }
-    }
-    return order;
-  }
-
-  const pfg::Graph& graph_;
-  P problem_;
-  std::vector<Value> in_, out_;
-  SolveStats stats_;
 };
 
 /// Sparse solver over SSA names. The problem type P supplies:

@@ -8,14 +8,12 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string_view>
 
 #include "src/analysis/concurrency.h"
 #include "src/analysis/dominance.h"
 #include "src/cssa/cssa.h"
 #include "src/cssa/rewrite.h"
-#include "src/dataflow/heldlocks.h"
 #include "src/mutex/mutex_structures.h"
 #include "src/parser/parser.h"
 #include "src/pfg/build.h"
@@ -40,30 +38,15 @@ struct PipelineOptions {
 };
 
 /// The result of analyzing one program. Holds non-owning access to the
-/// ir::Program, which must outlive the Compilation.
+/// ir::Program, which must outlive the Compilation. Everything is
+/// computed by the constructor and no const accessor caches anything, so
+/// any number of threads may read one Compilation through its const
+/// accessors at once.
 class Compilation {
  public:
   Compilation(ir::Program& program, PipelineOptions opts);
 
-  /// Moves transfer the analysis artifacts but not lazyMutex_ (mutexes
-  /// are immovable; the destination constructs a fresh one). As with any
-  /// type, moving while another thread reads the source is a race — the
-  /// concurrency guarantee covers the const accessors only.
-  Compilation(Compilation&& other) noexcept
-      : program_(other.program_),
-        graph_(std::move(other.graph_)),
-        dom_(std::move(other.dom_)),
-        pdom_(std::move(other.pdom_)),
-        mhp_(std::move(other.mhp_)),
-        mutexes_(std::move(other.mutexes_)),
-        sites_(std::move(other.sites_)),
-        ssa_(std::move(other.ssa_)),
-        pointsTo_(std::move(other.pointsTo_)),
-        piStats_(other.piStats_),
-        rewriteStats_(other.rewriteStats_),
-        heldLocks_(std::move(other.heldLocks_)),
-        phaseTimes_(std::move(other.phaseTimes_)),
-        diag_(std::move(other.diag_)) {}
+  Compilation(Compilation&&) = default;
   Compilation& operator=(Compilation&&) = delete;
   Compilation(const Compilation&) = delete;
   Compilation& operator=(const Compilation&) = delete;
@@ -107,43 +90,12 @@ class Compilation {
     return rewriteStats_;
   }
 
-  /// Held-locks dataflow over the PFG, computed on first use and cached
-  /// (the same policy as sites()): csan's lock-lifecycle checks and any
-  /// other lockset consumer share one solve. Safe to call from several
-  /// threads concurrently — the analysis service shares one Compilation
-  /// between requests; lazyMutex_ serializes the first solve and later
-  /// calls return the already-built structure.
-  [[nodiscard]] const dataflow::HeldLocks& heldLocks() const {
-    std::lock_guard<std::mutex> lock(lazyMutex_);
-    if (!heldLocks_) {
-      support::Stopwatch watch;
-      heldLocks_ = std::make_unique<dataflow::HeldLocks>(*graph_);
-      phaseTimes_.push_back(support::PhaseTime{"heldlocks", watch.seconds()});
-    }
-    return *heldLocks_;
-  }
-
-  /// Iteration counts of the cached dataflow solve, once it has run
-  /// (empty before) — surfaced by the driver's --stats output next to the
-  /// lock statistics.
-  [[nodiscard]] std::vector<dataflow::SolveStats> solverStats() const {
-    std::lock_guard<std::mutex> lock(lazyMutex_);
-    std::vector<dataflow::SolveStats> out;
-    if (heldLocks_) out.push_back(heldLocks_->stats());
-    return out;
-  }
-
-  /// Wall-clock cost of every analysis phase, in execution order: the
-  /// constructor's fixed chain (pfg, dom, pdom, mhp, sites, conflicts,
-  /// mutex, ssa, cssa-pi, cssame-rewrite; pointer programs add pointsto
-  /// and sites-refined, and their conflicts, cssa-pi and cssame-rewrite
-  /// build the conservative form described at pointsTo()) plus a
-  /// heldlocks entry appended when the lazy solve first runs. `cssamec
-  /// --stats` prints this table. Returns a snapshot by value: the lazy
-  /// solve on another thread may append concurrently, and handing out a
-  /// reference would let the reader race the push_back.
-  [[nodiscard]] std::vector<support::PhaseTime> phaseTimes() const {
-    std::lock_guard<std::mutex> lock(lazyMutex_);
+  /// Wall-clock cost of every analysis phase, in execution order: pfg,
+  /// dom, pdom, mhp, sites, conflicts, mutex, ssa, cssa-pi and
+  /// cssame-rewrite; pointer programs add pointsto and sites-refined, and
+  /// their conflicts, cssa-pi and cssame-rewrite build the conservative
+  /// form described at pointsTo(). `cssamec --stats` prints this table.
+  [[nodiscard]] const std::vector<support::PhaseTime>& phaseTimes() const {
     return phaseTimes_;
   }
 
@@ -167,15 +119,7 @@ class Compilation {
   std::unique_ptr<sanalysis::PointsToResult> pointsTo_;
   cssa::PiPlacementStats piStats_;
   cssa::RewriteStats rewriteStats_;
-  /// Lazily computed analysis cache (mutable: computing it on demand
-  /// does not change the observable compilation). Guarded by lazyMutex_:
-  /// the analysis service calls the accessors from concurrent requests
-  /// sharing one Compilation, so unsynchronized lazy init would be a
-  /// data race (tests/driver_concurrent_test.cc is the tsan regression).
-  mutable std::mutex lazyMutex_;
-  mutable std::unique_ptr<dataflow::HeldLocks> heldLocks_;
-  /// Phase timing table (guarded by lazyMutex_: the lazy solve appends).
-  mutable std::vector<support::PhaseTime> phaseTimes_;
+  std::vector<support::PhaseTime> phaseTimes_;
   DiagEngine diag_;
 };
 

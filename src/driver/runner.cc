@@ -276,10 +276,6 @@ bool renderCompiled(const ir::Program& prog, const Compilation& c,
             "(%.0f%%)\n",
             cs.totalInterior, cs.totalIndependent,
             100.0 * cs.independentFraction());
-    // Force the lazy dataflow cache so the stats are deterministic.
-    (void)c.heldLocks();
-    for (const dataflow::SolveStats& s : c.solverStats())
-      appendf(out, "solver:            %s\n", s.str().c_str());
     for (const support::PhaseTime& p : c.phaseTimes())
       appendf(out, "phase:             %s\n", p.str().c_str());
     if (explored) {

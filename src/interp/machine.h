@@ -306,9 +306,6 @@ class Machine {
   [[nodiscard]] std::size_t lockHolderOf(SymbolId m) const {
     return lockHolder_[m.index()];
   }
-  [[nodiscard]] bool eventIsSet(SymbolId e) const {
-    return eventSet_[e.index()];
-  }
   /// The statement list thread `ti` was spawned to run (stable pointer
   /// into the program; the main thread reports the program body).
   [[nodiscard]] const ir::StmtList* rootListOf(std::size_t ti) const {

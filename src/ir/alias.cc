@@ -35,18 +35,6 @@ std::size_t AliasClasses::nonSingletonClasses() const {
   return n;
 }
 
-bool usesIndirection(const Program& prog) {
-  for (const Symbol& s : prog.symbols.all())
-    if (s.isArray()) return true;
-  bool found = false;
-  forEachStmt(prog.body, [&](const Stmt& s) {
-    if (found) return;
-    if (s.lhsKind != LValueKind::Var) found = true;
-    forEachStmtExpr(s, [&](const Expr& e) { found |= containsIndirection(e); });
-  });
-  return found;
-}
-
 bool usesDeref(const Program& prog) {
   bool found = false;
   forEachStmt(prog.body, [&](const Stmt& s) {

@@ -146,11 +146,6 @@ class AliasClasses {
   std::unordered_map<const Stmt*, SymbolId> derefStore_;
 };
 
-/// True when the program uses any pointer or array construct (AddrOf,
-/// Deref, Index expressions; Deref/Index stores; array declarations).
-/// The analysis pipeline takes the scalar fast path when this is false.
-[[nodiscard]] bool usesIndirection(const Program& prog);
-
 /// True when the program contains a Deref (load or store). Array-only
 /// programs need no points-to refinement: `a[i]` names its array
 /// syntactically.

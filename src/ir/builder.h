@@ -43,10 +43,6 @@ class ProgramBuilder {
   SymbolId arrayVar(std::string name, std::uint32_t size) {
     return prog_.symbols.createArray(std::move(name), size, true);
   }
-  /// Declares a thread-private fixed-size integer array.
-  SymbolId privateArrayVar(std::string name, std::uint32_t size) {
-    return prog_.symbols.createArray(std::move(name), size, false);
-  }
   SymbolId lock(std::string name) {
     return prog_.symbols.create(std::move(name), SymbolKind::Lock);
   }

@@ -150,15 +150,6 @@ bool containsCall(const Expr& e) {
   return found;
 }
 
-bool containsIndirection(const Expr& e) {
-  bool found = false;
-  forEachExpr(e, [&](const Expr& sub) {
-    found |= sub.kind == ExprKind::AddrOf || sub.kind == ExprKind::Deref ||
-             sub.kind == ExprKind::Index;
-  });
-  return found;
-}
-
 bool exprEquals(const Expr& a, const Expr& b) {
   if (a.kind != b.kind) return false;
   switch (a.kind) {

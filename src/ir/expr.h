@@ -101,12 +101,6 @@ void forEachExpr(Expr& e, Fn&& fn) {
 /// always has an unknown value).
 [[nodiscard]] bool containsCall(const Expr& e);
 
-/// True if the expression reads or forms an address: Deref and Index load
-/// through memory (their value depends on stores the optimizer cannot
-/// track symbolically), AddrOf pins a variable's address. Optimization
-/// passes treat such expressions like opaque calls.
-[[nodiscard]] bool containsIndirection(const Expr& e);
-
 /// Structural equality (ignores locations).
 [[nodiscard]] bool exprEquals(const Expr& a, const Expr& b);
 

@@ -21,15 +21,6 @@ const char* stmtKindName(StmtKind k) {
   return "?";
 }
 
-const char* lvalueKindName(LValueKind k) {
-  switch (k) {
-    case LValueKind::Var: return "var";
-    case LValueKind::Deref: return "deref";
-    case LValueKind::Index: return "index";
-  }
-  return "?";
-}
-
 std::size_t countStmts(const StmtList& list) {
   std::size_t n = 0;
   forEachStmt(list, [&](const Stmt&) { ++n; });

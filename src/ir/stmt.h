@@ -44,8 +44,6 @@ enum class LValueKind : std::uint8_t {
   Index,  ///< a[i] = e    — `lhs` is the array, `lhsAddr` the cell index
 };
 
-[[nodiscard]] const char* lvalueKindName(LValueKind k);
-
 struct Stmt;
 using StmtPtr = std::unique_ptr<Stmt>;
 using StmtList = std::vector<StmtPtr>;

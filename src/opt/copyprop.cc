@@ -69,19 +69,6 @@ CopyPropStats propagateCopies(driver::Compilation& comp) {
     auto rhsDef = form.useDef.find(&rhs);
     if (rhsDef == form.useDef.end() || rhsDef->second != dy.name) continue;
 
-    // Locate the use's node: the statement holding it.
-    // form tracks nodes per definition; for the use we look up the node
-    // of its containing statement through the graph's stmt map. The use
-    // expression lives in exactly one statement.
-    // (useExpr may also sit in a terminator condition.)
-    NodeId useNode;
-    {
-      // Find via the definition d's reached uses is overkill; scan the
-      // graph's nodes' stmts lazily through nodeOf on the stmt that owns
-      // this expression — we don't have a back-map, so resolve by
-      // walking all statements once below.
-      useNode = NodeId{};
-    }
     rewrites.push_back(
         Rewrite{const_cast<ir::Expr*>(useExpr), y, dy.name});
   }

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <unordered_map>
 
+#include "src/dataflow/reach.h"
 #include "src/opt/lock_independence.h"
 #include "src/support/bitset.h"
 
@@ -287,14 +288,17 @@ class Csan {
   }
 
  public:
-  /// SelfDeadlock and LockLeak over the held-locks dataflow.
+  /// SelfDeadlock and LockLeak over walks that no Unlock of the lock
+  /// passes.
   void checkLockLifecycle() {
-    const dataflow::HeldLocks& held = comp_.heldLocks();
+    const std::vector<DynBitset> held = dataflow::heldLocksOnEntry(graph_);
+    dataflow::Walker walker(graph_);
     for (const pfg::Node& n : graph_.nodes()) {
       if (n.kind != pfg::NodeKind::Lock) continue;
       const SymbolId lock = n.syncStmt->sync;
+      const auto holdsLock = dataflow::keepsHeld(lock);
 
-      if (held.mayHoldOnEntry(n.id, lock)) {
+      if (held[lock.index()].test(n.id.index())) {
         ++report_.selfDeadlocks;
         Diagnostic& d = diag_.warn(
             DiagCode::SelfDeadlock, n.syncStmt->loc,
@@ -305,7 +309,7 @@ class Csan {
           if (m.id == n.id || m.kind != pfg::NodeKind::Lock ||
               m.syncStmt->sync != lock)
             continue;
-          if (held.reachesWithoutUnlock(m.id, n.id, lock)) {
+          if (walker.reaches(m.id, n.id, holdsLock)) {
             d.note(m.syncStmt->loc,
                    "acquired here and still held on some path to the "
                    "re-acquisition");
@@ -314,7 +318,7 @@ class Csan {
         }
       }
 
-      if (held.reachesWithoutUnlock(n.id, graph_.exit, lock)) {
+      if (walker.reaches(n.id, graph_.exit, holdsLock)) {
         ++report_.lockLeaks;
         const bool inParallel = !n.threadPath.empty();
         diag_.warn(DiagCode::LockLeak, n.syncStmt->loc,

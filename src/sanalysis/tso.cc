@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/dataflow/framework.h"
+#include "src/dataflow/reach.h"
 #include "src/ir/expr.h"
 
 namespace cssame::sanalysis {
@@ -34,49 +34,6 @@ SourceLoc locOf(const ir::Stmt* stmt) {
   return stmt != nullptr ? stmt->loc : SourceLoc{};
 }
 
-/// Pending-store window: which plain shared stores may still sit in the
-/// issuing thread's FIFO store buffer when control reaches a point. A
-/// forward may-analysis (union meet) over PFG control edges — the static
-/// abstraction of interp::Machine's per-thread storeBuf under
-/// MemoryModel::TSO.
-struct PendingStores {
-  using Value = std::set<StmtId>;
-  const pfg::Graph* graph = nullptr;
-
-  [[nodiscard]] const char* name() const { return "tso-pending-stores"; }
-  [[nodiscard]] Value boundary() const { return {}; }
-  [[nodiscard]] Value top(NodeId) const { return {}; }
-  void meet(Value& into, const Value& from) const {
-    into.insert(from.begin(), from.end());
-  }
-
-  [[nodiscard]] Value transfer(const pfg::Node& n, const Value& in) const {
-    if (n.kind != pfg::NodeKind::Block) {
-      // Every non-block node empties the window. Fences and atomics wait
-      // for the issuing thread's buffer to drain (x86-TSO gives lock,
-      // unlock, set, wait and barrier the same locked-operation
-      // semantics), and entry/fork/join points start or end threads,
-      // whose buffers are empty by construction.
-      return {};
-    }
-    const ir::SymbolTable& syms = graph->program().symbols;
-    Value out = in;
-    for (const ir::Stmt* s : n.stmts) {
-      if (s->kind != ir::StmtKind::Assign) continue;
-      const SymbolId cls = graph->aliases.defTargetOf(*s);
-      if (s->atomic) {
-        out.clear();  // drains the buffer before it executes
-      } else if (cls.valid() && graph->aliases.classShared(cls, syms)) {
-        // A plain store to any shared cell — direct, indexed, or through
-        // a pointer — issues into the buffer.
-        out.insert(s->id);
-      }
-    }
-    // An If/While terminator only reads; the window is unchanged.
-    return out;
-  }
-};
-
 /// True when the store and the load provably touch the same memory cell,
 /// so the load forwards from the buffer instead of overtaking it: a
 /// direct store/load of one scalar, or the same array with structurally
@@ -98,7 +55,7 @@ class Tso {
         diag_(diag),
         graph_(comp.graph()),
         syms_(comp.graph().program().symbols),
-        solver_(comp.graph(), PendingStores{&comp.graph()}) {
+        pending_(dataflow::pendingStoresOnEntry(comp.graph())) {
     for (const pfg::Node& n : graph_.nodes()) {
       if (n.kind == pfg::NodeKind::Cobegin && n.syncStmt != nullptr)
         cobeginStmt_[n.syncStmt->id] = n.syncStmt;
@@ -114,11 +71,6 @@ class Tso {
   }
 
   TsoReport run() {
-    const Status st = solver_.solve();
-    if (!st.ok()) {
-      diag_.reportFault(st.fault());
-      return std::move(report_);
-    }
     checkReorderablePairs();
     checkFences();
     return std::move(report_);
@@ -177,7 +129,8 @@ class Tso {
   void checkReorderablePairs() {
     for (const pfg::Node& n : graph_.nodes()) {
       if (n.kind != pfg::NodeKind::Block) continue;
-      PendingStores::Value pending = solver_.inOf(n.id);
+      const std::vector<StmtId>& in = pending_[n.id.index()];
+      std::set<StmtId> pending(in.begin(), in.end());
       auto checkUses = [&](const ir::Expr& e, const ir::Stmt* stmt) {
         ir::forEachExpr(e, [&](const ir::Expr& sub) {
           const SymbolId cls = graph_.aliases.useTargetOf(sub);
@@ -203,7 +156,7 @@ class Tso {
 
   void checkLoad(const pfg::Node& n, const ir::Stmt* loadStmt, SymbolId y,
                  const ir::Expr& loadExpr,
-                 const PendingStores::Value& pending) {
+                 const std::set<StmtId>& pending) {
     if (pending.empty() || !isRacy(n.id, y)) return;
     for (StmtId w : pending) {
       const StoreSite& store = storeSite_.at(w);
@@ -255,7 +208,7 @@ class Tso {
   void checkFences() {
     for (const pfg::Node& n : graph_.nodes()) {
       if (n.kind != pfg::NodeKind::Fence) continue;
-      const PendingStores::Value& in = solver_.inOf(n.id);
+      const std::vector<StmtId>& in = pending_[n.id.index()];
       bool ordersRacyStore = false;
       for (StmtId w : in) {
         const StoreSite& store = storeSite_.at(w);
@@ -281,7 +234,8 @@ class Tso {
   DiagEngine& diag_;
   const pfg::Graph& graph_;
   const ir::SymbolTable& syms_;
-  dataflow::DenseSolver<PendingStores> solver_;
+  /// The pending-store window on entry to each node.
+  std::vector<std::vector<StmtId>> pending_;
   std::unordered_map<StmtId, const ir::Stmt*> cobeginStmt_;
   std::unordered_map<StmtId, StoreSite> storeSite_;
   std::map<std::pair<NodeId, SymbolId>, RemoteSite> racy_;

@@ -13,9 +13,10 @@
 //
 // The pass tracks per-thread *pending-store windows* — which plain shared
 // stores may still sit in the issuing thread's buffer at each PFG point —
-// as a forward may-dataflow over control edges (a DenseSolver instance,
-// like held-locks). Fences, atomics and every blocking synchronization
-// node drain the window; plain shared stores extend it.
+// by reachability over control edges (dataflow::pendingStoresOnEntry): a
+// plain shared store is pending wherever a walk from its block enters,
+// and the walk stops at fences, atomics and every blocking
+// synchronization node, which drain the window.
 //
 // Every call runs both checks and reports, through the ordinary
 // DiagEngine:

@@ -10,8 +10,9 @@
 //      parse + PFG + dominators + MHP + conflicts + SSA + CSSA + CSSAME
 //      and serves follow-up methods (csan after analyze, vrange after
 //      csan) from the same in-memory structures. Entries are shared_ptr
-//      so eviction never invalidates a request mid-flight; the lazy
-//      caches inside Compilation are concurrency-safe (pipeline.h).
+//      so eviction never invalidates a request mid-flight, and a
+//      Compilation's const accessors cache nothing, so concurrent
+//      requests read one without a lock (pipeline.h).
 //   2. Disk — serialized response payloads keyed by the full request
 //      fingerprint (build ⊕ method ⊕ options ⊕ source), so warm results
 //      survive daemon restarts. Every entry carries the build

@@ -79,7 +79,6 @@ class Json {
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool isNull() const { return kind_ == Kind::Null; }
   [[nodiscard]] bool isBool() const { return kind_ == Kind::Bool; }
-  [[nodiscard]] bool isInt() const { return kind_ == Kind::Int; }
   [[nodiscard]] bool isNumber() const {
     return kind_ == Kind::Int || kind_ == Kind::Double;
   }

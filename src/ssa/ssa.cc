@@ -6,16 +6,6 @@
 
 namespace cssame::ssa {
 
-const char* defKindName(DefKind k) {
-  switch (k) {
-    case DefKind::Entry: return "entry";
-    case DefKind::Assign: return "assign";
-    case DefKind::Phi: return "phi";
-    case DefKind::Pi: return "pi";
-  }
-  return "?";
-}
-
 SsaNameId SsaForm::newDef(DefKind kind, SymbolId var, NodeId node) {
   Definition d;
   d.name = SsaNameId{static_cast<SsaNameId::value_type>(defs.size())};

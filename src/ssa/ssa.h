@@ -33,8 +33,6 @@ enum class DefKind : std::uint8_t {
   Pi,      ///< concurrent merge (added by cssa::placePiTerms)
 };
 
-[[nodiscard]] const char* defKindName(DefKind k);
-
 struct PhiArg {
   NodeId pred;     ///< incoming control edge this argument flows along
   SsaNameId def;

@@ -12,10 +12,9 @@ namespace cssame {
 /// Dense dynamic bitset. All binary operations require equal sizes.
 ///
 /// Up to kInlineBits bits live inside the object itself; only wider sets
-/// allocate. The analyses keep bitsets per PFG node over the program's
-/// symbols (held locks) or its set/wait events, which fit in two words
-/// for most programs, so their per-node state and the solver temporaries
-/// never touch the heap.
+/// allocate. MHP keeps bitsets per PFG node over the program's set/wait
+/// events, which fit in two words for most programs, so that per-node
+/// state never touches the heap.
 class DynBitset {
   using Word = std::uint64_t;
   static constexpr std::size_t kBits = 64;

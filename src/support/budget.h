@@ -2,10 +2,7 @@
 //
 // The interpreter and especially the interleaving explorer walk state
 // spaces whose size the caller cannot predict; a production service must
-// bound them. A BudgetMeter accumulates steps / states / threads / bytes
-// against fixed caps and reports the *first* cap that tripped, so callers
-// can surface a precise, structured BudgetExceeded outcome instead of
-// hanging or exhausting memory.
+// bound them, and report which cap a bounded run tripped first.
 #pragma once
 
 #include <cstdint>
@@ -32,49 +29,5 @@ enum class BudgetKind : std::uint8_t {
   }
   return "unknown";
 }
-
-struct BudgetCaps {
-  std::uint64_t maxSteps = UINT64_MAX;
-  std::uint64_t maxStates = UINT64_MAX;
-  std::uint64_t maxThreads = UINT64_MAX;
-  std::uint64_t maxMemoryBytes = UINT64_MAX;
-};
-
-/// Accumulates usage against caps. Sticky: once a cap trips, `exceeded()`
-/// keeps reporting the first kind that tripped.
-class BudgetMeter {
- public:
-  explicit BudgetMeter(BudgetCaps caps = {}) : caps_(caps) {}
-
-  void addSteps(std::uint64_t n = 1) {
-    steps_ += n;
-    if (steps_ > caps_.maxSteps) trip(BudgetKind::Steps);
-  }
-  void addStates(std::uint64_t n = 1) {
-    states_ += n;
-    if (states_ > caps_.maxStates) trip(BudgetKind::States);
-  }
-  void noteThreads(std::uint64_t live) {
-    if (live > caps_.maxThreads) trip(BudgetKind::Threads);
-  }
-  void noteMemory(std::uint64_t bytes) {
-    if (bytes > caps_.maxMemoryBytes) trip(BudgetKind::Memory);
-  }
-
-  [[nodiscard]] std::uint64_t steps() const { return steps_; }
-  [[nodiscard]] std::uint64_t states() const { return states_; }
-  [[nodiscard]] BudgetKind exceeded() const { return exceeded_; }
-  [[nodiscard]] bool ok() const { return exceeded_ == BudgetKind::None; }
-
- private:
-  void trip(BudgetKind kind) {
-    if (exceeded_ == BudgetKind::None) exceeded_ = kind;
-  }
-
-  BudgetCaps caps_;
-  std::uint64_t steps_ = 0;
-  std::uint64_t states_ = 0;
-  BudgetKind exceeded_ = BudgetKind::None;
-};
 
 }  // namespace cssame::support

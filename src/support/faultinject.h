@@ -48,7 +48,6 @@ class FaultInjector {
   void disarm();
   [[nodiscard]] bool armed() const { return armed_; }
 
-  [[nodiscard]] int sitesVisited() const { return visits_; }
   /// Name of the site the injector fired at; empty if it has not fired.
   [[nodiscard]] const std::string& firedAt() const { return firedAt_; }
   /// Description of the corruption applied when it fired (empty if the

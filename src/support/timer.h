@@ -1,11 +1,11 @@
 // Wall-clock phase instrumentation.
 //
 // The driver records how long each analysis phase (PFG construction,
-// dominators, MHP, conflict edges, mutex structures, SSA, CSSA, CSSAME,
-// lazy dataflow solves) takes, and `cssamec --stats` surfaces the
-// breakdown so hot-path regressions show up as numbers instead of
-// hunches. Stopwatch::lap() reads and restarts in one call, which is
-// exactly the shape a phase pipeline needs.
+// dominators, MHP, conflict edges, mutex structures, SSA, CSSA, CSSAME)
+// takes, and `cssamec --stats` surfaces the breakdown so hot-path
+// regressions show up as numbers instead of hunches. Stopwatch::lap()
+// reads and restarts in one call, which is exactly the shape a phase
+// pipeline needs.
 #pragma once
 
 #include <chrono>

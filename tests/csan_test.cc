@@ -153,6 +153,17 @@ TEST(Csan, SelfDeadlockOnReacquisition) {
     }
 }
 
+TEST(Csan, SelfDeadlockOnReacquisitionInLoop) {
+  // The only Lock(L) reaches itself around the loop without an unlock;
+  // the held-locks walk starts from it, so it is held on its own entry.
+  CsanReport r = analyze(R"(
+    int a, i; lock L;
+    while (i < 3) { lock(L); a = a + 1; i = i + 1; }
+  )");
+  EXPECT_EQ(r.selfDeadlocks, 1u);
+  EXPECT_EQ(r.lockLeaks, 1u);
+}
+
 TEST(Csan, NoSelfDeadlockAfterRelease) {
   CsanReport r = analyze(R"(
     int a; lock L;

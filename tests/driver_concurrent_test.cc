@@ -1,19 +1,12 @@
-// Concurrency regression for driver::Compilation's lazily-computed
-// analysis cache.
+// Concurrency regression for one driver::Compilation shared between
+// threads.
 //
-// The analysis service shares one Compilation between concurrent
-// requests: two csan requests for the same source hit the same cached
-// artifact and both force heldLocks() on first use. Before lazyMutex_
-// that accessor was check-then-build on a plain unique_ptr — two threads
-// would race the build and one would use a half-constructed solver. This
-// test drives every lazy accessor from many threads at once; run under
-// ThreadSanitizer (the `tsan` CI job) it is the regression proof, and
-// under the plain build it still checks that all threads observe one
-// consistent solve.
-//
-// The same sharing applies to the immutable analyses every request reads:
-// cssamed with several workers answers MHP queries and runs csan on one
-// Compilation from many threads at once, so those must be plain reads.
+// cssamed with several workers answers MHP queries and runs csan — its
+// lock-lifecycle walks included — on one Compilation from many threads at
+// once. A Compilation's const accessors cache nothing, so all of that
+// must be plain reads. Run under ThreadSanitizer (the `tsan` CI job) this
+// test is the regression proof; under the plain build it still checks
+// that every thread observes the serial answers.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -26,77 +19,6 @@
 
 namespace cssame {
 namespace {
-
-constexpr const char* kSource = R"(
-  int x = 0, y = 0;
-  lock L;
-  cobegin {
-    thread T0 {
-      lock(L); x = x + 1; unlock(L);
-      y = 2;
-    }
-    thread T1 {
-      lock(L); x = x * y; unlock(L);
-      print(x);
-    }
-  }
-  print(y);
-)";
-
-TEST(DriverConcurrent, LazyAccessorsAreThreadSafe) {
-  ir::Program prog = parser::parseOrDie(kSource);
-  const driver::Compilation c = driver::analyze(prog);
-
-  constexpr unsigned kThreads = 8;
-  constexpr unsigned kRounds = 25;
-  std::vector<std::size_t> heldSizes(kThreads, 0);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c, &heldSizes, t] {
-      for (unsigned round = 0; round < kRounds; ++round) {
-        // The lazy solve plus every accessor that reads the shared lazy
-        // state, interleaved with the always-ready structures.
-        heldSizes[t] = c.heldLocks().stats().iterations;
-        (void)c.solverStats();
-        (void)c.phaseTimes();
-        (void)c.sites();
-        (void)c.graph().size();
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  // Exactly one solve happened: every thread saw the same iteration
-  // count, and the phase table gained exactly the one lazy entry.
-  for (unsigned t = 1; t < kThreads; ++t)
-    EXPECT_EQ(heldSizes[t], heldSizes[0]);
-  std::size_t lazyPhases = 0;
-  for (const support::PhaseTime& p : c.phaseTimes())
-    if (p.name == std::string("heldlocks")) ++lazyPhases;
-  EXPECT_EQ(lazyPhases, 1u);
-  EXPECT_EQ(c.solverStats().size(), 1u);
-}
-
-TEST(DriverConcurrent, PhaseTimesSnapshotIsStable) {
-  ir::Program prog = parser::parseOrDie(kSource);
-  const driver::Compilation c = driver::analyze(prog);
-
-  // One thread repeatedly snapshots the phase table while another forces
-  // the lazy solve that appends to it. The snapshot-by-value contract
-  // means the reader's vector never changes under it.
-  std::thread reader([&c] {
-    for (int i = 0; i < 200; ++i) {
-      const std::vector<support::PhaseTime> snap = c.phaseTimes();
-      EXPECT_GE(snap.size(), 1u);
-      for (const support::PhaseTime& p : snap) EXPECT_FALSE(p.name.empty());
-    }
-  });
-  std::thread forcer([&c] { (void)c.heldLocks(); });
-  reader.join();
-  forcer.join();
-  EXPECT_GE(c.phaseTimes().size(), 2u);
-}
 
 /// Every MHP answer over all node pairs plus the rendered csan output:
 /// what one request thread observes of a shared Compilation.

@@ -5,9 +5,15 @@
 //   P3  optimizing a determinate program preserves its (unique) output,
 //   P4  optimization never increases program size on these workloads,
 //   P5  re-analysis of an optimized program still verifies,
-//   P6  printing and re-parsing an optimized program is a fixpoint.
+//   P6  printing and re-parsing an optimized program is a fixpoint,
+//   P7  the held-locks and pending-store walks (dataflow/reach.h) equal a
+//       round-robin fixpoint of their gen/kill transfer functions at
+//       every node.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "src/dataflow/reach.h"
 #include "src/driver/pipeline.h"
 #include "src/interp/interp.h"
 #include "src/ir/printer.h"
@@ -37,6 +43,78 @@ workload::GeneratorConfig configFor(std::uint64_t seed) {
     cfg.arrayProb = 0.15;
   }
   return cfg;
+}
+
+/// P7's reference: the held-locks and pending-store transfer functions,
+/// iterated over every node in order until no out-value changes. Returns
+/// the in-values (the PFG verifier keeps the entry free of predecessors,
+/// so its in-value is empty).
+struct ReferenceWindows {
+  std::vector<std::set<SymbolId>> held;
+  std::vector<std::set<StmtId>> pending;
+};
+
+ReferenceWindows referenceFixpoint(const pfg::Graph& g) {
+  const ir::SymbolTable& syms = g.program().symbols;
+  ReferenceWindows in{std::vector<std::set<SymbolId>>(g.size()),
+                      std::vector<std::set<StmtId>>(g.size())};
+  ReferenceWindows out = in;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const pfg::Node& n : g.nodes()) {
+      const std::size_t i = n.id.index();
+      std::set<SymbolId> held;
+      std::set<StmtId> pending;
+      for (NodeId p : n.preds) {
+        held.insert(out.held[p.index()].begin(), out.held[p.index()].end());
+        pending.insert(out.pending[p.index()].begin(),
+                       out.pending[p.index()].end());
+      }
+      in.held[i] = held;
+      in.pending[i] = pending;
+      if (n.kind == pfg::NodeKind::Lock) held.insert(n.syncStmt->sync);
+      if (n.kind == pfg::NodeKind::Unlock) held.erase(n.syncStmt->sync);
+      if (n.kind != pfg::NodeKind::Block) pending.clear();
+      for (const ir::Stmt* s : n.stmts) {
+        if (s->kind != ir::StmtKind::Assign) continue;
+        const SymbolId cls = g.aliases.defTargetOf(*s);
+        if (s->atomic)
+          pending.clear();
+        else if (cls.valid() && g.aliases.classShared(cls, syms))
+          pending.insert(s->id);
+      }
+      if (held != out.held[i] || pending != out.pending[i]) {
+        out.held[i] = std::move(held);
+        out.pending[i] = std::move(pending);
+        changed = true;
+      }
+    }
+  }
+  return in;
+}
+
+/// P7 on one program. Returns the held (node, lock) bits plus the pending
+/// (node, store) entries, so callers can tell a vacuous sweep.
+std::size_t expectWalksMatchReference(ir::Program& prog) {
+  const driver::Compilation c = driver::analyze(prog, {.warnings = false});
+  const pfg::Graph& g = c.graph();
+  const ReferenceWindows ref = referenceFixpoint(g);
+  const std::vector<DynBitset> held = dataflow::heldLocksOnEntry(g);
+  const std::vector<std::vector<StmtId>> pending =
+      dataflow::pendingStoresOnEntry(g);
+  std::size_t facts = 0;
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    std::set<SymbolId> walked;
+    for (std::size_t l = 0; l < held.size(); ++l)
+      if (held[l].size() != 0 && held[l].test(i))
+        walked.insert(SymbolId{static_cast<SymbolId::value_type>(l)});
+    EXPECT_TRUE(walked == ref.held[i]) << "held locks differ at node " << i;
+    EXPECT_TRUE(pending[i] == std::vector<StmtId>(ref.pending[i].begin(),
+                                                  ref.pending[i].end()))
+        << "pending stores differ at node " << i;
+    facts += walked.size() + pending[i].size();
+  }
+  return facts;
 }
 
 class PipelineProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -106,6 +184,19 @@ TEST_P(PipelineProperty, PrintParseFixpoint) {
   EXPECT_EQ(ir::printProgram(reparsed), text1);
 }
 
+TEST_P(PipelineProperty, WalksMatchReferenceFixpoint) {
+  ir::Program prog = workload::generateRandom(configFor(GetParam()));
+  expectWalksMatchReference(prog);
+  // The same seed with fences and atomic accesses, which drain the
+  // pending-store windows.
+  workload::GeneratorConfig cfg = configFor(GetParam());
+  cfg.determinate = GetParam() % 2 == 0;
+  cfg.fenceProb = 0.1;
+  cfg.atomicFraction = 0.3;
+  ir::Program tso = workload::generateRandom(cfg);
+  expectWalksMatchReference(tso);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty,
                          ::testing::Range<std::uint64_t>(1, 21));
 
@@ -137,8 +228,54 @@ TEST_P(LockWorkloadProperty, OptimizerTerminatesAndVerifies) {
   EXPECT_TRUE(ir::verify(prog).empty());
 }
 
+TEST_P(LockWorkloadProperty, WalksMatchReferenceFixpoint) {
+  const std::uint64_t seed = GetParam();
+  ir::Program prog = workload::makeLockStructured(
+      3, 4, 4, static_cast<double>(seed % 5) / 4.0, seed);
+  expectWalksMatchReference(prog);
+  ir::Program bank = workload::makeBank(3, 3, 4, seed);
+  expectWalksMatchReference(bank);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, LockWorkloadProperty,
                          ::testing::Range<std::uint64_t>(1, 16));
+
+// P7 on hand-written lock and store shapes, well-formed or not, and on
+// the lock-region series.
+TEST(ReachabilityWalks, MatchReferenceOnHandShapes) {
+  const char* shapes[] = {
+      // A lock re-acquired in a loop: held on entry to its own node.
+      "int x = 0, i = 0; lock L;"
+      "while (i < 3) { lock(L); x = x + 1; i = i + 1; }",
+      // An unlock on one branch only.
+      "int x = 0; lock L;"
+      "lock(L); if (x > 0) { unlock(L); } x = 1; lock(L); unlock(L);",
+      // ABBA.
+      "int x = 0; lock A; lock B;"
+      "cobegin { thread T0 { lock(A); lock(B); x = 1; unlock(B); unlock(A); }"
+      "          thread T1 { lock(B); lock(A); x = 2; unlock(A); unlock(B); } }",
+      // A lock/unlock pair split across the arms of a loop-carried branch.
+      "int x = 0, f = 0, i = 0; lock L;"
+      "while (i < 4) { if (f == 0) { lock(L); } else { x = x + 1; unlock(L); }"
+      "  f = 1 - f; i = i + 1; }",
+      // Plain stores around a fence and an atomic store, in a loop.
+      "int x = 0, y = 0, r = 0, i = 0;"
+      "cobegin { thread T0 { while (i < 2) { x = 1; r = y; fence; y = 1;"
+      "                        atomic_store(x, 2); y = 3; i = i + 1; } }"
+      "          thread T1 { y = 1; r = atomic_load(x); x = r; fence; } }",
+  };
+  for (const char* src : shapes) {
+    ir::Program prog = parser::parseOrDie(src);
+    EXPECT_GT(expectWalksMatchReference(prog), 0u) << src;
+  }
+}
+
+TEST(ReachabilityWalks, MatchReferenceOnLockRegions) {
+  for (int k = 1; k <= 32; ++k) {
+    ir::Program prog = parser::parseOrDie(workload::lockRegionSource(3, k));
+    EXPECT_GT(expectWalksMatchReference(prog), 0u) << "k = " << k;
+  }
+}
 
 }  // namespace
 }  // namespace cssame
