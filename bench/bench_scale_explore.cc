@@ -35,7 +35,11 @@
 //      doubling, so a super-linear phase fails the run on any machine.
 //      Each point also reports the cost of one mayHappenInParallel query
 //      (swept over every Ecf edge), and checks every Ecf pair's MHP
-//      answer against part 1's reference.
+//      answer against part 1's reference. It counts the heap allocations
+//      (operator new calls, through a counting operator new in this
+//      binary) of one cold driver::analyze + runCsan, the work of a cold
+//      csan request after parsing, and gates them at <= 8 per PFG node:
+//      the counts repeat exactly, so this gate binds on any machine.
 //   6. Pointer programs: a doubling series of generated 4-thread
 //      programs with pointer updates (ptrProb 0.15, the shape of the
 //      repository benchmark's pointer versions) at 12 … 96 statements
@@ -53,14 +57,17 @@
 // >= 4 hardware threads), so a 0.94x row measured on a 1-CPU container
 // is not misread as a regression.
 // Exit status is nonzero when any determinism, exactness,
-// reduction-floor, lock-region or pointer growth check fails — CI's
+// reduction-floor, lock-region growth or allocation, or pointer growth
+// check fails — CI's
 // scale-smoke job runs this on a small grid (CSSAME_SCALE_SMOKE=1) and
 // treats any of them as a build breaker.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -83,6 +90,27 @@
 #include "src/support/threadpool.h"
 #include "src/support/timer.h"
 #include "src/workload/generator.h"
+
+// Heap allocations of one cold request (part 5): this binary replaces the
+// global operator new with one that counts its calls while armed, and
+// arms it only around the analysis being counted. The replacements stay
+// out of line, so no caller sees malloc and free pair up with new and
+// delete.
+namespace {
+std::atomic<bool> gCountAllocations{false};
+std::atomic<std::uint64_t> gAllocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (gCountAllocations.load(std::memory_order_relaxed))
+    gAllocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -520,6 +548,11 @@ constexpr double kRewriteGrowthBound = 5.0;
 constexpr double kCsanGrowthBound = 5.0;
 constexpr double kTsoGrowthBound = 5.0;
 constexpr double kReachingGrowthBound = 5.0;
+/// Heap allocations per PFG node of one cold driver::analyze + runCsan.
+/// Counts repeat exactly, so the bound holds on any machine. It reads 4-5
+/// with the PFG's and dominator trees' lists stored flat; one vector per
+/// node and list would put it above 15.
+constexpr double kAllocationsPerNodeBound = 8.0;
 
 struct LockRegionPoint {
   int regions = 0;
@@ -534,9 +567,16 @@ struct LockRegionPoint {
   double reachingSeconds = 1e30;  ///< Algorithm A.4 for every use
   double mhpSweepSeconds = 1e30;  ///< one query per Ecf edge
   bool mhpIdentical = false;  ///< every Ecf pair agrees with RefMhp
+  /// operator new calls of one cold driver::analyze + runCsan.
+  std::uint64_t allocations = 0;
 
   [[nodiscard]] double mhpNsPerQuery() const {
     return conflictEdges > 0 ? mhpSweepSeconds * 1e9 / conflictEdges : 0.0;
+  }
+  [[nodiscard]] double allocationsPerNode() const {
+    return nodes > 0 ? static_cast<double>(allocations) /
+                           static_cast<double>(nodes)
+                     : 0.0;
   }
 };
 
@@ -576,6 +616,7 @@ class LockRegionCase {
               ref.mayHappenInParallel(e.from, e.to) &&
           comp_.mhp().mayHappenInParallel(e.to, e.from) ==
               ref.mayHappenInParallel(e.to, e.from);
+    countAllocations();
   }
 
   void measure() {
@@ -631,6 +672,26 @@ class LockRegionCase {
   [[nodiscard]] const LockRegionPoint& point() const { return point_; }
 
  private:
+  /// Counts the heap allocations of what a cold csan request runs after
+  /// parsing: driver::analyze of a freshly parsed copy, then runCsan. One
+  /// uncounted runCsan first initializes anything built on first use.
+  void countAllocations() {
+    {
+      DiagEngine diag;
+      benchmark::DoNotOptimize(sanalysis::runCsan(comp_, diag).potentialRaces);
+    }
+    ir::Program prog = parser::parseOrDie(source_);
+    gAllocations.store(0, std::memory_order_relaxed);
+    gCountAllocations.store(true, std::memory_order_relaxed);
+    {
+      const driver::Compilation comp = driver::analyze(prog);
+      DiagEngine diag;
+      benchmark::DoNotOptimize(sanalysis::runCsan(comp, diag).potentialRaces);
+    }
+    gCountAllocations.store(false, std::memory_order_relaxed);
+    point_.allocations = gAllocations.load(std::memory_order_relaxed);
+  }
+
   /// Times `calls` back-to-back calls of fn, keeps the best per-call time
   /// in `best` and sizes the next burst from it.
   template <typename Fn>
@@ -681,13 +742,20 @@ struct LockRegionScale {
   [[nodiscard]] double reachingGrowth() const {
     return growth(&LockRegionPoint::reachingSeconds);
   }
+  [[nodiscard]] double maxAllocationsPerNode() const {
+    double most = 0;
+    for (const LockRegionPoint& p : points)
+      most = std::max(most, p.allocationsPerNode());
+    return most;
+  }
   [[nodiscard]] bool withinBounds() const {
     return parseGrowth() <= kParseGrowthBound &&
            mutexGrowth() <= kMutexGrowthBound &&
            rewriteGrowth() <= kRewriteGrowthBound &&
            csanGrowth() <= kCsanGrowthBound &&
            tsoGrowth() <= kTsoGrowthBound &&
-           reachingGrowth() <= kReachingGrowthBound;
+           reachingGrowth() <= kReachingGrowthBound &&
+           maxAllocationsPerNode() <= kAllocationsPerNodeBound;
   }
   [[nodiscard]] bool mhpIdentical() const {
     return std::all_of(points.begin(), points.end(),
@@ -872,7 +940,9 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
         .set("csan_seconds", p.csanSeconds)
         .set("tso_seconds", p.tsoSeconds)
         .set("reaching_seconds", p.reachingSeconds)
-        .set("mhp_ns_per_query", p.mhpNsPerQuery());
+        .set("mhp_ns_per_query", p.mhpNsPerQuery())
+        .set("allocations", p.allocations)
+        .set("allocations_per_node", p.allocationsPerNode());
     lrSeries.push(std::move(point));
   }
   service::Json lockRegions = service::Json::object();
@@ -887,6 +957,7 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
       .set("growth_bound_csan", kCsanGrowthBound)
       .set("growth_bound_tso", kTsoGrowthBound)
       .set("growth_bound_reaching", kReachingGrowthBound)
+      .set("allocations_per_node_bound", kAllocationsPerNodeBound)
       .set("series", std::move(lrSeries))
       .set("growth_x2_parse", lr.parseGrowth())
       .set("growth_x2_mutex", lr.mutexGrowth())
@@ -1004,6 +1075,13 @@ int main(int argc, char** argv) {
              lr.reachingGrowth() <= kReachingGrowthBound);
   table.gate("  MHP per Ecf pair identical to reference", "1",
              lr.mhpIdentical(), lr.mhpIdentical());
+  table.gate("  heap allocations per PFG node (analyze + csan)", "<= 8",
+             fmt("%.2f", lr.maxAllocationsPerNode()),
+             lr.maxAllocationsPerNode() <= kAllocationsPerNodeBound);
+  for (const LockRegionPoint& p : lr.points)
+    table.note(fmt("  k=%d: allocations, per node", p.regions), "(reported)",
+               fmt("%llu, %.2f", static_cast<unsigned long long>(p.allocations),
+                   p.allocationsPerNode()));
   for (const LockRegionPoint& p : lr.points)
     table.note(fmt("  k=%d: parse, MHP, tso, reaching", p.regions),
                "(reported)",

@@ -1,27 +1,9 @@
 #include "src/analysis/concurrency.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
-#include <tuple>
 
 namespace cssame::analysis {
-
-namespace {
-
-/// Lexicographic thread-path order, for interning distinct contexts.
-struct PathLess {
-  bool operator()(const pfg::ThreadPath& a, const pfg::ThreadPath& b) const {
-    return std::lexicographical_compare(
-        a.begin(), a.end(), b.begin(), b.end(),
-        [](const pfg::ThreadPathEntry& x, const pfg::ThreadPathEntry& y) {
-          return std::tuple(x.cobegin.value(), x.threadIndex) <
-                 std::tuple(y.cobegin.value(), y.threadIndex);
-        });
-  }
-};
-
-}  // namespace
 
 Mhp::Mhp(const pfg::Graph& graph, const Dominators& dom) {
   buildOrderingFacts(graph, dom);
@@ -30,20 +12,13 @@ Mhp::Mhp(const pfg::Graph& graph, const Dominators& dom) {
 }
 
 void Mhp::buildContextTables(const pfg::Graph& graph) {
-  ctxOf_.assign(graph.size(), 0);
-
-  // Intern the distinct thread paths. Real programs have one context per
-  // (possibly nested) cobegin arm plus the sequential top level, so the
-  // pairwise table stays tiny even for huge graphs.
-  std::map<pfg::ThreadPath, std::uint32_t, PathLess> interned;
-  std::vector<const pfg::ThreadPath*> paths;
-  for (const pfg::Node& node : graph.nodes()) {
-    auto [it, fresh] = interned.try_emplace(
-        node.threadPath, static_cast<std::uint32_t>(paths.size()));
-    if (fresh) paths.push_back(&it->first);
-    ctxOf_[node.id.index()] = it->second;
-  }
-  contextCount_ = static_cast<std::uint32_t>(paths.size());
+  // The graph interns the distinct thread paths. Real programs have one
+  // context per (possibly nested) cobegin arm plus the sequential top
+  // level, so the pairwise table stays tiny even for huge graphs.
+  contextCount_ = static_cast<std::uint32_t>(graph.contextCount());
+  ctxOf_.resize(graph.size());
+  for (const pfg::Node& node : graph.nodes())
+    ctxOf_[node.id.index()] = node.context;
 
   // Every concurrent pair is subject to the set/wait refinement as soon
   // as any event orders anything; buildBarrierPhases adds the barrier
@@ -53,8 +28,8 @@ void Mhp::buildContextTables(const pfg::Graph& graph) {
   for (std::uint32_t ca = 0; ca < contextCount_; ++ca) {
     for (std::uint32_t cb = 0; cb < contextCount_; ++cb) {
       PairEntry& p = pairs_[std::size_t{ca} * contextCount_ + cb];
-      p.concurrent =
-          pathsDiverge(*paths[ca], *paths[cb], &p.divergence, &p.level);
+      p.concurrent = pathsDiverge(graph.contextPath(ca), graph.contextPath(cb),
+                                  &p.divergence, &p.level);
       if (p.concurrent) p.refine = refine;
     }
   }
@@ -134,12 +109,12 @@ void Mhp::buildBarrierPhases(const pfg::Graph& graph, const Dominators& dom) {
   DynBitset reach(graph.size());
   std::vector<NodeId> work;
   for (NodeId bar : barriers) {
-    const pfg::ThreadPath& path = graph.node(bar).threadPath;
+    const pfg::ThreadPath path = graph.node(bar).threadPath;
     const std::size_t level = path.size() - 1;
     const pfg::ThreadPathEntry arm = path.back();
     barrierArms.insert({arm.cobegin.value(), arm.threadIndex});
     auto inArm = [&](NodeId x) {
-      const pfg::ThreadPath& xp = graph.node(x).threadPath;
+      const pfg::ThreadPath xp = graph.node(x).threadPath;
       return xp.size() > level && xp[level] == arm;
     };
 
@@ -196,8 +171,8 @@ void Mhp::buildBarrierPhases(const pfg::Graph& graph, const Dominators& dom) {
   }
 }
 
-bool Mhp::pathsDiverge(const pfg::ThreadPath& pa, const pfg::ThreadPath& pb,
-                       Divergence* d, std::uint32_t* level) {
+bool Mhp::pathsDiverge(pfg::ThreadPath pa, pfg::ThreadPath pb, Divergence* d,
+                       std::uint32_t* level) {
   const std::size_t common = std::min(pa.size(), pb.size());
   for (std::size_t i = 0; i < common; ++i) {
     if (pa[i].cobegin != pb[i].cobegin) return false;  // unrelated forks
@@ -255,18 +230,23 @@ void computeSyncAndConflictEdges(pfg::Graph& graph, const Mhp& mhp,
   // Ecf: def -> concurrent use (DU) or concurrent def (DD). The emission
   // order replicates the all-pairs reference sweep exactly: defining
   // nodes in id order, their defined symbols in statement order, and for
-  // each symbol its accessors in id order, DU before DD per accessor.
-  for (const pfg::Node& d : graph.nodes()) {
-    for (SymbolId v : sites.byNode[d.id.index()].defs) {
-      for (const SymNodeAccess& u : bySym.find(v)->second) {
-        if (!mhp.conflicting(d.id, u.node)) continue;
-        if (u.use)
-          graph.conflicts.push_back(pfg::ConflictEdge{d.id, u.node, v, false});
-        if (u.def)
-          graph.conflicts.push_back(pfg::ConflictEdge{d.id, u.node, v, true});
+  // each symbol its accessors in id order, DU before DD per accessor. A
+  // first sweep counts the edges, so the list is allocated once.
+  auto sweep = [&](auto&& emit) {
+    for (const pfg::Node& d : graph.nodes()) {
+      for (SymbolId v : sites.byNode[d.id.index()].defs) {
+        for (const SymNodeAccess& u : bySym.find(v)->second) {
+          if (!mhp.conflicting(d.id, u.node)) continue;
+          if (u.use) emit(pfg::ConflictEdge{d.id, u.node, v, false});
+          if (u.def) emit(pfg::ConflictEdge{d.id, u.node, v, true});
+        }
       }
     }
-  }
+  };
+  std::size_t edges = 0;
+  sweep([&](const pfg::ConflictEdge&) { ++edges; });
+  graph.conflicts.reserve(edges);
+  sweep([&](const pfg::ConflictEdge& e) { graph.conflicts.push_back(e); });
 
   // Sync nodes, indexed by kind (and target symbol for the edge heads) so
   // the pairing below touches only same-symbol candidates.

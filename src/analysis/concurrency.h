@@ -29,7 +29,7 @@
 //
 // Query cost: the constructor tabulates everything the queries need
 // (docs/PERFORMANCE.md), so every query is a few array reads that neither
-// hash nor allocate. Thread paths are interned into *contexts* — two
+// hash nor allocate. The graph interns thread paths into *contexts* — two
 // nodes with the same (cobegin, arm) stack share one context — and each
 // context pair gets one entry: sequential, concurrent, or concurrent
 // subject to the set/wait and barrier refinements, together with the
@@ -157,13 +157,13 @@ class Mhp {
   /// Reference path walk the tables are built from: finds the first
   /// divergence point of two thread paths and its level. Returns false
   /// when the paths share one thread lineage (sequential).
-  [[nodiscard]] static bool pathsDiverge(const pfg::ThreadPath& pa,
-                                         const pfg::ThreadPath& pb,
-                                         Divergence* d, std::uint32_t* level);
+  [[nodiscard]] static bool pathsDiverge(pfg::ThreadPath pa,
+                                         pfg::ThreadPath pb, Divergence* d,
+                                         std::uint32_t* level);
 
   // --- query tables (immutable after construction) ---
-  // Interned thread contexts: ctxOf_[node] indexes the distinct thread
-  // paths; pairs_[ca * contextCount_ + cb] describes the context pair.
+  // The graph's thread contexts: ctxOf_[node] is the node's context;
+  // pairs_[ca * contextCount_ + cb] describes the context pair.
   std::uint32_t contextCount_ = 0;
   std::vector<std::uint32_t> ctxOf_;
   std::vector<PairEntry> pairs_;

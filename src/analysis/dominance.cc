@@ -1,6 +1,5 @@
 #include "src/analysis/dominance.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace cssame::analysis {
@@ -14,8 +13,6 @@ Dominators::Dominators(const pfg::Graph& graph, Direction dir) : dir_(dir) {
   const std::size_t n = graph.size();
   root_ = dir == Direction::Forward ? graph.entry : graph.exit;
   idom_.assign(n, NodeId{});
-  children_.assign(n, {});
-  frontier_.assign(n, {});
   tin_.assign(n, 0);
   tout_.assign(n, 0);
 
@@ -30,7 +27,7 @@ Dominators::Dominators(const pfg::Graph& graph, Direction dir) : dir_(dir) {
     onStackOrDone[root_.index()] = true;
     while (!stack.empty()) {
       auto& [node, next] = stack.back();
-      const auto& succs = succsOf(graph.node(node));
+      const std::span<const NodeId> succs = succsOf(graph.node(node));
       if (next < succs.size()) {
         const NodeId s = succs[next++];
         if (!onStackOrDone[s.index()]) {
@@ -78,10 +75,17 @@ Dominators::Dominators(const pfg::Graph& graph, Direction dir) : dir_(dir) {
   }
   idom_[root_.index()] = NodeId{};  // the root has no idom
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId id{static_cast<NodeId::value_type>(i)};
-    if (idom_[i].valid()) children_[idom_[i].index()].push_back(id);
-  }
+  // Children in node-id order: (idom, child) pairs grouped by idom.
+  using Link = std::pair<NodeId, NodeId>;
+  std::vector<Link> links;
+  links.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (idom_[i].valid())
+      links.emplace_back(idom_[i], NodeId{static_cast<NodeId::value_type>(i)});
+  children_ = FlatLists<NodeId>::group(
+      n, std::span<const Link>(links),
+      [](const Link& l) { return l.first.index(); },
+      [](const Link& l) { return l.second; });
 
   // Euler intervals for O(1) dominates().
   std::uint32_t timer = 1;
@@ -90,7 +94,7 @@ Dominators::Dominators(const pfg::Graph& graph, Direction dir) : dir_(dir) {
   tin_[root_.index()] = timer++;
   while (!stack.empty()) {
     auto& [node, next] = stack.back();
-    const auto& kids = children_[node.index()];
+    const std::span<const NodeId> kids = children_[node.index()];
     if (next < kids.size()) {
       const NodeId k = kids[next++];
       tin_[k.index()] = timer++;
@@ -106,20 +110,33 @@ Dominators::Dominators(const pfg::Graph& graph, Direction dir) : dir_(dir) {
 
 void Dominators::computeFrontiers(const pfg::Graph& graph) {
   // Cytron et al.'s two-pass formulation, using the CHK "walk up from each
-  // join predecessor" variant.
+  // join predecessor" variant. Every (runner, b) pair is recorded in
+  // discovery order and then grouped by runner, so each frontier lists
+  // its nodes in the order they were found. A join b is only ever added
+  // while b itself is processed, so remembering the last join added to
+  // each runner is enough to skip duplicates.
+  using Link = std::pair<NodeId, NodeId>;
+  std::vector<Link> links;
+  std::vector<NodeId> lastJoin(graph.size());
   for (NodeId b : rpo_) {
-    const auto& preds = predsOf(graph.node(b));
+    const std::span<const NodeId> preds = predsOf(graph.node(b));
     if (preds.size() < 2) continue;
     for (NodeId p : preds) {
       if (!reachable(p)) continue;
       NodeId runner = p;
       while (runner.valid() && runner != idom_[b.index()]) {
-        auto& fr = frontier_[runner.index()];
-        if (std::find(fr.begin(), fr.end(), b) == fr.end()) fr.push_back(b);
+        if (lastJoin[runner.index()] != b) {
+          lastJoin[runner.index()] = b;
+          links.emplace_back(runner, b);
+        }
         runner = idom_[runner.index()];
       }
     }
   }
+  frontier_ = FlatLists<NodeId>::group(
+      graph.size(), std::span<const Link>(links),
+      [](const Link& l) { return l.first.index(); },
+      [](const Link& l) { return l.second; });
 }
 
 }  // namespace cssame::analysis

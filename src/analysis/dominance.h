@@ -4,12 +4,15 @@
 // paths*; conflict and synchronization edges never participate. Both the
 // mutex-body detection (Algorithm A.1) and LICM (Theorem 3) are driven by
 // DOM/PDOM queries, so the tree exposes O(1) dominates() via Euler-tour
-// intervals, plus dominance frontiers for φ placement.
+// intervals, plus dominance frontiers for φ placement. Children and
+// frontiers never change after construction and are stored flat.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/pfg/graph.h"
+#include "src/support/flat_lists.h"
 #include "src/support/ids.h"
 
 namespace cssame::analysis {
@@ -42,14 +45,14 @@ class Dominators {
 
   [[nodiscard]] NodeId root() const { return root_; }
 
-  /// Children of n in the dominator tree.
-  [[nodiscard]] const std::vector<NodeId>& children(NodeId n) const {
+  /// Children of n in the dominator tree, in node-id order.
+  [[nodiscard]] std::span<const NodeId> children(NodeId n) const {
     return children_[n.index()];
   }
 
   /// Dominance frontier of n (forward direction: used for φ placement;
   /// reverse direction: control dependence).
-  [[nodiscard]] const std::vector<NodeId>& frontier(NodeId n) const {
+  [[nodiscard]] std::span<const NodeId> frontier(NodeId n) const {
     return frontier_[n.index()];
   }
 
@@ -58,10 +61,10 @@ class Dominators {
   [[nodiscard]] const std::vector<NodeId>& order() const { return rpo_; }
 
  private:
-  [[nodiscard]] const std::vector<NodeId>& predsOf(const pfg::Node& n) const {
+  [[nodiscard]] std::span<const NodeId> predsOf(const pfg::Node& n) const {
     return dir_ == Direction::Forward ? n.preds : n.succs;
   }
-  [[nodiscard]] const std::vector<NodeId>& succsOf(const pfg::Node& n) const {
+  [[nodiscard]] std::span<const NodeId> succsOf(const pfg::Node& n) const {
     return dir_ == Direction::Forward ? n.succs : n.preds;
   }
 
@@ -70,8 +73,8 @@ class Dominators {
   Direction dir_;
   NodeId root_;
   std::vector<NodeId> idom_;
-  std::vector<std::vector<NodeId>> children_;
-  std::vector<std::vector<NodeId>> frontier_;
+  FlatLists<NodeId> children_;
+  FlatLists<NodeId> frontier_;
   std::vector<NodeId> rpo_;
   std::vector<std::uint32_t> tin_, tout_;  // Euler intervals on the dom tree
 };

@@ -19,40 +19,80 @@ const char* nodeKindName(NodeKind k) {
   return "?";
 }
 
-namespace {
-
-class Lowerer {
+/// Lowers the IR in one walk that records nodes, edges, block statements
+/// and thread contexts in creation order, then flattens the lists into the
+/// graph's arrays. Counting sorts keep every list in push order, so
+/// succs[0] stays the taken edge of a branch.
+class GraphBuilder {
  public:
-  explicit Lowerer(ir::Program& prog) : graph_(prog) {}
+  explicit GraphBuilder(ir::Program& prog) : graph_(prog) {
+    graph_.stmtNode_.resize(prog.numStmtIds());
+  }
 
   Graph run() {
-    graph_.entry = graph_.newNode(NodeKind::Entry);
-    graph_.exit = graph_.newNode(NodeKind::Exit);
+    graph_.entry = newNode(NodeKind::Entry);
+    graph_.exit = newNode(NodeKind::Exit);
     NodeId cur = newBlock();
-    graph_.addEdge(graph_.entry, cur);
+    addEdge(graph_.entry, cur);
     cur = lowerList(graph_.program().body, cur);
-    graph_.addEdge(cur, graph_.exit);
+    addEdge(cur, graph_.exit);
+    flatten();
     return std::move(graph_);
   }
 
  private:
-  NodeId newBlock() { return graph_.newNode(NodeKind::Block, path_); }
+  using Edge = std::pair<NodeId, NodeId>;
+  using BlockStmt = std::pair<NodeId, ir::Stmt*>;
+  using ContextEntry = std::pair<std::uint32_t, ThreadPathEntry>;
+
+  NodeId newNode(NodeKind kind) {
+    const NodeId id{static_cast<NodeId::value_type>(graph_.nodes_.size())};
+    Node& n = graph_.nodes_.emplace_back();
+    n.id = id;
+    n.kind = kind;
+    n.context = context_;
+    return id;
+  }
+
+  NodeId newBlock() { return newNode(NodeKind::Block); }
+
+  void addEdge(NodeId from, NodeId to) { edges_.emplace_back(from, to); }
+
+  void mapStmt(const ir::Stmt* s, NodeId n) {
+    graph_.stmtNode_[s->id.index()] = Graph::StmtSlot{s, n};
+  }
+
+  /// Opens the context of thread `ti` of cobegin `s` inside the current
+  /// one. Each arm is lowered once, so every call makes a new context.
+  void enterThread(const ir::Stmt* s, std::uint32_t ti) {
+    path_.push_back(ThreadPathEntry{s->id, ti});
+    enclosing_.push_back(context_);
+    context_ = contexts_++;
+    for (const ThreadPathEntry& e : path_)
+      contextEntries_.emplace_back(context_, e);
+  }
+
+  void leaveThread() {
+    path_.pop_back();
+    context_ = enclosing_.back();
+    enclosing_.pop_back();
+  }
 
   /// Returns a Block node new statements can be appended to: `cur` itself
   /// if it is an unterminated Block, otherwise a fresh successor Block.
   NodeId ensureBlock(NodeId cur) {
-    Node& n = graph_.node(cur);
+    const Node& n = graph_.node(cur);
     if (n.kind == NodeKind::Block && n.terminator == nullptr) return cur;
     const NodeId b = newBlock();
-    graph_.addEdge(cur, b);
+    addEdge(cur, b);
     return b;
   }
 
   NodeId lowerSyncNode(NodeId cur, NodeKind kind, ir::Stmt* s) {
-    const NodeId n = graph_.newNode(kind, path_);
+    const NodeId n = newNode(kind);
     graph_.node(n).syncStmt = s;
-    graph_.mapStmt(s, n);
-    graph_.addEdge(cur, n);
+    mapStmt(s, n);
+    addEdge(cur, n);
     return n;
   }
 
@@ -69,8 +109,8 @@ class Lowerer {
       case StmtKind::Print:
       case StmtKind::Assert: {
         cur = ensureBlock(cur);
-        graph_.node(cur).stmts.push_back(s);
-        graph_.mapStmt(s, cur);
+        blockStmts_.emplace_back(cur, s);
+        mapStmt(s, cur);
         return cur;
       }
       case StmtKind::Lock:
@@ -88,51 +128,51 @@ class Lowerer {
       case StmtKind::If: {
         cur = ensureBlock(cur);
         graph_.node(cur).terminator = s;
-        graph_.mapStmt(s, cur);
+        mapStmt(s, cur);
         // succs[0] = then entry, succs[1] = else entry / join.
         const NodeId thenEntry = newBlock();
-        graph_.addEdge(cur, thenEntry);
+        addEdge(cur, thenEntry);
         const NodeId thenExit = lowerList(s->thenBody, thenEntry);
         const NodeId join = newBlock();
         if (s->elseBody.empty()) {
-          graph_.addEdge(cur, join);
+          addEdge(cur, join);
         } else {
           const NodeId elseEntry = newBlock();
-          graph_.addEdge(cur, elseEntry);
+          addEdge(cur, elseEntry);
           const NodeId elseExit = lowerList(s->elseBody, elseEntry);
-          graph_.addEdge(elseExit, join);
+          addEdge(elseExit, join);
         }
-        graph_.addEdge(thenExit, join);
+        addEdge(thenExit, join);
         return join;
       }
       case StmtKind::While: {
         // Header evaluates the condition: succs[0] = body, succs[1] = exit.
         const NodeId header = newBlock();
-        graph_.addEdge(cur, header);
+        addEdge(cur, header);
         graph_.node(header).terminator = s;
-        graph_.mapStmt(s, header);
+        mapStmt(s, header);
         const NodeId bodyEntry = newBlock();
-        graph_.addEdge(header, bodyEntry);
+        addEdge(header, bodyEntry);
         const NodeId bodyExit = lowerList(s->thenBody, bodyEntry);
-        graph_.addEdge(bodyExit, header);
+        addEdge(bodyExit, header);
         const NodeId exitB = newBlock();
-        graph_.addEdge(header, exitB);
+        addEdge(header, exitB);
         return exitB;
       }
       case StmtKind::Cobegin: {
-        const NodeId fork = graph_.newNode(NodeKind::Cobegin, path_);
+        const NodeId fork = newNode(NodeKind::Cobegin);
         graph_.node(fork).syncStmt = s;
-        graph_.mapStmt(s, fork);
-        graph_.addEdge(cur, fork);
-        const NodeId join = graph_.newNode(NodeKind::Coend, path_);
+        mapStmt(s, fork);
+        addEdge(cur, fork);
+        const NodeId join = newNode(NodeKind::Coend);
         graph_.node(join).syncStmt = s;
         for (std::uint32_t ti = 0; ti < s->threads.size(); ++ti) {
-          path_.push_back(ThreadPathEntry{s->id, ti});
+          enterThread(s, ti);
           const NodeId tEntry = newBlock();
-          graph_.addEdge(fork, tEntry);
+          addEdge(fork, tEntry);
           const NodeId tExit = lowerList(s->threads[ti].body, tEntry);
-          graph_.addEdge(tExit, join);
-          path_.pop_back();
+          addEdge(tExit, join);
+          leaveThread();
         }
         return join;
       }
@@ -140,13 +180,47 @@ class Lowerer {
     return cur;
   }
 
+  /// Moves the recorded lists into the graph's arrays and points every
+  /// node's spans at its part of them.
+  void flatten() {
+    const std::size_t n = graph_.nodes_.size();
+    const std::span<const Edge> edges(edges_);
+    graph_.succs_ = FlatLists<NodeId>::group(
+        n, edges, [](const Edge& e) { return e.first.index(); },
+        [](const Edge& e) { return e.second; });
+    graph_.preds_ = FlatLists<NodeId>::group(
+        n, edges, [](const Edge& e) { return e.second.index(); },
+        [](const Edge& e) { return e.first; });
+    graph_.stmts_ = FlatLists<ir::Stmt*>::group(
+        n, std::span<const BlockStmt>(blockStmts_),
+        [](const BlockStmt& b) { return b.first.index(); },
+        [](const BlockStmt& b) { return b.second; });
+    graph_.contextPaths_ = FlatLists<ThreadPathEntry>::group(
+        contexts_, std::span<const ContextEntry>(contextEntries_),
+        [](const ContextEntry& c) { return c.first; },
+        [](const ContextEntry& c) { return c.second; });
+    for (Node& node : graph_.nodes_) {
+      const std::size_t i = node.id.index();
+      node.succs = graph_.succs_[i];
+      node.preds = graph_.preds_[i];
+      node.stmts = graph_.stmts_[i];
+      node.threadPath = graph_.contextPaths_[node.context];
+    }
+  }
+
   Graph graph_;
-  ThreadPath path_;
+  std::vector<Edge> edges_;
+  std::vector<BlockStmt> blockStmts_;
+  // Thread contexts: context 0 is the top level's empty path, and each
+  // entry records one (context, path element) pair in path order.
+  std::vector<ThreadPathEntry> path_;
+  std::uint32_t context_ = 0;
+  std::uint32_t contexts_ = 1;
+  std::vector<std::uint32_t> enclosing_;
+  std::vector<ContextEntry> contextEntries_;
 };
 
-}  // namespace
-
-Graph buildPfg(ir::Program& program) { return Lowerer(program).run(); }
+Graph buildPfg(ir::Program& program) { return GraphBuilder(program).run(); }
 
 std::string Graph::describe(NodeId id) const {
   const Node& n = node(id);

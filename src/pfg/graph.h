@@ -8,13 +8,19 @@
 //       Esync  = Emutex (undirected lock↔unlock) ∪ Edsync (set→wait),
 //       Ecf    directed conflict edges between concurrent blocks that
 //              access the same shared variable, labelled def/use.
+//
+// The graph never changes once built, so its per-node lists are stored
+// flat in graph-owned arrays and each Node hands them out as spans (see
+// support/flat_lists.h). A Graph is therefore move-only.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/ir/alias.h"
 #include "src/ir/program.h"
+#include "src/support/flat_lists.h"
 #include "src/support/ids.h"
 #include "src/support/status.h"
 
@@ -48,14 +54,15 @@ struct ThreadPathEntry {
     return a.cobegin == b.cobegin && a.threadIndex == b.threadIndex;
   }
 };
-using ThreadPath = std::vector<ThreadPathEntry>;
+/// A view of the graph's one interned copy of a thread path.
+using ThreadPath = std::span<const ThreadPathEntry>;
 
 struct Node {
   NodeId id;
   NodeKind kind = NodeKind::Block;
 
   /// Block only: simple statements (Assign / CallStmt / Print), in order.
-  std::vector<ir::Stmt*> stmts;
+  std::span<ir::Stmt* const> stmts;
   /// Block only: If/While statement whose condition is evaluated at the end
   /// of this node. With a terminator: succs[0] = taken (then/body),
   /// succs[1] = not taken (else/exit).
@@ -64,9 +71,12 @@ struct Node {
   /// statement they delimit.
   ir::Stmt* syncStmt = nullptr;
 
-  std::vector<NodeId> succs;  ///< Ect out-edges
-  std::vector<NodeId> preds;  ///< Ect in-edges
+  std::span<const NodeId> succs;  ///< Ect out-edges
+  std::span<const NodeId> preds;  ///< Ect in-edges
 
+  /// Index of the node's thread context: nodes with equal thread paths
+  /// share one, numbered in order of their first node.
+  std::uint32_t context = 0;
   ThreadPath threadPath;
 
   [[nodiscard]] bool isSync() const {
@@ -101,24 +111,12 @@ struct DsyncEdge {
 
 class Graph {
  public:
-  explicit Graph(ir::Program& program) : program_(&program) {}
+  Graph(Graph&&) = default;
+  Graph& operator=(Graph&&) = default;
+  Graph(const Graph&) = delete;
+  Graph& operator=(const Graph&) = delete;
 
   [[nodiscard]] ir::Program& program() const { return *program_; }
-
-  NodeId newNode(NodeKind kind, ThreadPath path = {}) {
-    const NodeId id{static_cast<NodeId::value_type>(nodes_.size())};
-    Node n;
-    n.id = id;
-    n.kind = kind;
-    n.threadPath = std::move(path);
-    nodes_.push_back(std::move(n));
-    return id;
-  }
-
-  void addEdge(NodeId from, NodeId to) {
-    node(from).succs.push_back(to);
-    node(to).preds.push_back(from);
-  }
 
   [[nodiscard]] Node& node(NodeId id) {
     CSSAME_CHECK(id.valid() && id.index() < nodes_.size(),
@@ -134,6 +132,15 @@ class Graph {
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
   [[nodiscard]] std::vector<Node>& nodes() { return nodes_; }
+
+  /// Number of distinct thread contexts (Node::context is below it).
+  [[nodiscard]] std::size_t contextCount() const {
+    return contextPaths_.keys();
+  }
+  /// The thread path shared by every node of context `c`.
+  [[nodiscard]] ThreadPath contextPath(std::uint32_t c) const {
+    return contextPaths_[c];
+  }
 
   NodeId entry;
   NodeId exit;
@@ -151,20 +158,37 @@ class Graph {
 
   /// Node that evaluates/executes the given statement. Simple statements
   /// map to their Block, If/While to the block they terminate, sync
-  /// statements to their own node, Cobegin to the fork node.
+  /// statements to their own node, Cobegin to the fork node. Invalid for
+  /// a statement the graph was not built from.
   [[nodiscard]] NodeId nodeOf(const ir::Stmt* s) const {
-    auto it = stmtNode_.find(s);
-    return it == stmtNode_.end() ? NodeId{} : it->second;
+    if (s == nullptr || s->id.index() >= stmtNode_.size()) return NodeId{};
+    const StmtSlot& slot = stmtNode_[s->id.index()];
+    return slot.stmt == s ? slot.node : NodeId{};
   }
-  void mapStmt(const ir::Stmt* s, NodeId n) { stmtNode_[s] = n; }
 
   /// Human-readable one-line description of a node, for DOT labels/tests.
   [[nodiscard]] std::string describe(NodeId id) const;
 
  private:
+  friend class GraphBuilder;  // src/pfg/build.cc
+
+  explicit Graph(ir::Program& program) : program_(&program) {}
+
+  /// One StmtId's entry of the statement-to-node table; `stmt` tells a
+  /// lowered statement from another with the same id.
+  struct StmtSlot {
+    const ir::Stmt* stmt = nullptr;
+    NodeId node;
+  };
+
   ir::Program* program_;
   std::vector<Node> nodes_;
-  std::unordered_map<const ir::Stmt*, NodeId> stmtNode_;
+  // The arrays the nodes' spans view.
+  FlatLists<NodeId> succs_;
+  FlatLists<NodeId> preds_;
+  FlatLists<ir::Stmt*> stmts_;
+  FlatLists<ThreadPathEntry> contextPaths_;
+  std::vector<StmtSlot> stmtNode_;  ///< indexed by StmtId
 };
 
 }  // namespace cssame::pfg

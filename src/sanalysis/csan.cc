@@ -374,7 +374,7 @@ class Csan {
       // same legality LICM uses). Only meaningful on straight-line
       // single-block bodies, where statement order is unambiguous.
       if (!straightLine || blocks.size() != 1) continue;
-      const std::vector<ir::Stmt*>& stmts = blocks.front()->stmts;
+      const std::span<ir::Stmt* const> stmts = blocks.front()->stmts;
       std::size_t prefix = 0;
       while (prefix < stmts.size() &&
              independence.isLockIndependent(*stmts[prefix]))

@@ -67,7 +67,6 @@ class Tso {
           storeSite_[s->id] = StoreSite{s, n.id, cls};
       }
     }
-    buildRacySites();
   }
 
   TsoReport run() {
@@ -94,6 +93,8 @@ class Tso {
   /// touches the variable without a common lock. Index every conflict-edge
   /// endpoint that has such a partner, keeping one witness partner each:
   /// (node, var) → the remote access that can see the stale/early value.
+  /// Built by the first isRacy call, so a program in which no load sees a
+  /// pending store and no fence drains one never sweeps its Ecf edges.
   void buildRacySites() {
     for (const pfg::ConflictEdge& e : graph_.conflicts) {
       if (!comp_.mhp().mayHappenInParallel(e.from, e.to)) continue;
@@ -104,7 +105,11 @@ class Tso {
     }
   }
 
-  [[nodiscard]] bool isRacy(NodeId node, SymbolId var) const {
+  [[nodiscard]] bool isRacy(NodeId node, SymbolId var) {
+    if (!racyBuilt_) {
+      buildRacySites();
+      racyBuilt_ = true;
+    }
     return racy_.count({node, var}) != 0;
   }
 
@@ -239,6 +244,7 @@ class Tso {
   std::unordered_map<StmtId, const ir::Stmt*> cobeginStmt_;
   std::unordered_map<StmtId, StoreSite> storeSite_;
   std::map<std::pair<NodeId, SymbolId>, RemoteSite> racy_;
+  bool racyBuilt_ = false;
   std::set<std::tuple<StmtId, NodeId, SymbolId>> seen_;
   TsoReport report_;
 };

@@ -147,11 +147,12 @@ class Builder {
 
   void renameNode(NodeId id) {
     const pfg::Node& n = graph_.node(id);
-    std::vector<std::pair<SymbolId, std::size_t>> pushed;
+    // This node's pushes sit above `mark` on the shared undo stack.
+    const std::size_t mark = pushed_.size();
 
     auto push = [&](SymbolId var, SsaNameId def) {
       stacks_[var.index()].push_back(def);
-      pushed.emplace_back(var, 1);
+      pushed_.push_back(var);
     };
 
     for (SsaNameId phi : form_.phisAt[id.index()])
@@ -182,8 +183,10 @@ class Builder {
 
     for (NodeId child : dom_.children(id)) renameNode(child);
 
-    for (auto it = pushed.rbegin(); it != pushed.rend(); ++it)
-      stacks_[it->first.index()].pop_back();
+    while (pushed_.size() > mark) {
+      stacks_[pushed_.back().index()].pop_back();
+      pushed_.pop_back();
+    }
   }
 
   // coend φ pruning: keep only arguments from threads that define the
@@ -285,6 +288,9 @@ class Builder {
   const ir::AliasClasses& aliases_;
   SsaForm form_;
   std::vector<std::vector<SsaNameId>> stacks_;
+  /// Undo stack of renaming: the class of every definition pushed onto
+  /// `stacks_`, popped when the dominator subtree that pushed it is done.
+  std::vector<SymbolId> pushed_;
 };
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "src/support/diag.h"
 
 #include <charconv>
+#include <limits>
 
 namespace cssame {
 
@@ -124,10 +125,14 @@ namespace {
 /// SourceLoc::str() renders, without building a temporary.
 void appendLocPrefix(std::string& out, SourceLoc loc) {
   if (!loc.valid()) return;
-  char buf[32];
-  char* p = std::to_chars(buf, buf + sizeof buf, loc.line).ptr;
+  // Bounding each conversion at the most digits a line or column can
+  // take keeps every separator write provably inside the buffer.
+  constexpr std::ptrdiff_t kDigits =
+      std::numeric_limits<decltype(loc.line)>::digits10 + 1;
+  char buf[2 * kDigits + 3];
+  char* p = std::to_chars(buf, buf + kDigits, loc.line).ptr;
   *p++ = ':';
-  p = std::to_chars(p, buf + sizeof buf, loc.column).ptr;
+  p = std::to_chars(p, p + kDigits, loc.column).ptr;
   *p++ = ':';
   *p++ = ' ';
   out.append(buf, static_cast<std::size_t>(p - buf));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 
 #include "src/analysis/dominance.h"
 #include "src/pfg/build.h"
@@ -24,7 +25,7 @@ std::vector<bool> reachAvoiding(const pfg::Graph& g, NodeId root,
   while (!work.empty()) {
     const NodeId cur = work.back();
     work.pop_back();
-    const auto& next =
+    const std::span<const NodeId> next =
         forward ? g.node(cur).succs : g.node(cur).preds;
     for (NodeId n : next) {
       if (n == removed || seen[n.index()]) continue;
@@ -107,8 +108,8 @@ TEST_P(DominanceProperty, FrontierDefinition) {
       if (domsAPred && !dom.strictlyDominates(x.id, y.id))
         expected.insert(y.id);
     }
-    std::set<NodeId> actual(dom.frontier(x.id).begin(),
-                            dom.frontier(x.id).end());
+    const std::span<const NodeId> frontier = dom.frontier(x.id);
+    std::set<NodeId> actual(frontier.begin(), frontier.end());
     EXPECT_EQ(actual, expected) << "node #" << x.id.value();
   }
 }

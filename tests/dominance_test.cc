@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "src/analysis/dominance.h"
 #include "src/parser/parser.h"
@@ -106,7 +107,7 @@ TEST(Dominators, FrontierOfBranchArmsIsJoin) {
   Fixture f("int a; if (a > 0) { a = 1; } else { a = 2; } a = 3;");
   const NodeId thenNode = f.nodeWithConst(1);
   const NodeId join = f.nodeWithConst(3);
-  const auto& frontier = f.dom.frontier(thenNode);
+  const std::span<const NodeId> frontier = f.dom.frontier(thenNode);
   EXPECT_NE(std::find(frontier.begin(), frontier.end(), join), frontier.end());
 }
 
@@ -116,7 +117,7 @@ TEST(Dominators, LoopBodyFrontierContainsHeader) {
   NodeId header;
   for (const pfg::Node& n : f.graph.nodes())
     if (n.terminator != nullptr) header = n.id;
-  const auto& frontier = f.dom.frontier(body);
+  const std::span<const NodeId> frontier = f.dom.frontier(body);
   EXPECT_NE(std::find(frontier.begin(), frontier.end(), header),
             frontier.end());
 }

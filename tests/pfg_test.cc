@@ -234,7 +234,7 @@ TEST(PfgVerify, DetectsBrokenEdges) {
   // Sabotage: drop one predecessor record.
   for (Node& n : g.nodes()) {
     if (!n.preds.empty()) {
-      n.preds.clear();
+      n.preds = {};
       break;
     }
   }
