@@ -23,11 +23,13 @@
 //      `lock(L); x = x + c; unlock(L); lock(M); z = z + 1; unlock(M);`
 //      shape, timing parseChecked of the source, the mutex-structure
 //      phase, the CSSAME rewrite, csan (its lock-lifecycle walks
-//      included), the TSO check and parallel reaching definitions
+//      included), the TSO check, parallel reaching definitions
 //      (Algorithm A.4 for every use, sharing one visited set as PDCE
-//      does). Conflict edges grow 4x per doubling of the
-//      region count, so the rewrite, csan, TSO and the reaching walk,
-//      which visit each edge a bounded number of times, may grow up to 5x
+//      does), CVRA (analyzeValueRanges without a DiagEngine) and CSCC
+//      (opt::analyzeConstants). Conflict edges and π arguments grow 4x
+//      per doubling of the region count, so the rewrite, csan, TSO, the
+//      reaching walk and the two sparse conditional solves, which visit
+//      each edge or argument a bounded number of times, may grow up to 5x
 //      per doubling; the parse and the mutex phase, linear in the
 //      program, at most 2.5x. Growth per doubling is taken over the
 //      whole series, (t_last / t_first)^(1 / doublings), which damps one
@@ -82,10 +84,12 @@
 #include "src/interp/explore.h"
 #include "src/ir/builder.h"
 #include "src/ir/expr.h"
+#include "src/opt/cscc.h"
 #include "src/parser/parser.h"
 #include "src/pfg/build.h"
 #include "src/sanalysis/csan.h"
 #include "src/sanalysis/tso.h"
+#include "src/sanalysis/vrange.h"
 #include "src/support/memmodel.h"
 #include "src/support/threadpool.h"
 #include "src/support/timer.h"
@@ -548,6 +552,8 @@ constexpr double kRewriteGrowthBound = 5.0;
 constexpr double kCsanGrowthBound = 5.0;
 constexpr double kTsoGrowthBound = 5.0;
 constexpr double kReachingGrowthBound = 5.0;
+constexpr double kVrangeGrowthBound = 5.0;
+constexpr double kCsccGrowthBound = 5.0;
 /// Heap allocations per PFG node of one cold driver::analyze + runCsan.
 /// Counts repeat exactly, so the bound holds on any machine. It reads 4-5
 /// with the PFG's and dominator trees' lists stored flat; one vector per
@@ -565,6 +571,8 @@ struct LockRegionPoint {
   double csanSeconds = 1e30;
   double tsoSeconds = 1e30;
   double reachingSeconds = 1e30;  ///< Algorithm A.4 for every use
+  double vrangeSeconds = 1e30;    ///< CVRA, no DiagEngine
+  double csccSeconds = 1e30;      ///< opt::analyzeConstants
   double mhpSweepSeconds = 1e30;  ///< one query per Ecf edge
   bool mhpIdentical = false;  ///< every Ecf pair agrees with RefMhp
   /// operator new calls of one cold driver::analyze + runCsan.
@@ -581,10 +589,12 @@ struct LockRegionPoint {
 };
 
 /// Back-to-back calls per timing sample so that one sample lasts about
-/// 2 ms: single calls of a few microseconds are too noisy to compare
-/// across a doubling series.
+/// 10 ms: single calls of a few microseconds are too noisy to compare
+/// across a doubling series, and a phase that sweeps megabytes at the
+/// largest point needs several calls to amortize the cold cache the
+/// previous phase leaves it.
 int callsPerSample(double secondsPerCall) {
-  return std::max(1, static_cast<int>(2e-3 / std::max(secondsPerCall, 1e-7)));
+  return std::max(1, static_cast<int>(10e-3 / std::max(secondsPerCall, 1e-7)));
 }
 
 /// One region count, analyzed once. Each measure() call times
@@ -594,7 +604,8 @@ int callsPerSample(double secondsPerCall) {
 /// construction (with its Section 6 warnings), cssa::rewritePiTerms on
 /// fresh copies of the unrewritten CSSA form, sanalysis::runCsan, the
 /// reaching-definition walk, a mayHappenInParallel sweep over the Ecf
-/// edges and sanalysis::runTso.
+/// edges, sanalysis::runTso, sanalysis::analyzeValueRanges and
+/// opt::analyzeConstants.
 /// The point keeps the best per-call time of every phase.
 class LockRegionCase {
  public:
@@ -657,6 +668,13 @@ class LockRegionCase {
       DiagEngine diag;
       benchmark::DoNotOptimize(sanalysis::runTso(comp_, diag).notJustified);
     });
+    burst(point_.vrangeSeconds, vrangeCalls_, [&] {
+      benchmark::DoNotOptimize(
+          sanalysis::analyzeValueRanges(comp_).stats.solverIterations);
+    });
+    burst(point_.csccSeconds, csccCalls_, [&] {
+      benchmark::DoNotOptimize(opt::analyzeConstants(comp_).constantDefs);
+    });
     // The rewrite edits the form in place, so every call gets its own
     // copy, made outside the timed burst.
     forms_.assign(static_cast<std::size_t>(rewriteCalls_), cssa_);
@@ -709,7 +727,8 @@ class LockRegionCase {
   ssa::SsaForm cssa_;
   std::vector<ssa::SsaForm> forms_;
   int parseCalls_ = 1, mutexCalls_ = 1, rewriteCalls_ = 1, csanCalls_ = 1,
-      tsoCalls_ = 1, reachingCalls_ = 1, mhpCalls_ = 1;
+      tsoCalls_ = 1, reachingCalls_ = 1, mhpCalls_ = 1, vrangeCalls_ = 1,
+      csccCalls_ = 1;
   LockRegionPoint point_;
 };
 
@@ -742,6 +761,12 @@ struct LockRegionScale {
   [[nodiscard]] double reachingGrowth() const {
     return growth(&LockRegionPoint::reachingSeconds);
   }
+  [[nodiscard]] double vrangeGrowth() const {
+    return growth(&LockRegionPoint::vrangeSeconds);
+  }
+  [[nodiscard]] double csccGrowth() const {
+    return growth(&LockRegionPoint::csccSeconds);
+  }
   [[nodiscard]] double maxAllocationsPerNode() const {
     double most = 0;
     for (const LockRegionPoint& p : points)
@@ -755,6 +780,8 @@ struct LockRegionScale {
            csanGrowth() <= kCsanGrowthBound &&
            tsoGrowth() <= kTsoGrowthBound &&
            reachingGrowth() <= kReachingGrowthBound &&
+           vrangeGrowth() <= kVrangeGrowthBound &&
+           csccGrowth() <= kCsccGrowthBound &&
            maxAllocationsPerNode() <= kAllocationsPerNodeBound;
   }
   [[nodiscard]] bool mhpIdentical() const {
@@ -765,14 +792,16 @@ struct LockRegionScale {
 
 /// Measures every region count once per round, round after round, so a
 /// burst of host noise inflates one sample of each point instead of every
-/// sample of one point; each point keeps its best.
+/// sample of one point; each point keeps its best. The rounds span several
+/// seconds, longer than the noisy spells of a shared host, which with
+/// fewer rounds pushed a 4.4x column past its 5x bound.
 LockRegionScale runLockRegionScale() {
   const std::vector<int> regions = smokeMode()
                                        ? std::vector<int>{20, 40, 80}
                                        : std::vector<int>{20, 40, 80, 160};
   std::vector<std::unique_ptr<LockRegionCase>> cases;
   for (int k : regions) cases.push_back(std::make_unique<LockRegionCase>(k));
-  const int rounds = smokeMode() ? 5 : 7;
+  const int rounds = smokeMode() ? 9 : 15;
   for (int r = 0; r < rounds; ++r)
     for (auto& c : cases) c->measure();
   LockRegionScale out;
@@ -940,6 +969,8 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
         .set("csan_seconds", p.csanSeconds)
         .set("tso_seconds", p.tsoSeconds)
         .set("reaching_seconds", p.reachingSeconds)
+        .set("vrange_seconds", p.vrangeSeconds)
+        .set("cscc_seconds", p.csccSeconds)
         .set("mhp_ns_per_query", p.mhpNsPerQuery())
         .set("allocations", p.allocations)
         .set("allocations_per_node", p.allocationsPerNode());
@@ -957,6 +988,8 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
       .set("growth_bound_csan", kCsanGrowthBound)
       .set("growth_bound_tso", kTsoGrowthBound)
       .set("growth_bound_reaching", kReachingGrowthBound)
+      .set("growth_bound_vrange", kVrangeGrowthBound)
+      .set("growth_bound_cscc", kCsccGrowthBound)
       .set("allocations_per_node_bound", kAllocationsPerNodeBound)
       .set("series", std::move(lrSeries))
       .set("growth_x2_parse", lr.parseGrowth())
@@ -965,6 +998,8 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
       .set("growth_x2_csan", lr.csanGrowth())
       .set("growth_x2_tso", lr.tsoGrowth())
       .set("growth_x2_reaching", lr.reachingGrowth())
+      .set("growth_x2_vrange", lr.vrangeGrowth())
+      .set("growth_x2_cscc", lr.csccGrowth())
       .set("mhp_identical_to_reference", lr.mhpIdentical())
       .set("within_bounds", lr.withinBounds());
   service::Json ptrSeries = service::Json::array();
@@ -1073,6 +1108,12 @@ int main(int argc, char** argv) {
   table.gate("  reaching-defs (A.4) growth per doubling", "<= 5x",
              fmt("%.2fx", lr.reachingGrowth()),
              lr.reachingGrowth() <= kReachingGrowthBound);
+  table.gate("  vrange (CVRA) growth per doubling", "<= 5x",
+             fmt("%.2fx", lr.vrangeGrowth()),
+             lr.vrangeGrowth() <= kVrangeGrowthBound);
+  table.gate("  cscc growth per doubling", "<= 5x",
+             fmt("%.2fx", lr.csccGrowth()),
+             lr.csccGrowth() <= kCsccGrowthBound);
   table.gate("  MHP per Ecf pair identical to reference", "1",
              lr.mhpIdentical(), lr.mhpIdentical());
   table.gate("  heap allocations per PFG node (analyze + csan)", "<= 8",
@@ -1088,6 +1129,10 @@ int main(int argc, char** argv) {
                fmt("%.3f ms, %.2f ns, %.3f ms, %.3f ms", p.parseSeconds * 1e3,
                    p.mhpNsPerQuery(), p.tsoSeconds * 1e3,
                    p.reachingSeconds * 1e3));
+  for (const LockRegionPoint& p : lr.points)
+    table.note(fmt("  k=%d: vrange, cscc", p.regions), "(reported)",
+               fmt("%.3f ms, %.3f ms", p.vrangeSeconds * 1e3,
+                   p.csccSeconds * 1e3));
   table.gate("pointer programs: analyze growth per doubling", "<= 5x",
              fmt("%.2fx", ptr.growth()), ptr.withinBounds());
   for (const PointerPoint& p : ptr.points)

@@ -1,10 +1,11 @@
 // Experiment Vr-1 (ours): soundness and precision of the concurrent
 // value-range analysis (CVRA), cross-validated two ways.
 //
-//   1. Differentially against CSCC: the interval lattice is built to stay
-//      in lockstep with the constant lattice (Const(v) ⟺ [v,v], ⊤ ⟺ ⊤,
-//      executability bit for bit) — crossCheckConstants() verifies this
-//      on every workload.
+//   1. Differentially against the three-point constant lattice: the
+//      interval lattice is built to stay in lockstep with it (Const(v) ⟺
+//      [v,v], ⊤ ⟺ ⊤, executability bit for bit), which is why CSCC folds
+//      CVRA's singletons — crossCheckConstants() verifies this against a
+//      reference solve on every workload.
 //   2. Dynamically against exhaustive schedule exploration: the explorer
 //      records, per variable, the min/max value observed in ANY reachable
 //      state of ANY interleaving. Every observation must lie inside the
@@ -29,7 +30,7 @@ using namespace cssame;
 struct Tally {
   std::size_t workloads = 0;
   std::size_t completeExplorations = 0;
-  std::size_t crossCheckFailures = 0;   ///< CVRA/CSCC lockstep broken
+  std::size_t crossCheckFailures = 0;   ///< three-point lockstep broken
   std::size_t soundnessViolations = 0;  ///< observed value outside hull
   std::size_t valuesChecked = 0;        ///< per-variable observations
   std::size_t singletonDefs = 0;
@@ -39,7 +40,7 @@ struct Tally {
   std::string firstFailure;  ///< description of the first violation
 };
 
-/// One workload end to end: solve CVRA, check CSCC lockstep, explore all
+/// One workload end to end: solve CVRA, check the lockstep, explore all
 /// schedules with value recording, and check every observation against
 /// the static hull.
 void crossValidate(ir::Program prog, Tally& tally) {

@@ -5,8 +5,10 @@
 // worklists (control edges and SSA names), edge/node executability, the
 // φ meet over executable incoming edges and the π meet of the control
 // argument with every conflict argument whose defining node is
-// executable (the concurrent merge the CSSAME rewriting prunes). The
-// domain supplies the values:
+// executable (the concurrent merge the CSSAME rewriting prunes). A π
+// keeps that meet between evaluations and folds in only the arguments
+// that lowered since its last one; values only descend, so the result is
+// the full re-meet's. The domain supplies the values:
 //
 //   struct Domain {
 //     using Value = ...;                       // with operator==
@@ -26,9 +28,8 @@
 //                 std::uint32_t growths) const;
 //   };
 //
-// CSCC instantiates this with the three-point constant lattice
-// (opt/cscc.cc); the concurrent value-range analysis instantiates it
-// with intervals (sanalysis/vrange.cc).
+// Its one production lattice is CVRA's collapse-free intervals
+// (sanalysis/vrange.h); CSCC (opt/cscc.cc) folds their singletons.
 #pragma once
 
 #include <deque>
@@ -108,9 +109,9 @@ class SparseConditional {
   }
   [[nodiscard]] const SolveStats& stats() const { return stats_; }
 
+ private:
   /// Evaluates an expression in the current lattice environment (VarRefs
-  /// read their use-def values). Callers use this post-fixpoint to grade
-  /// conditions and operands with domain-specific precision.
+  /// read their use-def values).
   [[nodiscard]] Value evalExpr(const ir::Expr& e) const {
     switch (e.kind) {
       case ir::ExprKind::IntConst:
@@ -131,17 +132,26 @@ class SparseConditional {
     return domain_.unknown();
   }
 
- private:
   struct Users {
     std::vector<SsaNameId> terms;  ///< φ/π definitions using this def
     std::vector<ir::Stmt*> stmts;  ///< simple statements using it
     std::vector<NodeId> branches;  ///< nodes whose terminator uses it
   };
 
+  /// A π's meet as of its last evaluation, unwidened, and the arguments
+  /// that may have lowered it since.
+  struct PiMeet {
+    Value meet;
+    bool evaluated = false;
+    std::vector<SsaNameId> dirty;
+  };
+
   void buildUsers() {
     users_.assign(form_.defs.size(), {});
     pisByStmt_.clear();
     pisByNode_.assign(graph_.size(), {});
+    piSlot_.assign(form_.defs.size(), kNoSlot);
+    piMeets_.clear();
 
     for (const ssa::Definition& d : form_.defs) {
       if (d.removed) continue;
@@ -149,6 +159,8 @@ class SparseConditional {
         for (const ssa::PhiArg& a : d.phiArgs)
           users_[a.def.index()].terms.push_back(d.name);
       } else if (d.kind == ssa::DefKind::Pi) {
+        piSlot_[d.name.index()] = static_cast<std::uint32_t>(piMeets_.size());
+        piMeets_.push_back({domain_.top(), false, {}});
         users_[d.piControlArg.index()].terms.push_back(d.name);
         for (const ssa::PiConflictArg& a : d.piConflictArgs) {
           users_[a.def.index()].terms.push_back(d.name);
@@ -185,6 +197,12 @@ class SparseConditional {
     lattice_[d.index()] = std::move(merged);
     ++stats_.changes;
     ssaWork_.push_back(d);
+    // πs not yet evaluated will re-meet every argument anyway.
+    for (SsaNameId t : users_[d.index()].terms) {
+      const std::uint32_t slot = piSlot_[t.index()];
+      if (slot != kNoSlot && piMeets_[slot].evaluated)
+        piMeets_[slot].dirty.push_back(d);
+    }
   }
 
   void evalTerm(SsaNameId id) {
@@ -198,12 +216,22 @@ class SparseConditional {
       }
       lower(id, v);
     } else if (d.kind == ssa::DefKind::Pi) {
-      Value v = lattice_[d.piControlArg.index()];
-      for (const ssa::PiConflictArg& a : d.piConflictArgs) {
-        if (!nodeExec_[a.fromNode.index()]) continue;
-        v = domain_.meet(v, lattice_[a.def.index()]);
+      PiMeet& pi = piMeets_[piSlot_[id.index()]];
+      if (!pi.evaluated) {
+        pi.meet = lattice_[d.piControlArg.index()];
+        for (const ssa::PiConflictArg& a : d.piConflictArgs) {
+          if (!nodeExec_[a.fromNode.index()]) continue;
+          pi.meet = domain_.meet(pi.meet, lattice_[a.def.index()]);
+        }
+        pi.evaluated = true;
+      } else {
+        // A conflict argument is an assignment, ⊤ until its node is
+        // executable, so every dirty name belongs in the meet.
+        for (SsaNameId a : pi.dirty)
+          pi.meet = domain_.meet(pi.meet, lattice_[a.index()]);
       }
-      lower(id, v);
+      pi.dirty.clear();
+      lower(id, pi.meet);
     }
   }
 
@@ -298,6 +326,9 @@ class SparseConditional {
   std::vector<Users> users_;
   std::unordered_map<const ir::Stmt*, std::vector<SsaNameId>> pisByStmt_;
   std::vector<std::vector<SsaNameId>> pisByNode_;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::vector<std::uint32_t> piSlot_;  ///< per def: index into piMeets_
+  std::vector<PiMeet> piMeets_;
   std::deque<std::pair<NodeId, std::size_t>> flowWork_;
   std::deque<SsaNameId> ssaWork_;
   SolveStats stats_;

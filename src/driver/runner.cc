@@ -129,12 +129,6 @@ bool renderCompiled(const ir::Program& prog, const Compilation& c,
     for (std::size_t i = before; i < toolDiag.diagnostics().size(); ++i)
       appendDiagLine(err, toolDiag.diagnostics()[i]);
     appendf(err, "%s\n", vr.stats.str().c_str());
-    const std::string mismatch = sanalysis::crossCheckConstants(c, vr);
-    if (!mismatch.empty()) {
-      appendf(err, "vrange: CSCC cross-check FAILED: %s\n", mismatch.c_str());
-      r.code = 1;
-      return false;
-    }
   }
   if (o.doTso) {
     const std::size_t before = toolDiag.diagnostics().size();

@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/sanalysis/vrange.h"
 #include "src/support/status.h"
 
 namespace cssame::opt {
@@ -33,7 +34,7 @@ void foldExpr(ir::Expr& e) {
 
 class Rewriter {
  public:
-  Rewriter(driver::Compilation& comp, const ConstSolver& solver,
+  Rewriter(driver::Compilation& comp, const sanalysis::VrangeSolver& solver,
            ConstPropStats& stats)
       : comp_(comp), solver_(solver), stats_(stats) {}
 
@@ -54,8 +55,8 @@ class Rewriter {
         if (e.kind != ir::ExprKind::VarRef) return;
         auto it = form.useDef.find(&e);
         if (it == form.useDef.end()) return;
-        const ConstValue& v = solver_.value(it->second);
-        if (v.kind == ConstKind::Const) rewrites.emplace_back(&e, v.value);
+        const sanalysis::Interval& v = solver_.value(it->second);
+        if (v.isSingleton()) rewrites.emplace_back(&e, v.lo);
       });
     };
     ir::forEachStmt(comp_.program().body, [&](ir::Stmt& s) {
@@ -133,19 +134,19 @@ class Rewriter {
   }
 
   driver::Compilation& comp_;
-  const ConstSolver& solver_;
+  const sanalysis::VrangeSolver& solver_;
   ConstPropStats& stats_;
 };
 
 ConstPropStats runCscc(driver::Compilation& comp, bool rewrite) {
-  ConstSolver solver(comp.graph(), comp.ssa(), ConstDomain{});
+  sanalysis::VrangeSolver solver(comp.graph(), comp.ssa(), {});
   const Status status = solver.solve();
   CSSAME_CHECK(status.ok(), "cscc solver exceeded its iteration budget");
 
   ConstPropStats stats;
   for (const ssa::Definition& d : comp.ssa().defs) {
     if (d.removed || d.kind != ssa::DefKind::Assign) continue;
-    if (solver.value(d.name).kind == ConstKind::Const) ++stats.constantDefs;
+    if (solver.value(d.name).isSingleton()) ++stats.constantDefs;
   }
   if (rewrite) {
     Rewriter(comp, solver, stats).run();
@@ -157,7 +158,7 @@ ConstPropStats runCscc(driver::Compilation& comp, bool rewrite) {
           if (e.kind != ir::ExprKind::VarRef) return;
           auto it = comp.ssa().useDef.find(&e);
           if (it != comp.ssa().useDef.end() &&
-              solver.value(it->second).kind == ConstKind::Const)
+              solver.value(it->second).isSingleton())
             ++stats.usesReplaced;
         });
       };
@@ -178,13 +179,6 @@ ConstPropStats propagateConstants(driver::Compilation& comp) {
 
 ConstPropStats analyzeConstants(driver::Compilation& comp) {
   return runCscc(comp, /*rewrite=*/false);
-}
-
-ConstSolver analyzeConstantsLattice(const driver::Compilation& comp) {
-  ConstSolver solver(comp.graph(), comp.ssa(), ConstDomain{});
-  const Status status = solver.solve();
-  CSSAME_CHECK(status.ok(), "cscc solver exceeded its iteration budget");
-  return solver;
 }
 
 }  // namespace cssame::opt

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <climits>
 
-#include "src/opt/cscc.h"
-
 namespace cssame::sanalysis {
 
 namespace {
 
 /// Pads a singleton produced from non-singleton operands so the lattice
-/// never collapses below CSCC (see the collapse-free rules in vrange.h).
+/// never collapses below a constant (see the collapse-free rules in
+/// vrange.h).
 Interval ensureWide(Interval r) {
   if (!r.isSingleton()) return r;
   if (r.hi < LLONG_MAX)
@@ -118,7 +117,7 @@ Interval rangeBinary(ir::BinOp op, const Interval& a, const Interval& b) {
 
 /// The sharp (diagnostic-only) comparison evaluation: range separation
 /// can decide a comparison even over non-singleton operands. Never used
-/// in the lattice, where that would break CSCC lockstep.
+/// in the lattice, where that would fold a non-constant.
 Interval sharpBinary(ir::BinOp op, const Interval& a, const Interval& b) {
   using ir::BinOp;
   if (a.isSingleton() && b.isSingleton())
@@ -446,27 +445,76 @@ VrangeResult analyzeValueRanges(const driver::Compilation& comp,
   return result;
 }
 
+namespace {
+
+/// The three-point constant lattice (⊤ / Const / ⊥) that CSCC solved
+/// before it folded CVRA's singletons: crossCheckConstants' reference.
+struct ConstValue {
+  enum Kind : std::uint8_t { Top, Const, Bottom } kind = Top;
+  long long value = 0;
+  friend bool operator==(const ConstValue& a, const ConstValue& b) {
+    return a.kind == b.kind && (a.kind != Const || a.value == b.value);
+  }
+};
+
+struct ConstDomain {
+  using Value = ConstValue;
+  const char* name() const { return "cscc"; }
+  Value top() const { return {}; }
+  Value constant(long long v) const { return {ConstValue::Const, v}; }
+  Value unknown() const { return {ConstValue::Bottom, 0}; }
+  Value meet(const Value& a, const Value& b) const {
+    if (a.kind == ConstValue::Top) return b;
+    if (b.kind == ConstValue::Top) return a;
+    return a == b ? a : unknown();
+  }
+  Value evalUnary(ir::UnOp op, const Value& v) const {
+    return v.kind == ConstValue::Const ? constant(ir::evalUnOp(op, v.value))
+                                       : v;
+  }
+  Value evalBinary(ir::BinOp op, const Value& a, const Value& b) const {
+    if (a.kind == ConstValue::Bottom || b.kind == ConstValue::Bottom)
+      return unknown();
+    if (a.kind == ConstValue::Top || b.kind == ConstValue::Top) return top();
+    return constant(ir::evalBinOp(op, a.value, b.value));
+  }
+  dataflow::BranchVerdict branch(const Value& c) const {
+    if (c.kind == ConstValue::Top) return dataflow::BranchVerdict::Unknown;
+    if (c.kind == ConstValue::Bottom) return dataflow::BranchVerdict::Both;
+    return c.value != 0 ? dataflow::BranchVerdict::TrueOnly
+                        : dataflow::BranchVerdict::FalseOnly;
+  }
+  /// Finite lattice (height 2): no widening needed.
+  Value widen(const Value&, const Value& next, std::uint32_t) const {
+    return next;
+  }
+};
+
+}  // namespace
+
 std::string crossCheckConstants(const driver::Compilation& comp,
                                 const VrangeResult& vr) {
-  const opt::ConstSolver cscc = opt::analyzeConstantsLattice(comp);
+  dataflow::SparseConditional<ConstDomain> cscc(comp.graph(), comp.ssa(), {});
+  const Status status = cscc.solve();
+  CSSAME_CHECK(status.ok(), "cscc solver exceeded its iteration budget");
   const ssa::SsaForm& form = comp.ssa();
 
   for (const ssa::Definition& d : form.defs) {
     if (d.removed) continue;
-    const opt::ConstValue& cv = cscc.value(d.name);
+    const ConstValue& cv = cscc.value(d.name);
     const Interval& iv = vr.defRanges[d.name.index()];
     switch (cv.kind) {
-      case opt::ConstKind::Const:
+      case ConstValue::Const:
         if (!iv.isSingleton() || iv.lo != cv.value)
           return "def " + std::to_string(d.name.index()) + ": cscc Const(" +
                  std::to_string(cv.value) + ") but vrange " + iv.str();
         break;
-      case opt::ConstKind::Top:
+      case ConstValue::Top:
         if (!iv.isTop())
           return "def " + std::to_string(d.name.index()) +
                  ": cscc ⊤ but vrange " + iv.str();
         break;
-      case opt::ConstKind::Bottom:
+      case ConstValue::Bottom:
         if (iv.isTop() || iv.isSingleton())
           return "def " + std::to_string(d.name.index()) +
                  ": cscc ⊥ but vrange " + iv.str();

@@ -1,6 +1,6 @@
 // CVRA — Concurrent Value-Range Analysis over the CSSAME form.
 //
-// An interval domain run on the same sparse conditional engine as CSCC
+// An interval domain run on the sparse conditional engine
 // (dataflow/sccp.h): φ terms hull over control predecessors, π terms hull
 // the control argument with every *surviving* concurrent reaching
 // definition. Because the CSSAME rewriting prunes π arguments killed by
@@ -8,19 +8,21 @@
 // paper's Lock/Unlock reasoning applies — plain CSSA keeps the pruned
 // writers in the merge and stays wide.
 //
-// The propagated lattice is deliberately *collapse-free* so that it stays
-// in lockstep with the CSCC constant lattice:
+// The propagated lattice is deliberately *collapse-free*, so that it is
+// also CSCC's constant lattice (opt/cscc.h):
 //   - only all-singleton operands produce singleton results (folded
-//     exactly like CSCC folds constants),
+//     exactly as the three-point ⊤ / constant / ⊥ lattice folds them),
 //   - a non-singleton operand always produces a non-singleton result
 //     (comparisons go to [0,1], arithmetic hulls are padded when they
 //     would collapse),
 //   - branches resolve executability only on singleton conditions,
 //   - widening (after a bounded number of strict growths) only ever
 //     loosens bounds that were already moving.
-// Consequence: CSCC says Const(v) ⟺ CVRA says [v,v], and node/edge
-// executability agrees bit for bit. crossCheckConstants() verifies this
-// differentially; tests/vrange_test.cc runs it over generated workloads.
+// Consequence: [v,v] here is exactly Const(v) there, ⊤ is ⊤, and node/edge
+// executability agrees bit for bit, so CSCC folds these singletons
+// instead of solving a lattice of its own. crossCheckConstants() checks
+// this against a private three-point reference; vrange_test,
+// sccp_equiv_test and bench_vrange's gate run it.
 //
 // Diagnostics use a second, *sharper* evaluation (range-separation
 // comparisons, definite-zero divisors) that never feeds back into the
@@ -143,10 +145,11 @@ struct VrangeResult {
 [[nodiscard]] VrangeResult analyzeValueRanges(const driver::Compilation& comp,
                                               DiagEngine* diag = nullptr);
 
-/// Differential check against CSCC: for every live definition, CSCC
-/// Const(v) must equal CVRA [v,v] (both directions), CSCC ⊤ ⟺ CVRA ⊤,
-/// and node executability must agree. Returns an empty string when
-/// consistent, else a description of the first disagreement.
+/// Differential check against a reference solve of the three-point
+/// constant lattice CSCC used before it folded these singletons: for
+/// every live definition, Const(v) must equal [v,v] (both directions),
+/// ⊤ ⟺ ⊤, and node executability must agree. Returns an empty string
+/// when consistent, else a description of the first disagreement.
 [[nodiscard]] std::string crossCheckConstants(const driver::Compilation& comp,
                                               const VrangeResult& vr);
 

@@ -38,7 +38,6 @@ class Id {
 
 struct SymbolTag {};
 struct StmtTag {};
-struct ExprTag {};
 struct NodeTag {};
 struct SsaNameTag {};
 struct MutexBodyTag {};
@@ -46,7 +45,6 @@ struct ThreadTag {};
 
 using SymbolId = Id<SymbolTag>;
 using StmtId = Id<StmtTag>;
-using ExprId = Id<ExprTag>;
 using NodeId = Id<NodeTag>;
 using SsaNameId = Id<SsaNameTag>;
 using MutexBodyId = Id<MutexBodyTag>;

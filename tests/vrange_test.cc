@@ -4,9 +4,9 @@
 //     result: CSSAME π pruning inside a mutex body yields a strictly
 //     tighter interval than plain CSSA,
 //   - the DeadBranch / UnreachableCode / DivByZero / Assert* diagnostics,
-//   - the CSCC lockstep cross-check and dynamic soundness property over
-//     generated workloads (~200), cross-validated against exhaustive
-//     schedule exploration with value recording.
+//   - the constant-lattice lockstep cross-check and dynamic soundness
+//     property over generated workloads (~200), cross-validated against
+//     exhaustive schedule exploration with value recording.
 #include <gtest/gtest.h>
 
 #include "src/driver/pipeline.h"
@@ -68,8 +68,10 @@ TEST(IntervalDomain, SingletonOperandsFoldExactly) {
 
 TEST(IntervalDomain, NonSingletonNeverCollapses) {
   IntervalDomain d;
-  // [2,3] * 0 is exactly 0, but a collapse would break the CSCC lockstep
-  // (CSCC says Bottom * Const = Bottom); the result must stay non-singleton.
+  // [2,3] * 0 is exactly 0, but a collapse would break the lockstep with
+  // the three-point constant lattice (Bottom * Const = Bottom), whose
+  // constants CSCC reads off the singletons; the result must stay
+  // non-singleton.
   const Interval r =
       d.evalBinary(ir::BinOp::Mul, Interval::bounds(2, 3), Interval::single(0));
   EXPECT_FALSE(r.isSingleton());
@@ -217,7 +219,7 @@ TEST(VrangeDiag, RacyAssertMayFail) {
 }
 
 // ---------------------------------------------------------------------------
-// CSCC lockstep + dynamic soundness over generated workloads.
+// Constant-lattice lockstep + dynamic soundness over generated workloads.
 
 class VrangeProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -225,7 +227,8 @@ void checkWorkload(ir::Program prog) {
   driver::Compilation comp = driver::analyze(prog, {.warnings = false});
   const VrangeResult vr = analyzeValueRanges(comp);
 
-  // 1. The interval lattice must agree with the CSCC constant lattice.
+  // 1. The interval lattice must agree with the three-point constant
+  //    lattice.
   EXPECT_EQ(crossCheckConstants(comp, vr), "");
 
   // 2. Every value any variable holds in any state of any schedule must
