@@ -22,15 +22,17 @@
 //   5. Lock regions: a doubling series of the 3-thread
 //      `lock(L); x = x + c; unlock(L); lock(M); z = z + 1; unlock(M);`
 //      shape, timing parseChecked of the source, the mutex-structure
-//      phase, the CSSAME rewrite, csan (its lock-lifecycle walks
-//      included), the TSO check, parallel reaching definitions
-//      (Algorithm A.4 for every use, sharing one visited set as PDCE
-//      does), CVRA (analyzeValueRanges without a DiagEngine) and CSCC
-//      (opt::analyzeConstants). Conflict edges and π arguments grow 4x
-//      per doubling of the region count, so the rewrite, csan, TSO, the
-//      reaching walk and the two sparse conditional solves, which visit
-//      each edge or argument a bounded number of times, may grow up to 5x
-//      per doubling; the parse and the mutex phase, linear in the
+//      phase, the Ecf construction (analysis::computeConflictEdges), π
+//      placement (cssa::placePiTerms), the CSSAME rewrite, csan (its
+//      lock-lifecycle walks included), the TSO check, parallel reaching
+//      definitions (Algorithm A.4 for every use, sharing one visited set
+//      as PDCE does), CVRA (analyzeValueRanges without a DiagEngine) and
+//      CSCC (opt::analyzeConstants). Conflict edges and π arguments grow
+//      4x per doubling of the region count, so the Ecf construction, π
+//      placement, the rewrite, csan, TSO, the reaching walk and the two
+//      sparse conditional solves, which visit or emit each edge or
+//      argument a bounded number of times, may grow up to 5x per
+//      doubling; the parse and the mutex phase, linear in the
 //      program, at most 2.5x. Growth per doubling is taken over the
 //      whole series, (t_last / t_first)^(1 / doublings), which damps one
 //      noisy point; the all-candidates construction grew 12-14x per
@@ -275,10 +277,11 @@ RefEdges refComputeEdges(const pfg::Graph& graph,
   return out;
 }
 
-bool sameEdges(const RefEdges& ref, const pfg::Graph& graph) {
+bool sameEdges(const RefEdges& ref, const pfg::Graph& graph,
+               const analysis::SyncEdges& sync) {
   if (ref.conflicts.size() != graph.conflicts.size() ||
-      ref.mutexEdges.size() != graph.mutexEdges.size() ||
-      ref.dsyncEdges.size() != graph.dsyncEdges.size())
+      ref.mutexEdges.size() != sync.mutex.size() ||
+      ref.dsyncEdges.size() != sync.dsync.size())
     return false;
   for (std::size_t i = 0; i < ref.conflicts.size(); ++i) {
     const pfg::ConflictEdge &a = ref.conflicts[i], &b = graph.conflicts[i];
@@ -287,13 +290,13 @@ bool sameEdges(const RefEdges& ref, const pfg::Graph& graph) {
       return false;
   }
   for (std::size_t i = 0; i < ref.mutexEdges.size(); ++i) {
-    const pfg::MutexEdge &a = ref.mutexEdges[i], &b = graph.mutexEdges[i];
+    const pfg::MutexEdge &a = ref.mutexEdges[i], &b = sync.mutex[i];
     if (a.lockNode != b.lockNode || a.unlockNode != b.unlockNode ||
         a.lockVar != b.lockVar)
       return false;
   }
   for (std::size_t i = 0; i < ref.dsyncEdges.size(); ++i) {
-    const pfg::DsyncEdge &a = ref.dsyncEdges[i], &b = graph.dsyncEdges[i];
+    const pfg::DsyncEdge &a = ref.dsyncEdges[i], &b = sync.dsync[i];
     if (a.setNode != b.setNode || a.waitNode != b.waitNode ||
         a.eventVar != b.eventVar)
       return false;
@@ -319,7 +322,9 @@ struct ConflictScale {
 /// orderedBefore scans expensive). Both timings start from the same
 /// built PFG + dominators; the fast-path timing conservatively includes
 /// everything memoization buys it with — the Mhp constructor (context +
-/// ordering tables) AND the access-index collection, not just the sweep.
+/// ordering tables) AND the access-index collection, not just the sweep —
+/// and derives Esync as the reference does, although the pipeline only
+/// does so for --dump-pfg.
 ConflictScale runConflictScale() {
   workload::GeneratorConfig cfg;
   cfg.seed = 42;
@@ -343,13 +348,15 @@ ConflictScale runConflictScale() {
   out.refSeconds =
       timeBest(reps, [&] { refEdges = refComputeEdges(graph, dom); });
 
+  analysis::SyncEdges sync;
   out.fastSeconds = timeBest(reps, [&] {
     const analysis::Mhp mhp(graph, dom);
     const analysis::AccessSites sites = analysis::collectAccessSites(graph);
-    analysis::computeSyncAndConflictEdges(graph, mhp, sites);
+    analysis::computeConflictEdges(graph, mhp, sites);
+    sync = analysis::syncEdges(graph, mhp);
   });
   out.edges = graph.conflicts.size();
-  out.identical = sameEdges(refEdges, graph);
+  out.identical = sameEdges(refEdges, graph, sync);
   return out;
 }
 
@@ -548,6 +555,8 @@ DporScale runDporScale(support::MemoryModel model) {
 
 constexpr double kMutexGrowthBound = 2.5;
 constexpr double kParseGrowthBound = 2.5;
+constexpr double kConflictsGrowthBound = 5.0;
+constexpr double kPiGrowthBound = 5.0;
 constexpr double kRewriteGrowthBound = 5.0;
 constexpr double kCsanGrowthBound = 5.0;
 constexpr double kTsoGrowthBound = 5.0;
@@ -567,6 +576,8 @@ struct LockRegionPoint {
   std::size_t bodies = 0;
   double parseSeconds = 1e30;
   double mutexSeconds = 1e30;
+  double conflictsSeconds = 1e30;  ///< analysis::computeConflictEdges
+  double piSeconds = 1e30;         ///< cssa::placePiTerms
   double rewriteSeconds = 1e30;
   double csanSeconds = 1e30;
   double tsoSeconds = 1e30;
@@ -600,9 +611,11 @@ int callsPerSample(double secondsPerCall) {
 /// One region count, analyzed once. Each measure() call times
 /// parseChecked of the source, then the phases alone on the finished
 /// compilation with warm caches, so the series shows each phase's own
-/// growth: the MutexStructures
-/// construction (with its Section 6 warnings), cssa::rewritePiTerms on
-/// fresh copies of the unrewritten CSSA form, sanalysis::runCsan, the
+/// growth: the MutexStructures construction (with its Section 6
+/// warnings), analysis::computeConflictEdges (which rebuilds the same
+/// Ecf), cssa::placePiTerms on fresh copies of the sequential form,
+/// cssa::rewritePiTerms on fresh copies of the unrewritten CSSA form,
+/// sanalysis::runCsan, the
 /// reaching-definition walk, a mayHappenInParallel sweep over the Ecf
 /// edges, sanalysis::runTso, sanalysis::analyzeValueRanges and
 /// opt::analyzeConstants.
@@ -613,7 +626,8 @@ class LockRegionCase {
       : source_(workload::lockRegionSource(3, regions)),
         prog_(parser::parseOrDie(source_)),
         comp_(driver::analyze(prog_)),
-        cssa_(ssa::buildSequentialSsa(comp_.graph(), comp_.dom())) {
+        sequential_(ssa::buildSequentialSsa(comp_.graph(), comp_.dom())),
+        cssa_(sequential_) {
     cssa::placePiTerms(comp_.graph(), cssa_, comp_.mhp(), comp_.sites());
     point_.regions = regions;
     point_.nodes = comp_.graph().size();
@@ -631,7 +645,7 @@ class LockRegionCase {
   }
 
   void measure() {
-    const pfg::Graph& graph = comp_.graph();
+    pfg::Graph& graph = comp_.graph();
     burst(point_.parseSeconds, parseCalls_, [&] {
       const parser::ParseResult parsed = parser::parseChecked(source_);
       benchmark::DoNotOptimize(parsed.program.size());
@@ -641,6 +655,10 @@ class LockRegionCase {
       const mutex::MutexStructures structures(graph, comp_.dom(),
                                               comp_.pdom(), &diag);
       benchmark::DoNotOptimize(structures.bodies().size());
+    });
+    burst(point_.conflictsSeconds, conflictsCalls_, [&] {
+      analysis::computeConflictEdges(graph, comp_.mhp(), comp_.sites());
+      benchmark::DoNotOptimize(graph.conflicts.size());
     });
     burst(point_.csanSeconds, csanCalls_, [&] {
       DiagEngine diag;
@@ -675,16 +693,17 @@ class LockRegionCase {
     burst(point_.csccSeconds, csccCalls_, [&] {
       benchmark::DoNotOptimize(opt::analyzeConstants(comp_).constantDefs);
     });
-    // The rewrite edits the form in place, so every call gets its own
-    // copy, made outside the timed burst.
-    forms_.assign(static_cast<std::size_t>(rewriteCalls_), cssa_);
-    support::Stopwatch watch;
-    for (ssa::SsaForm& form : forms_)
-      (void)cssa::rewritePiTerms(comp_.graph(), form, comp_.mutexes());
-    const double perCall = watch.seconds() / rewriteCalls_;
-    point_.rewriteSeconds = std::min(point_.rewriteSeconds, perCall);
-    rewriteCalls_ = callsPerSample(perCall);
-    forms_.clear();
+    // π placement and the rewrite edit the form in place, so every call
+    // gets its own copy, made outside the timed burst.
+    onCopies(point_.piSeconds, piCalls_, sequential_,
+             [&](ssa::SsaForm& form) {
+               (void)cssa::placePiTerms(graph, form, comp_.mhp(),
+                                        comp_.sites());
+             });
+    onCopies(point_.rewriteSeconds, rewriteCalls_, cssa_,
+             [&](ssa::SsaForm& form) {
+               (void)cssa::rewritePiTerms(graph, form, comp_.mutexes());
+             });
   }
 
   [[nodiscard]] const LockRegionPoint& point() const { return point_; }
@@ -710,6 +729,19 @@ class LockRegionCase {
     point_.allocations = gAllocations.load(std::memory_order_relaxed);
   }
 
+  /// burst() for a phase that edits a form: fn runs once on each of
+  /// `calls` copies of `from`, made before the clock starts.
+  template <typename Fn>
+  void onCopies(double& best, int& calls, const ssa::SsaForm& from, Fn&& fn) {
+    forms_.assign(static_cast<std::size_t>(calls), from);
+    support::Stopwatch watch;
+    for (ssa::SsaForm& form : forms_) fn(form);
+    const double perCall = watch.seconds() / calls;
+    best = std::min(best, perCall);
+    calls = callsPerSample(perCall);
+    forms_.clear();
+  }
+
   /// Times `calls` back-to-back calls of fn, keeps the best per-call time
   /// in `best` and sizes the next burst from it.
   template <typename Fn>
@@ -724,11 +756,12 @@ class LockRegionCase {
   std::string source_;
   ir::Program prog_;
   driver::Compilation comp_;
-  ssa::SsaForm cssa_;
+  ssa::SsaForm sequential_;  ///< before π placement
+  ssa::SsaForm cssa_;        ///< after π placement, before the rewrite
   std::vector<ssa::SsaForm> forms_;
-  int parseCalls_ = 1, mutexCalls_ = 1, rewriteCalls_ = 1, csanCalls_ = 1,
-      tsoCalls_ = 1, reachingCalls_ = 1, mhpCalls_ = 1, vrangeCalls_ = 1,
-      csccCalls_ = 1;
+  int parseCalls_ = 1, mutexCalls_ = 1, conflictsCalls_ = 1, piCalls_ = 1,
+      rewriteCalls_ = 1, csanCalls_ = 1, tsoCalls_ = 1, reachingCalls_ = 1,
+      mhpCalls_ = 1, vrangeCalls_ = 1, csccCalls_ = 1;
   LockRegionPoint point_;
 };
 
@@ -748,6 +781,12 @@ struct LockRegionScale {
   }
   [[nodiscard]] double mutexGrowth() const {
     return growth(&LockRegionPoint::mutexSeconds);
+  }
+  [[nodiscard]] double conflictsGrowth() const {
+    return growth(&LockRegionPoint::conflictsSeconds);
+  }
+  [[nodiscard]] double piGrowth() const {
+    return growth(&LockRegionPoint::piSeconds);
   }
   [[nodiscard]] double rewriteGrowth() const {
     return growth(&LockRegionPoint::rewriteSeconds);
@@ -776,6 +815,8 @@ struct LockRegionScale {
   [[nodiscard]] bool withinBounds() const {
     return parseGrowth() <= kParseGrowthBound &&
            mutexGrowth() <= kMutexGrowthBound &&
+           conflictsGrowth() <= kConflictsGrowthBound &&
+           piGrowth() <= kPiGrowthBound &&
            rewriteGrowth() <= kRewriteGrowthBound &&
            csanGrowth() <= kCsanGrowthBound &&
            tsoGrowth() <= kTsoGrowthBound &&
@@ -965,6 +1006,8 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
         .set("mutex_bodies", p.bodies)
         .set("parse_ms", p.parseSeconds * 1e3)
         .set("mutex_seconds", p.mutexSeconds)
+        .set("conflicts_seconds", p.conflictsSeconds)
+        .set("pi_seconds", p.piSeconds)
         .set("rewrite_seconds", p.rewriteSeconds)
         .set("csan_seconds", p.csanSeconds)
         .set("tso_seconds", p.tsoSeconds)
@@ -984,6 +1027,8 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
       .set("hardware_threads", benchutil::hardwareThreads())
       .set("growth_bound_parse", kParseGrowthBound)
       .set("growth_bound_mutex", kMutexGrowthBound)
+      .set("growth_bound_conflicts", kConflictsGrowthBound)
+      .set("growth_bound_pi", kPiGrowthBound)
       .set("growth_bound_rewrite", kRewriteGrowthBound)
       .set("growth_bound_csan", kCsanGrowthBound)
       .set("growth_bound_tso", kTsoGrowthBound)
@@ -994,6 +1039,8 @@ service::Json resultsJson(const ConflictScale& c, const ExplorerScale& e,
       .set("series", std::move(lrSeries))
       .set("growth_x2_parse", lr.parseGrowth())
       .set("growth_x2_mutex", lr.mutexGrowth())
+      .set("growth_x2_conflicts", lr.conflictsGrowth())
+      .set("growth_x2_pi", lr.piGrowth())
       .set("growth_x2_rewrite", lr.rewriteGrowth())
       .set("growth_x2_csan", lr.csanGrowth())
       .set("growth_x2_tso", lr.tsoGrowth())
@@ -1097,6 +1144,11 @@ int main(int argc, char** argv) {
   table.gate("  mutex growth per doubling", "<= 2.5x",
              fmt("%.2fx", lr.mutexGrowth()),
              lr.mutexGrowth() <= kMutexGrowthBound);
+  table.gate("  conflicts (Ecf) growth per doubling", "<= 5x",
+             fmt("%.2fx", lr.conflictsGrowth()),
+             lr.conflictsGrowth() <= kConflictsGrowthBound);
+  table.gate("  cssa-pi growth per doubling", "<= 5x",
+             fmt("%.2fx", lr.piGrowth()), lr.piGrowth() <= kPiGrowthBound);
   table.gate("  cssame-rewrite growth per doubling", "<= 5x",
              fmt("%.2fx", lr.rewriteGrowth()),
              lr.rewriteGrowth() <= kRewriteGrowthBound);
@@ -1133,6 +1185,10 @@ int main(int argc, char** argv) {
     table.note(fmt("  k=%d: vrange, cscc", p.regions), "(reported)",
                fmt("%.3f ms, %.3f ms", p.vrangeSeconds * 1e3,
                    p.csccSeconds * 1e3));
+  for (const LockRegionPoint& p : lr.points)
+    table.note(fmt("  k=%d: conflicts, cssa-pi", p.regions), "(reported)",
+               fmt("%.3f ms, %.3f ms", p.conflictsSeconds * 1e3,
+                   p.piSeconds * 1e3));
   table.gate("pointer programs: analyze growth per doubling", "<= 5x",
              fmt("%.2fx", ptr.growth()), ptr.withinBounds());
   for (const PointerPoint& p : ptr.points)

@@ -55,10 +55,11 @@ int main() {
 
   driver::Compilation c = driver::analyze(prog);
   std::printf("=== Analysis ===\n");
+  // The pipeline stores no Esync; derive it, as --dump-pfg does.
+  const analysis::SyncEdges sync = analysis::syncEdges(c.graph(), c.mhp());
   std::printf("conflict edges:  %zu\n", c.graph().conflicts.size());
-  std::printf("dsync edges:     %zu (set/wait pairs)\n",
-              c.graph().dsyncEdges.size());
-  std::printf("mutex edges:     %zu\n", c.graph().mutexEdges.size());
+  std::printf("dsync edges:     %zu (set/wait pairs)\n", sync.dsync.size());
+  std::printf("mutex edges:     %zu\n", sync.mutex.size());
   std::printf("pi terms:        %zu after CSSAME\n",
               c.ssa().countLivePis());
   for (const auto& d : c.diag().diagnostics())

@@ -203,13 +203,11 @@ struct SymNodeAccess {
 
 }  // namespace
 
-void computeSyncAndConflictEdges(pfg::Graph& graph, const Mhp& mhp,
-                                 const AccessSites& sites) {
+void computeConflictEdges(pfg::Graph& graph, const Mhp& mhp,
+                          const AccessSites& sites) {
   CSSAME_CHECK(sites.byNode.size() == graph.size(),
                "access index does not match the graph");
   graph.conflicts.clear();
-  graph.mutexEdges.clear();
-  graph.dsyncEdges.clear();
 
   // Invert the shared access index: per alias class, the nodes touching
   // it in node-id order. Only these nodes can ever be paired by an Ecf
@@ -247,7 +245,10 @@ void computeSyncAndConflictEdges(pfg::Graph& graph, const Mhp& mhp,
   sweep([&](const pfg::ConflictEdge&) { ++edges; });
   graph.conflicts.reserve(edges);
   sweep([&](const pfg::ConflictEdge& e) { graph.conflicts.push_back(e); });
+}
 
+SyncEdges syncEdges(const pfg::Graph& graph, const Mhp& mhp) {
+  SyncEdges out;
   // Sync nodes, indexed by kind (and target symbol for the edge heads) so
   // the pairing below touches only same-symbol candidates.
   std::vector<const pfg::Node*> lockNodes, setNodes;
@@ -273,8 +274,7 @@ void computeSyncAndConflictEdges(pfg::Graph& graph, const Mhp& mhp,
     if (it == unlocksBySym.end()) continue;
     for (const pfg::Node* b : it->second) {
       if (!mhp.mayHappenInParallel(a->id, b->id)) continue;
-      graph.mutexEdges.push_back(
-          pfg::MutexEdge{a->id, b->id, a->syncStmt->sync});
+      out.mutex.push_back(pfg::MutexEdge{a->id, b->id, a->syncStmt->sync});
     }
   }
 
@@ -284,14 +284,10 @@ void computeSyncAndConflictEdges(pfg::Graph& graph, const Mhp& mhp,
     if (it == waitsBySym.end()) continue;
     for (const pfg::Node* b : it->second) {
       if (!mhp.inConcurrentThreads(a->id, b->id)) continue;
-      graph.dsyncEdges.push_back(
-          pfg::DsyncEdge{a->id, b->id, a->syncStmt->sync});
+      out.dsync.push_back(pfg::DsyncEdge{a->id, b->id, a->syncStmt->sync});
     }
   }
-}
-
-void computeSyncAndConflictEdges(pfg::Graph& graph, const Mhp& mhp) {
-  computeSyncAndConflictEdges(graph, mhp, collectAccessSites(graph));
+  return out;
 }
 
 AccessSites collectAccessSites(const pfg::Graph& graph) {

@@ -221,19 +221,28 @@ struct AccessSites {
   std::vector<NodeAccess> byNode;
 };
 
-/// Populates graph.conflicts (Ecf), graph.mutexEdges (Emutex) and
-/// graph.dsyncEdges (Edsync) from the MHP relation, completing the PFG of
-/// Definition 1. Conflict edges run from every node defining a shared
-/// alias class to every concurrent node using (DU) or defining (DD) it;
-/// ConflictEdge::var carries the class representative. Only nodes
-/// touching the same class are ever paired (the access index bounds the
-/// sweep), and the emitted edge sequence is identical to the all-pairs
-/// definition.
-void computeSyncAndConflictEdges(pfg::Graph& graph, const Mhp& mhp,
-                                 const AccessSites& sites);
+/// Populates graph.conflicts (Ecf) from the conflict relation. Conflict
+/// edges run from every node defining a shared alias class to every
+/// concurrent node using (DU) or defining (DD) it; ConflictEdge::var
+/// carries the class representative. Only nodes touching the same class
+/// are ever paired (the access index bounds the sweep), and the emitted
+/// edge sequence is identical to the all-pairs definition.
+void computeConflictEdges(pfg::Graph& graph, const Mhp& mhp,
+                          const AccessSites& sites);
 
-/// Convenience overload that collects the access index itself.
-void computeSyncAndConflictEdges(pfg::Graph& graph, const Mhp& mhp);
+/// Definition 1's synchronization edges, Esync = Emutex ∪ Edsync.
+struct SyncEdges {
+  std::vector<pfg::MutexEdge> mutex;  ///< Lock(L) ↔ concurrent Unlock(L)
+  std::vector<pfg::DsyncEdge> dsync;  ///< Set(e) → Wait(e), other thread
+};
+
+/// Derives Esync from the MHP relation: lock nodes in id order, each with
+/// its same-lock unlocks in id order, then set and wait nodes the same
+/// way. No analysis reads these edges (mutex bodies come from dominance,
+/// Algorithm A.1), so the pipeline never builds them; only `--dump-pfg`
+/// asks. Reads the graph and the MHP tables only, so it is safe on a
+/// Compilation that concurrent requests share.
+[[nodiscard]] SyncEdges syncEdges(const pfg::Graph& graph, const Mhp& mhp);
 
 /// Collects per-alias-class access sites over the whole graph, consulting
 /// graph.aliases for the class of each direct, indexed or pointer access.

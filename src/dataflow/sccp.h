@@ -29,16 +29,39 @@
 //   };
 //
 // Its one production lattice is CVRA's collapse-free intervals
-// (sanalysis/vrange.h); CSCC (opt/cscc.cc) folds their singletons.
+// (sanalysis/vrange.h); CSCC (opt/cscc.cc) folds their singletons. It is
+// the library's one dataflow solver: the other fixpoints are walks (the
+// FUD-chain walk of cssa/reaching.h, the reachability walks of
+// dataflow/reach.h), and points-to propagates on its own
+// (sanalysis/pointsto.cc). A solve runs under one iteration budget
+// (kMaxIterations), reports SolveStats, and degrades a blown budget to a
+// Fault (BudgetExceeded) instead of hanging.
 #pragma once
 
+#include <cstdint>
 #include <deque>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "src/dataflow/framework.h"
+#include "src/pfg/graph.h"
+#include "src/ssa/ssa.h"
+#include "src/support/status.h"
 
 namespace cssame::dataflow {
+
+/// Cap on solver re-evaluations. It is generous: real programs converge
+/// in a few sweeps, and the cap only exists so a non-monotone transfer
+/// function cannot hang the compiler.
+inline constexpr std::uint64_t kMaxIterations = 1u << 22;
+
+/// Convergence report of one solver run.
+struct SolveStats {
+  std::string analysis;           ///< e.g. "vrange", "cscc"
+  std::uint64_t iterations = 0;   ///< re-evaluations performed
+  std::uint64_t changes = 0;      ///< evaluations that lowered a value
+  bool converged = false;
+};
 
 /// What a branch condition's lattice value says about the outgoing edges.
 enum class BranchVerdict : std::uint8_t {

@@ -77,9 +77,10 @@ Compilation::Compilation(ir::Program& program, PipelineOptions opts)
   // the lockset engines (csan, races) via sites().
   sites_ = analysis::collectAccessSites(*graph_);
   phase("sites");
-  // A pointer program's conservative Ecf edges are never read: the
-  // rebuild below recomputes every edge before anything consumes them.
-  if (!pointers) analysis::computeSyncAndConflictEdges(*graph_, *mhp_, sites_);
+  // Ecf is read only once the compilation is complete (csan, tso,
+  // copyprop, --stats, --dump-pfg), never by the pipeline itself, so a
+  // pointer program builds it once, for its final partition, below.
+  if (!pointers) analysis::computeConflictEdges(*graph_, *mhp_, sites_);
   phase("conflicts");
   mutexes_ = std::make_unique<mutex::MutexStructures>(
       *graph_, *dom_, *pdom_, opts.warnings ? &diag_ : nullptr);
@@ -107,12 +108,11 @@ Compilation::Compilation(ir::Program& program, PipelineOptions opts)
   if (pointers) {
     // Phase B: refine the partition from the conservative form to what
     // may actually alias, and rebuild every class-keyed structure (access
-    // index, Ecf edges, SSA/CSSAME form) on it. The control skeleton
-    // (PFG, dominators, MHP, mutex structures) does not depend on the
-    // partition and is reused as-is.
+    // index, SSA/CSSAME form) on it. The control skeleton (PFG,
+    // dominators, MHP, mutex structures) does not depend on the partition
+    // and is reused as-is.
     auto rebuildKeyed = [&] {
       sites_ = analysis::collectAccessSites(*graph_);
-      analysis::computeSyncAndConflictEdges(*graph_, *mhp_, sites_);
       ssa_ = std::make_unique<ssa::SsaForm>(
           ssa::buildSequentialSsa(*graph_, *dom_));
       piStats_ = cssa::placePiTerms(*graph_, *ssa_, *mhp_, sites_);
@@ -141,6 +141,7 @@ Compilation::Compilation(ir::Program& program, PipelineOptions opts)
       graph_->aliases = std::move(refined);
       rebuildKeyed();
     }
+    analysis::computeConflictEdges(*graph_, *mhp_, sites_);
     phase("sites-refined");
   }
 }

@@ -1,10 +1,12 @@
 // End-to-end analysis pipeline (paper Algorithm A.2).
 //
 // Bundles the full chain
-//   IR → PFG → DOM/PDOM → MHP → Ecf/Emutex/Edsync → mutex structures
+//   IR → PFG → DOM/PDOM → MHP → Ecf → mutex structures
 //      → sequential SSA → CSSA (π placement) → CSSAME (π rewriting)
-// into one object the optimization passes and tools consume. Passes that
-// mutate the IR invalidate the Compilation; re-run analyze() afterwards.
+// into one object the optimization passes and tools consume. Definition 1's
+// Emutex and Edsync are not built: only `--dump-pfg` reads them, through
+// analysis::syncEdges. Passes that mutate the IR invalidate the
+// Compilation; re-run analyze() afterwards.
 #pragma once
 
 #include <memory>
@@ -76,7 +78,8 @@ class Compilation {
   /// partition from it without a points-to propagation (the `pointsto`
   /// phase; a one-variable program solves the full conservative form
   /// instead). It then rebuilds the class-keyed structures and re-solves
-  /// until the partition is stable (`sites-refined`). nullptr for
+  /// until the partition is stable, and builds Ecf once, on the final
+  /// partition (`sites-refined`). nullptr for
   /// programs without Deref — the identity/array keying is already exact
   /// there.
   [[nodiscard]] const sanalysis::PointsToResult* pointsTo() const {

@@ -287,7 +287,10 @@ bool renderCompiled(const ir::Program& prog, const Compilation& c,
     }
   }
   // The printers render the IR (no source bytes, so no NUL to stop at).
-  if (o.dumpPfg) out += pfg::toDot(c.graph());
+  if (o.dumpPfg) {
+    const analysis::SyncEdges sync = analysis::syncEdges(c.graph(), c.mhp());
+    out += pfg::toDot(c.graph(), sync.mutex, sync.dsync);
+  }
   if (o.dumpForm) out += cssa::printForm(c.graph(), c.ssa());
   return true;
 }

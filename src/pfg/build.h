@@ -1,8 +1,8 @@
 // Lowers structured IR to a Parallel Flow Graph (control edges only).
 //
-// Conflict edges (Ecf), mutex edges (Emutex) and dsync edges (Edsync)
-// require concurrency information and are added afterwards by
-// analysis::computeSyncAndConflictEdges.
+// Conflict edges (Ecf) require concurrency information and are added
+// afterwards by analysis::computeConflictEdges. Mutex and dsync edges
+// (Esync) are never stored; analysis::syncEdges derives them on demand.
 #pragma once
 
 #include "src/pfg/graph.h"

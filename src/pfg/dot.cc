@@ -22,7 +22,8 @@ std::string escape(const std::string& s) {
 
 }  // namespace
 
-std::string toDot(const Graph& graph) {
+std::string toDot(const Graph& graph, std::span<const MutexEdge> emutex,
+                  std::span<const DsyncEdge> edsync) {
   const ir::SymbolTable& syms = graph.program().symbols;
   std::string out = "digraph PFG {\n  node [shape=box, fontname=\"monospace\"];\n";
 
@@ -58,9 +59,9 @@ std::string toDot(const Graph& graph) {
                         syms.nameOf(c.var) + "\"]";
     edge(c.from, c.to, attrs.c_str());
   }
-  for (const MutexEdge& m : graph.mutexEdges)
+  for (const MutexEdge& m : emutex)
     edge(m.lockNode, m.unlockNode, " [style=dotted, dir=none, color=blue]");
-  for (const DsyncEdge& d : graph.dsyncEdges)
+  for (const DsyncEdge& d : edsync)
     edge(d.setNode, d.waitNode, " [style=bold, color=darkgreen]");
 
   out += "}\n";

@@ -5,12 +5,17 @@
 // edges bold.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "src/pfg/graph.h"
 
 namespace cssame::pfg {
 
-[[nodiscard]] std::string toDot(const Graph& graph);
+/// The graph stores no Esync, so the caller passes it in (see
+/// analysis::syncEdges).
+[[nodiscard]] std::string toDot(const Graph& graph,
+                                std::span<const MutexEdge> emutex,
+                                std::span<const DsyncEdge> edsync);
 
 }  // namespace cssame::pfg

@@ -8,6 +8,9 @@
 //       Esync  = Emutex (undirected lock↔unlock) ∪ Edsync (set→wait),
 //       Ecf    directed conflict edges between concurrent blocks that
 //              access the same shared variable, labelled def/use.
+//     Ecf is stored (`conflicts`) once analysis::computeConflictEdges has
+//     run. Esync is not: no analysis reads it (mutex bodies come from
+//     dominance), so analysis::syncEdges derives it for the DOT writer.
 //
 // The graph never changes once built, so its per-node lists are stored
 // flat in graph-owned arrays and each Node hands them out as spans (see
@@ -146,8 +149,6 @@ class Graph {
   NodeId exit;
 
   std::vector<ConflictEdge> conflicts;
-  std::vector<MutexEdge> mutexEdges;
-  std::vector<DsyncEdge> dsyncEdges;
 
   /// May-alias partition the access index and SSA construction key on.
   /// Defaults to the identity (every symbol its own class; no deref

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <numeric>
 #include <vector>
 
-#include "src/dataflow/framework.h"
 #include "src/support/bitset.h"
 
 namespace cssame::sanalysis {
@@ -99,13 +99,19 @@ class ChainCursor {
   bool recording_;
 };
 
+/// Cap on the worklist pops of one propagation. It is generous: real
+/// programs converge in a few sweeps, and the cap only exists so a
+/// non-monotone transfer function cannot hang the compiler.
+constexpr std::uint64_t kMaxPops = std::uint64_t{1} << 22;
+
 /// The state of one points-to solve over one form (see pointsto.h for
 /// the lattice): the flow-insensitive store map and the per-site sets as
 /// flat per-symbol and per-site tables, each class's members for weak
-/// definitions, and the recorded VarRef chains. A *round* is the outer
-/// fixpoint: iterate() repeats a pass ending in harvest() until no
-/// store grows the map. The round chooses what a VarRef's chain is
-/// worth; the evaluator and the harvest are the same for every round.
+/// definitions, the recorded VarRef chains and the general round's SSA
+/// values. A *round* is the outer fixpoint: iterate() repeats a pass
+/// ending in harvest() until no store grows the map. The round chooses
+/// what a VarRef's chain is worth; the evaluator and the harvest are the
+/// same for every round.
 class Solver {
  public:
   Solver(const pfg::Graph& graph, const ssa::SsaForm& form)
@@ -123,7 +129,6 @@ class Solver {
     }
   }
 
-  [[nodiscard]] const ssa::SsaForm& form() const { return form_; }
   [[nodiscard]] Pts bottom() const { return Pts{false, DynBitset(nsyms_)}; }
   [[nodiscard]] Pts top() const { return Pts{true, DynBitset(nsyms_)}; }
 
@@ -207,26 +212,59 @@ class Solver {
     return changed;
   }
 
-  /// Transfer function of an Assign definition: its right-hand side,
-  /// joined with its class's contents when the definition is weak (it
-  /// updates one member or cell and the class may keep what it held).
-  template <typename Get>
-  [[nodiscard]] Pts evalAssign(const ssa::Definition& d, const Get& get) {
-    Pts v = top();
-    if (d.stmt != nullptr && d.stmt->expr) {
-      std::size_t& at = defChains_[d.name.index()];
-      const bool recording = at == kUnrecorded;
-      if (recording) at = chains_.size();
-      ChainCursor chains(chains_, form_, at, recording);
-      v = eval(*d.stmt->expr, chains, get);
-    }
-    if (d.weak) {
-      for (SymbolId m : members_[d.var.index()]) {
-        v.join(loc_[m.index()]);
-        if (v.anywhere) break;
+  /// One sparse propagation of the general round: pointer values flow
+  /// along the use-def chains, and an Assign evaluates its right-hand
+  /// side against the store map as it stands. Every definition is
+  /// evaluated once in order (names not seeded yet read ∅), then a FIFO
+  /// worklist re-evaluates the readers of each name whose value grew.
+  /// Values only grow within a propagation, so a φ/π popped again joins
+  /// its value with just the arguments that changed since its last
+  /// evaluation; its first pop is a full join. Each call starts over
+  /// from the seeding and adds its pops to innerIterations.
+  void propagate() {
+    if (readerBegin_.empty()) buildReaders();
+    const std::size_t n = form_.defs.size();
+    values_.assign(n, bottom());
+    evaluatedAt_.assign(n, 0);
+    changedAt_.assign(n, 0);
+    std::deque<SsaNameId> work;
+    std::vector<bool> queued(n, false);
+    for (const ssa::Definition& d : form_.defs) {
+      values_[d.name.index()] = evaluate(d);
+      if (!d.removed && d.kind != ssa::DefKind::Entry) {
+        work.push_back(d.name);
+        queued[d.name.index()] = true;
       }
     }
-    return v;
+
+    std::uint64_t pops = 0;
+    while (!work.empty()) {
+      CSSAME_CHECK(pops < kMaxPops, "points-to propagation did not converge");
+      const SsaNameId id = work.front();
+      work.pop_front();
+      queued[id.index()] = false;
+      const std::uint64_t now = ++pops;
+
+      Pts v = reevaluate(form_.def(id));
+      evaluatedAt_[id.index()] = now;
+      if (v == values_[id.index()]) continue;
+      values_[id.index()] = std::move(v);
+      changedAt_[id.index()] = now;
+      for (std::uint32_t r = readerBegin_[id.index()];
+           r < readerBegin_[id.index() + 1]; ++r) {
+        const SsaNameId reader = readers_[r];
+        if (!queued[reader.index()]) {
+          queued[reader.index()] = true;
+          work.push_back(reader);
+        }
+      }
+    }
+    stats_.innerIterations += pops;
+  }
+
+  /// A name's value as of the last propagation.
+  [[nodiscard]] const Pts& valueOf(SsaNameId d) const {
+    return values_[d.index()];
   }
 
   /// The round's answer in the public types; every site degrades to ⊤
@@ -267,10 +305,95 @@ class Solver {
     return result;
   }
 
-  [[nodiscard]] PointsToStats& stats() { return stats_; }
-
  private:
   static constexpr std::size_t kUnrecorded = SIZE_MAX;
+
+  /// Lists each name's readers once, in compressed rows: the readers of
+  /// name i are readers_[readerBegin_[i] .. readerBegin_[i + 1]). A
+  /// reader is a φ/π term taking the name as an argument or an Assign
+  /// definition whose right-hand side reads it (Index and Deref loads
+  /// read the store map, which the outer fixpoint re-propagates on
+  /// change). Readers are listed in definition order.
+  void buildReaders() {
+    const std::size_t n = form_.defs.size();
+    std::vector<std::pair<std::uint32_t, SsaNameId>> edges;
+    for (const ssa::Definition& d : form_.defs) {
+      if (d.removed) continue;
+      ssa::forEachArg(
+          d, [&](SsaNameId a) { edges.emplace_back(a.index(), d.name); });
+      if (d.kind != ssa::DefKind::Assign || d.stmt == nullptr ||
+          !d.stmt->expr)
+        continue;
+      ir::forEachExpr(*d.stmt->expr, [&](const ir::Expr& sub) {
+        if (sub.kind != ir::ExprKind::VarRef) return;
+        auto it = form_.useDef.find(&sub);
+        if (it != form_.useDef.end() && it->second.valid())
+          edges.emplace_back(it->second.index(), d.name);
+      });
+    }
+    readerBegin_.assign(n + 1, 0);
+    for (const auto& [from, reader] : edges) ++readerBegin_[from + 1];
+    for (std::size_t i = 0; i < n; ++i) readerBegin_[i + 1] += readerBegin_[i];
+    std::vector<std::uint32_t> next(readerBegin_.begin(),
+                                    readerBegin_.end() - 1);
+    readers_.resize(edges.size());
+    for (const auto& [from, reader] : edges) readers_[next[from]++] = reader;
+  }
+
+  /// A definition's value from scratch. Entry definitions hold ∅: every
+  /// location starts 0-initialized, and ∅ means exactly "this value is 0".
+  [[nodiscard]] Pts evaluate(const ssa::Definition& d) {
+    switch (d.kind) {
+      case ssa::DefKind::Assign:
+        return evalAssign(d);
+      case ssa::DefKind::Entry:
+        return bottom();
+      case ssa::DefKind::Phi:
+      case ssa::DefKind::Pi: {
+        Pts v = bottom();
+        ssa::forEachArg(d, [&](SsaNameId a) { v.join(values_[a.index()]); });
+        return v;
+      }
+    }
+    return bottom();
+  }
+
+  /// A popped definition's new value. A φ/π evaluated before is its
+  /// current value joined with the arguments that changed after that
+  /// evaluation; an argument that changed at the same pop is the term
+  /// itself, already in its value.
+  [[nodiscard]] Pts reevaluate(const ssa::Definition& d) {
+    const std::uint64_t last = evaluatedAt_[d.name.index()];
+    const bool term = d.kind == ssa::DefKind::Phi || d.kind == ssa::DefKind::Pi;
+    if (!term || last == 0) return evaluate(d);
+    Pts v = values_[d.name.index()];
+    ssa::forEachArg(d, [&](SsaNameId a) {
+      if (changedAt_[a.index()] > last) v.join(values_[a.index()]);
+    });
+    return v;
+  }
+
+  /// Transfer function of an Assign definition: its right-hand side,
+  /// joined with its class's contents when the definition is weak (it
+  /// updates one member or cell and the class may keep what it held).
+  [[nodiscard]] Pts evalAssign(const ssa::Definition& d) {
+    Pts v = top();
+    if (d.stmt != nullptr && d.stmt->expr) {
+      std::size_t& at = defChains_[d.name.index()];
+      const bool recording = at == kUnrecorded;
+      if (recording) at = chains_.size();
+      ChainCursor chains(chains_, form_, at, recording);
+      v = eval(*d.stmt->expr, chains,
+               [&](SsaNameId c) -> const Pts& { return values_[c.index()]; });
+    }
+    if (d.weak) {
+      for (SymbolId m : members_[d.var.index()]) {
+        v.join(loc_[m.index()]);
+        if (v.anywhere) break;
+      }
+    }
+    return v;
+  }
 
   /// The one expression evaluator (transfer functions in pointsto.h).
   /// A VarRef reads its chain's value met with its own cell: the chain
@@ -386,48 +509,15 @@ class Solver {
   std::vector<std::size_t> defChains_;
   std::size_t harvestAt_ = 0;
   bool harvested_ = false;
-};
-
-/// SsaPropagator client of the general round: pointer values flow along
-/// the use-def chains, and an Assign evaluates its right-hand side.
-struct PointsToProblem {
-  using Value = Pts;
-
-  Solver* solver = nullptr;
-
-  [[nodiscard]] const char* name() const { return "points-to"; }
-  [[nodiscard]] Pts identity() const { return solver->bottom(); }
-
-  /// Entry definitions: every location starts 0-initialized, and the ∅
-  /// invariant is exactly "this value is 0".
-  [[nodiscard]] Pts initial(const ssa::Definition&) const {
-    return solver->bottom();
-  }
-
-  void join(Pts& into, const Pts& arg) const { into.join(arg); }
-
-  /// The SSA names an Assign's value depends on: the use-def links of the
-  /// VarRefs in its right-hand side (Index/Deref loads read the store
-  /// map, which the outer fixpoint re-solves on change).
-  [[nodiscard]] std::vector<SsaNameId> extraDeps(
-      const ssa::Definition& d) const {
-    std::vector<SsaNameId> deps;
-    if (d.kind != ssa::DefKind::Assign || d.stmt == nullptr) return deps;
-    if (!d.stmt->expr) return deps;
-    const ssa::SsaForm& form = solver->form();
-    ir::forEachExpr(*d.stmt->expr, [&](const ir::Expr& sub) {
-      if (sub.kind != ir::ExprKind::VarRef) return;
-      auto it = form.useDef.find(&sub);
-      if (it != form.useDef.end()) deps.push_back(it->second);
-    });
-    return deps;
-  }
-
-  template <typename Get>
-  [[nodiscard]] Pts evalAssign(const ssa::Definition& d,
-                               const Get& get) const {
-    return solver->evalAssign(d, get);
-  }
+  /// The general round's propagation: each name's readers, built on the
+  /// first propagate(); each name's value; and the pop number of its last
+  /// evaluation (0: seeded only) and of its last change (0: unchanged
+  /// since seeding).
+  std::vector<std::uint32_t> readerBegin_;
+  std::vector<SsaNameId> readers_;
+  std::vector<Pts> values_;
+  std::vector<std::uint64_t> evaluatedAt_;
+  std::vector<std::uint64_t> changedAt_;
 };
 
 /// One flag per SSA name of the conservative round: 1 when some Assign
@@ -464,17 +554,13 @@ PointsToResult solvePointsTo(const pfg::Graph& graph,
                              const ssa::SsaForm& form) {
   // Outer fixpoint: alternate a sparse value propagation with a harvest
   // of every store into the store map until the map stops growing. The
-  // propagator's def-use edges are built once; each pass re-solves it
-  // against the grown map.
+  // readers are listed once; each pass re-propagates against the grown
+  // map.
   Solver solver(graph, form);
-  dataflow::SsaPropagator<PointsToProblem> propagator(
-      form, PointsToProblem{&solver});
   const bool converged = solver.iterate([&] {
-    const Status status = propagator.solve();
-    CSSAME_CHECK(status.ok(), "points-to propagation did not converge");
-    solver.stats().innerIterations += propagator.stats().iterations;
+    solver.propagate();
     return solver.harvest(
-        [&](SsaNameId c) -> const Pts& { return propagator.valueOf(c); });
+        [&](SsaNameId c) -> const Pts& { return solver.valueOf(c); });
   });
   return solver.finish(converged);
 }

@@ -21,15 +21,19 @@
 //   a[i]         → locPts[a]
 //
 // Solver. Two nested fixpoints:
-//   inner  a dataflow::SsaPropagator client over the CSSAME form: scalar
-//          pointer variables flow sparsely along use-def chains, and φ/π
-//          terms join their arguments. Because π conflict arguments are
-//          placed from the MHP relation, pointer values assigned in
-//          *concurrent threads* are unioned into every guarded use — the
-//          concurrency refinement falls out of the CSSAME form itself.
-//          The propagator's def-use edges are built once per solve, and
-//          each outer pass re-solves it; a VarRef reads its chain's value
-//          met with its own cell.
+//   inner  a sparse propagation over the CSSAME form: scalar pointer
+//          variables flow along use-def chains, and φ/π terms join their
+//          arguments. Because π conflict arguments are placed from the
+//          MHP relation, pointer values assigned in *concurrent threads*
+//          are unioned into every guarded use — the concurrency
+//          refinement falls out of the CSSAME form itself. Each name's
+//          readers are listed once per solve, each outer pass
+//          re-propagates from scratch with a FIFO worklist, and a φ/π
+//          popped again joins only the arguments that changed since its
+//          last evaluation. A VarRef reads its chain's value met with its
+//          own cell, loads read the store map and a weak definition joins
+//          its class's cells; the SCC engine (dataflow/sccp.h) has none
+//          of these, so the propagation is the solver's own.
 //   outer  the flow-insensitive store map locPts : location → PtSet.
 //          Every store (x = e, a[i] = e, *p = e) joins the value set of
 //          its right-hand side into the map entry of every location it
@@ -97,7 +101,7 @@ struct PtSet {
 /// `cssamec --points-to --stats` and BENCH_alias.json.
 struct PointsToStats {
   std::size_t outerPasses = 0;       ///< locPts fixpoint rounds
-  std::uint64_t innerIterations = 0; ///< SsaPropagator def re-evaluations
+  std::uint64_t innerIterations = 0; ///< propagation worklist pops
   bool converged = true;             ///< false → all sites forced to ⊤
   std::size_t derefSites = 0;        ///< Deref loads + stores analyzed
   std::size_t anywhereSites = 0;     ///< sites whose pointer may be wild

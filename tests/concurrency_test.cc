@@ -20,7 +20,7 @@ struct Fixture {
         graph(pfg::buildPfg(prog)),
         dom(graph, Dominators::Direction::Forward),
         mhp(graph, dom) {
-    computeSyncAndConflictEdges(graph, mhp);
+    computeConflictEdges(graph, mhp, collectAccessSites(graph));
   }
 
   NodeId nodeWithConst(long long v) {
@@ -201,8 +201,9 @@ TEST(SyncEdges, MutexEdgesPairConcurrentLockUnlock) {
   )");
   // L: lock(T0)-unlock(T1) and lock(T1)-unlock(T0). M has no concurrent
   // counterpart (only used in one thread).
-  EXPECT_EQ(f.graph.mutexEdges.size(), 2u);
-  for (const pfg::MutexEdge& e : f.graph.mutexEdges)
+  const SyncEdges sync = syncEdges(f.graph, f.mhp);
+  EXPECT_EQ(sync.mutex.size(), 2u);
+  for (const pfg::MutexEdge& e : sync.mutex)
     EXPECT_EQ(f.prog.symbols.nameOf(e.lockVar), "L");
 }
 
@@ -214,8 +215,9 @@ TEST(SyncEdges, DsyncEdgesPairSetWait) {
       thread { wait(e); }
     }
   )");
-  ASSERT_EQ(f.graph.dsyncEdges.size(), 1u);
-  EXPECT_EQ(f.prog.symbols.nameOf(f.graph.dsyncEdges[0].eventVar), "e");
+  const SyncEdges sync = syncEdges(f.graph, f.mhp);
+  ASSERT_EQ(sync.dsync.size(), 1u);
+  EXPECT_EQ(f.prog.symbols.nameOf(sync.dsync[0].eventVar), "e");
 }
 
 TEST(AccessSites, CollectsDefsAndUses) {

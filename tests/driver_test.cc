@@ -12,7 +12,6 @@
 #include "src/opt/lockstats.h"
 #include "src/opt/optimize.h"
 #include "src/parser/parser.h"
-#include "src/pfg/dot.h"
 #include "src/sanalysis/csan.h"
 #include "src/sanalysis/tso.h"
 #include "src/workload/generator.h"
@@ -77,15 +76,196 @@ TEST(FormPrinter, CssaShowsAllPis) {
   EXPECT_EQ(count, 5u);
 }
 
+// --dump-pfg's whole output: nodes, control edges, then Ecf, Emutex and
+// Edsync, each in its emission order. The pipeline stores no Esync, so
+// these pin the order in which the runner derives it.
+std::string dumpPfg(const char* source) {
+  RunOptions opts;
+  opts.dumpPfg = true;
+  const RunOutput r = runSource(source, "dump.cp", opts);
+  EXPECT_EQ(r.code, 0) << r.err;
+  return r.out;
+}
+
 TEST(Dot, RendersFigure2) {
-  ir::Program prog = parser::parseOrDie(workload::figure2Source());
-  Compilation c = analyze(prog);
-  const std::string dot = pfg::toDot(c.graph());
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("lock"), std::string::npos);
-  // Both sync edge styles appear (mutex dotted, conflicts dashed).
-  EXPECT_NE(dot.find("style=dotted"), std::string::npos);
-  EXPECT_NE(dot.find("style=dashed"), std::string::npos);
+  EXPECT_EQ(dumpPfg(workload::figure2Source()), R"dot(digraph PFG {
+  node [shape=box, fontname="monospace"];
+  n0 [label="#0 entry"];
+  n1 [label="#1 exit"];
+  n2 [label="#2\la = 0\lb = 0"];
+  n3 [label="#3 cobegin", shape=trapezium];
+  n4 [label="#4 coend", shape=trapezium];
+  n5 [label="#5"];
+  n6 [label="#6 lock(L)", style=filled, fillcolor=lightyellow];
+  n7 [label="#7\la = 5\lb = (a + 3)\lbranch (b > 4)"];
+  n8 [label="#8\la = (a + b)"];
+  n9 [label="#9\lx = a"];
+  n10 [label="#10 unlock(L)", style=filled, fillcolor=lightyellow];
+  n11 [label="#11"];
+  n12 [label="#12 lock(L)", style=filled, fillcolor=lightyellow];
+  n13 [label="#13\la = (b + 6)\ly = a"];
+  n14 [label="#14 unlock(L)", style=filled, fillcolor=lightyellow];
+  n15 [label="#15\lprint(x)\lprint(y)"];
+  n0 -> n2;
+  n2 -> n3;
+  n3 -> n5;
+  n3 -> n11;
+  n4 -> n15;
+  n5 -> n6;
+  n6 -> n7;
+  n7 -> n8;
+  n7 -> n9;
+  n8 -> n9;
+  n9 -> n10;
+  n10 -> n4;
+  n11 -> n12;
+  n12 -> n13;
+  n13 -> n14;
+  n14 -> n4;
+  n15 -> n1;
+  n7 -> n13 [style=dashed, color=red, label="DU:a"];
+  n7 -> n13 [style=dashed, color=red, label="DD:a"];
+  n7 -> n13 [style=dashed, color=red, label="DU:b"];
+  n8 -> n13 [style=dashed, color=red, label="DU:a"];
+  n8 -> n13 [style=dashed, color=red, label="DD:a"];
+  n13 -> n7 [style=dashed, color=red, label="DU:a"];
+  n13 -> n7 [style=dashed, color=red, label="DD:a"];
+  n13 -> n8 [style=dashed, color=red, label="DU:a"];
+  n13 -> n8 [style=dashed, color=red, label="DD:a"];
+  n13 -> n9 [style=dashed, color=red, label="DU:a"];
+  n6 -> n14 [style=dotted, dir=none, color=blue];
+  n12 -> n10 [style=dotted, dir=none, color=blue];
+}
+)dot");
+}
+
+// Two locks whose lock nodes interleave, a set/wait pair and a barrier.
+// The event orders the first L bodies and the barrier separates each
+// thread's L body before it from the other's after it, so only the
+// unordered L and M pairs get an Emutex edge.
+TEST(Dot, RendersLocksEventsAndBarrier) {
+  const char* source = R"(int buf0, buf1, produced, consumed, n;
+lock L, M;
+event ready;
+
+cobegin {
+  thread producer {
+    lock(L);
+    buf0 = 11;
+    buf1 = 22;
+    produced = 2;
+    unlock(L);
+    set(ready);
+    barrier;
+    lock(L);
+    produced = 3;
+    unlock(L);
+    lock(M);
+    n = n + 1;
+    unlock(M);
+  }
+  thread consumer {
+    int sum;
+    wait(ready);
+    lock(L);
+    sum = buf0 + buf1;
+    consumed = produced;
+    unlock(L);
+    barrier;
+    lock(L);
+    consumed = consumed + produced;
+    unlock(L);
+    lock(M);
+    n = n + sum;
+    unlock(M);
+    print(sum);
+  }
+}
+print(produced);
+print(consumed);
+print(n);
+)";
+  EXPECT_EQ(dumpPfg(source), R"dot(digraph PFG {
+  node [shape=box, fontname="monospace"];
+  n0 [label="#0 entry"];
+  n1 [label="#1 exit"];
+  n2 [label="#2"];
+  n3 [label="#3 cobegin", shape=trapezium];
+  n4 [label="#4 coend", shape=trapezium];
+  n5 [label="#5"];
+  n6 [label="#6 lock(L)", style=filled, fillcolor=lightyellow];
+  n7 [label="#7\lbuf0 = 11\lbuf1 = 22\lproduced = 2"];
+  n8 [label="#8 unlock(L)", style=filled, fillcolor=lightyellow];
+  n9 [label="#9 set(ready)"];
+  n10 [label="#10 barrier"];
+  n11 [label="#11 lock(L)", style=filled, fillcolor=lightyellow];
+  n12 [label="#12\lproduced = 3"];
+  n13 [label="#13 unlock(L)", style=filled, fillcolor=lightyellow];
+  n14 [label="#14 lock(M)", style=filled, fillcolor=lightyellow];
+  n15 [label="#15\ln = (n + 1)"];
+  n16 [label="#16 unlock(M)", style=filled, fillcolor=lightyellow];
+  n17 [label="#17"];
+  n18 [label="#18 wait(ready)"];
+  n19 [label="#19 lock(L)", style=filled, fillcolor=lightyellow];
+  n20 [label="#20\lsum = (buf0 + buf1)\lconsumed = produced"];
+  n21 [label="#21 unlock(L)", style=filled, fillcolor=lightyellow];
+  n22 [label="#22 barrier"];
+  n23 [label="#23 lock(L)", style=filled, fillcolor=lightyellow];
+  n24 [label="#24\lconsumed = (consumed + produced)"];
+  n25 [label="#25 unlock(L)", style=filled, fillcolor=lightyellow];
+  n26 [label="#26 lock(M)", style=filled, fillcolor=lightyellow];
+  n27 [label="#27\ln = (n + sum)"];
+  n28 [label="#28 unlock(M)", style=filled, fillcolor=lightyellow];
+  n29 [label="#29\lprint(sum)"];
+  n30 [label="#30\lprint(produced)\lprint(consumed)\lprint(n)"];
+  n0 -> n2;
+  n2 -> n3;
+  n3 -> n5;
+  n3 -> n17;
+  n4 -> n30;
+  n5 -> n6;
+  n6 -> n7;
+  n7 -> n8;
+  n8 -> n9;
+  n9 -> n10;
+  n10 -> n11;
+  n11 -> n12;
+  n12 -> n13;
+  n13 -> n14;
+  n14 -> n15;
+  n15 -> n16;
+  n16 -> n4;
+  n17 -> n18;
+  n18 -> n19;
+  n19 -> n20;
+  n20 -> n21;
+  n21 -> n22;
+  n22 -> n23;
+  n23 -> n24;
+  n24 -> n25;
+  n25 -> n26;
+  n26 -> n27;
+  n27 -> n28;
+  n28 -> n29;
+  n29 -> n4;
+  n30 -> n1;
+  n7 -> n20 [style=dashed, color=red, label="DU:buf0"];
+  n7 -> n20 [style=dashed, color=red, label="DU:buf1"];
+  n7 -> n20 [style=dashed, color=red, label="DU:produced"];
+  n7 -> n24 [style=dashed, color=red, label="DU:produced"];
+  n12 -> n20 [style=dashed, color=red, label="DU:produced"];
+  n12 -> n24 [style=dashed, color=red, label="DU:produced"];
+  n15 -> n27 [style=dashed, color=red, label="DU:n"];
+  n15 -> n27 [style=dashed, color=red, label="DD:n"];
+  n27 -> n15 [style=dashed, color=red, label="DU:n"];
+  n27 -> n15 [style=dashed, color=red, label="DD:n"];
+  n11 -> n25 [style=dotted, dir=none, color=blue];
+  n14 -> n28 [style=dotted, dir=none, color=blue];
+  n23 -> n13 [style=dotted, dir=none, color=blue];
+  n26 -> n16 [style=dotted, dir=none, color=blue];
+  n9 -> n18 [style=bold, color=darkgreen];
+}
+)dot");
 }
 
 TEST(LockStats, Figure2Report) {

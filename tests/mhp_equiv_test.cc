@@ -378,7 +378,8 @@ void checkEquivalence(ir::Program prog, const std::string& label,
   }
 
   // Edge-sequence agreement (order included).
-  computeSyncAndConflictEdges(graph, mhp);
+  computeConflictEdges(graph, mhp, collectAccessSites(graph));
+  const SyncEdges sync = syncEdges(graph, mhp);
   const RefEdges expect = refComputeEdges(graph, ref);
 
   ASSERT_EQ(graph.conflicts.size(), expect.conflicts.size());
@@ -386,20 +387,20 @@ void checkEquivalence(ir::Program prog, const std::string& label,
     ASSERT_EQ(keyOf(graph.conflicts[i]), keyOf(expect.conflicts[i]))
         << "conflict edge " << i;
 
-  ASSERT_EQ(graph.mutexEdges.size(), expect.mutexEdges.size());
+  ASSERT_EQ(sync.mutex.size(), expect.mutexEdges.size());
   for (std::size_t i = 0; i < expect.mutexEdges.size(); ++i) {
-    ASSERT_EQ(graph.mutexEdges[i].lockNode, expect.mutexEdges[i].lockNode)
+    ASSERT_EQ(sync.mutex[i].lockNode, expect.mutexEdges[i].lockNode)
         << "mutex edge " << i;
-    ASSERT_EQ(graph.mutexEdges[i].unlockNode, expect.mutexEdges[i].unlockNode);
-    ASSERT_EQ(graph.mutexEdges[i].lockVar, expect.mutexEdges[i].lockVar);
+    ASSERT_EQ(sync.mutex[i].unlockNode, expect.mutexEdges[i].unlockNode);
+    ASSERT_EQ(sync.mutex[i].lockVar, expect.mutexEdges[i].lockVar);
   }
 
-  ASSERT_EQ(graph.dsyncEdges.size(), expect.dsyncEdges.size());
+  ASSERT_EQ(sync.dsync.size(), expect.dsyncEdges.size());
   for (std::size_t i = 0; i < expect.dsyncEdges.size(); ++i) {
-    ASSERT_EQ(graph.dsyncEdges[i].setNode, expect.dsyncEdges[i].setNode)
+    ASSERT_EQ(sync.dsync[i].setNode, expect.dsyncEdges[i].setNode)
         << "dsync edge " << i;
-    ASSERT_EQ(graph.dsyncEdges[i].waitNode, expect.dsyncEdges[i].waitNode);
-    ASSERT_EQ(graph.dsyncEdges[i].eventVar, expect.dsyncEdges[i].eventVar);
+    ASSERT_EQ(sync.dsync[i].waitNode, expect.dsyncEdges[i].waitNode);
+    ASSERT_EQ(sync.dsync[i].eventVar, expect.dsyncEdges[i].eventVar);
   }
 }
 

@@ -84,7 +84,7 @@ TEST(Figure2, MutexStructures) {
   // No synchronization warnings on a well-formed program.
   EXPECT_EQ(c.diag().diagnostics().size(), 0u);
   // Two mutex edges: lock(T0)-unlock(T1) and lock(T1)-unlock(T0).
-  EXPECT_EQ(c.graph().mutexEdges.size(), 2u);
+  EXPECT_EQ(analysis::syncEdges(c.graph(), c.mhp()).mutex.size(), 2u);
 }
 
 TEST(Figure2, CssaHasFivePiTerms) {

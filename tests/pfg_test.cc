@@ -250,12 +250,14 @@ TEST(Dot, ContainsNodesAndSyncEdges) {
     }
   )");
   Graph g = buildPfg(p);
-  // Populate sync/conflict edges the way the pipeline does.
+  // Populate conflict edges the way the pipeline does, and derive the
+  // sync edges the way --dump-pfg does.
   analysis::Dominators dom(g, analysis::Dominators::Direction::Forward);
   analysis::Mhp mhp(g, dom);
-  analysis::computeSyncAndConflictEdges(g, mhp);
+  analysis::computeConflictEdges(g, mhp, analysis::collectAccessSites(g));
+  const analysis::SyncEdges sync = analysis::syncEdges(g, mhp);
 
-  const std::string dot = toDot(g);
+  const std::string dot = toDot(g, sync.mutex, sync.dsync);
   EXPECT_NE(dot.find("digraph PFG"), std::string::npos);
   EXPECT_NE(dot.find("style=dotted"), std::string::npos);  // mutex edges
   EXPECT_NE(dot.find("style=dashed"), std::string::npos);  // conflict edges

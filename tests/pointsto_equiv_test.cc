@@ -3,28 +3,27 @@
 // The pointer phase of driver::Compilation computes a pointer program's
 // first refined partition without a points-to propagation
 // (sanalysis::refineConservative), places that round's π terms only at
-// the uses it reads (sanalysis::conservativePiSites) and builds no Ecf
-// edges for the conservative form. dataflow::SsaPropagator builds its
-// def-use edges once and re-joins only the arguments that changed, and
-// solvePointsTo runs on flat per-symbol state. All of it promises exactly
-// the results of the code as first written, and parallel reaching
-// definitions walk the FUD chains instead of solving a fixpoint. This test
-// holds it to that: a verbatim transcription of the original
-// SsaPropagator, solvePointsTo, computeParallelReachingDefs and pointer
-// phase of Compilation's constructor serves as the reference, and the
-// alias_* gallery, the
-// pointsto_test shapes, the bench_alias corpus, >= 400 generated programs
-// (pointers, arrays, events, fences and locks varied, up to 4 threads x 48
-// statements), programs with a wild (⊤) store, hand-written programs whose
-// conservative round keeps a π, and one-variable programs (which take the
-// general solve) are checked, with CSSAME rewriting on and off, for exact
-// equality of
+// the uses it reads (sanalysis::conservativePiSites), and builds Ecf
+// once, after the last round, instead of for every form. solvePointsTo
+// propagates on its own: it builds its reader lists once and re-joins
+// only the arguments that changed, on flat per-symbol state. All of it
+// promises exactly the results of the code as first written, and
+// parallel reaching definitions walk the FUD chains instead of solving a
+// fixpoint. This test holds it to that: a verbatim transcription of the
+// original SsaPropagator, solvePointsTo, computeParallelReachingDefs and
+// pointer phase of Compilation's constructor serves as the reference, and
+// the alias_* gallery, the pointsto_test shapes, the bench_alias corpus,
+// >= 400 generated programs (pointers, arrays, events, fences and locks
+// varied, up to 4 threads x 48 statements), programs with a wild (⊤)
+// store, hand-written programs whose conservative round keeps a π, and
+// one-variable programs (which take the general solve) are checked, with
+// CSSAME rewriting on and off, for exact equality of
 //
 //   * the first refined partition,
 //   * the final partition and the per-site deref classes,
 //   * locPts, loadPts, storePts and every PointsToStats field,
-//   * the final Ecf/Emutex/Edsync edges, piStats, rewriteStats and the
-//     rendered CSSAME form,
+//   * the final Ecf edges, piStats, rewriteStats and the rendered CSSAME
+//     form,
 //   * the reaching definitions of every use (cssa::reachingDefs against
 //     the reference's defsOf) on the final form — here and on scalar and
 //     lock-region programs.
@@ -52,7 +51,7 @@
 #include "src/cssa/form_printer.h"
 #include "src/cssa/reaching.h"
 #include "src/cssa/rewrite.h"
-#include "src/dataflow/framework.h"
+#include "src/dataflow/sccp.h"
 #include "src/driver/pipeline.h"
 #include "src/mutex/mutex_structures.h"
 #include "src/parser/parser.h"
@@ -592,7 +591,7 @@ Compilation::Compilation(ir::Program& program, driver::PipelineOptions opts)
   // the lockset engines (csan, races) via sites().
   sites_ = analysis::collectAccessSites(*graph_);
   phase("sites");
-  analysis::computeSyncAndConflictEdges(*graph_, *mhp_, sites_);
+  analysis::computeConflictEdges(*graph_, *mhp_, sites_);
   phase("conflicts");
   mutexes_ = std::make_unique<mutex::MutexStructures>(
       *graph_, *dom_, *pdom_, opts.warnings ? &diag_ : nullptr);
@@ -614,7 +613,7 @@ Compilation::Compilation(ir::Program& program, driver::PipelineOptions opts)
     // depend on the partition and is reused as-is.
     auto rebuildKeyed = [&] {
       sites_ = analysis::collectAccessSites(*graph_);
-      analysis::computeSyncAndConflictEdges(*graph_, *mhp_, sites_);
+      analysis::computeConflictEdges(*graph_, *mhp_, sites_);
       ssa_ = std::make_unique<ssa::SsaForm>(
           ssa::buildSequentialSsa(*graph_, *dom_));
       piStats_ = cssa::placePiTerms(*graph_, *ssa_, *mhp_, sites_);
@@ -729,12 +728,6 @@ std::string renderEdges(const pfg::Graph& graph, const ir::Program& prog) {
     out += "ecf " + std::to_string(e.from.index()) + " -> " +
            std::to_string(e.to.index()) + " var " +
            prog.symbols.nameOf(e.var) + (e.toIsDef ? " DD" : " DU") + "\n";
-  for (const pfg::MutexEdge& e : graph.mutexEdges)
-    out += "emutex " + std::to_string(e.lockNode.index()) + " <-> " +
-           std::to_string(e.unlockNode.index()) + "\n";
-  for (const pfg::DsyncEdge& e : graph.dsyncEdges)
-    out += "edsync " + std::to_string(e.setNode.index()) + " -> " +
-           std::to_string(e.waitNode.index()) + "\n";
   return out;
 }
 

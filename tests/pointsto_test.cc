@@ -340,7 +340,8 @@ TEST(PointsToSoundness, GeneratedArrayWorkloads) {
 
 /// Runs the full analysis stack by hand — the same phase sequence as
 /// driver::Compilation — and renders everything the class keying could
-/// perturb: the printed CSSAME form plus every Ecf/Emutex/Edsync edge.
+/// perturb: the printed CSSAME form plus every Ecf edge. (Esync comes from
+/// the MHP relation alone, which no partition touches.)
 /// With `explicitIdentity` the identity partition is installed as an
 /// explicit rep table, so repOf/singleton/classShared take their
 /// map-backed paths instead of the rep_.empty() fast path.
@@ -361,7 +362,7 @@ std::string buildAndRender(ir::Program& prog, bool explicitIdentity) {
   analysis::Dominators pdom(graph, analysis::Dominators::Direction::Reverse);
   analysis::Mhp mhp(graph, dom);
   const analysis::AccessSites sites = analysis::collectAccessSites(graph);
-  analysis::computeSyncAndConflictEdges(graph, mhp, sites);
+  analysis::computeConflictEdges(graph, mhp, sites);
   mutex::MutexStructures mutexes(graph, dom, pdom, nullptr);
   ssa::SsaForm form = ssa::buildSequentialSsa(graph, dom);
   cssa::placePiTerms(graph, form, mhp, sites);
@@ -373,13 +374,6 @@ std::string buildAndRender(ir::Program& prog, bool explicitIdentity) {
     out += "ecf " + std::to_string(e.from.index()) + " -> " +
            std::to_string(e.to.index()) + " var " +
            prog.symbols.nameOf(e.var) + (e.toIsDef ? " DD" : " DU") + "\n";
-  for (const pfg::MutexEdge& e : graph.mutexEdges)
-    out += "emutex " + std::to_string(e.lockNode.index()) + " <-> " +
-           std::to_string(e.unlockNode.index()) + " lock " +
-           prog.symbols.nameOf(e.lockVar) + "\n";
-  for (const pfg::DsyncEdge& e : graph.dsyncEdges)
-    out += "edsync " + std::to_string(e.setNode.index()) + " -> " +
-           std::to_string(e.waitNode.index()) + "\n";
   return out;
 }
 
