@@ -20,10 +20,14 @@
 //     events with fenceProb 0.1, and atomics with fences;
 //   - optimize-shaped 4 x 20 determinate programs;
 //   - lock-structured programs and bank programs;
-//   - small racy 2 x 3 programs, the shape service_mix explores and fixes.
-// The ctest slice is the examples, the figures and lock regions at k = 2
-// and 16. Every program is a pure function of this file, so two builds
-// compared over one written corpus see the same bytes.
+//   - small racy 2 x 3 programs, the shape service_mix explores and fixes;
+//   - barrier programs and set/wait programs whose threads update one
+//     variable under different locks: the context pairs that the barrier
+//     and set/wait refinements of MHP apply to.
+// The ctest slice is the examples, the figures, lock regions at k = 2
+// and 16, and one barrier and one set/wait program. Every program is a
+// pure function of this file, so two builds compared over one written
+// corpus see the same bytes.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -98,6 +102,49 @@ workload::GeneratorConfig productionShape(int family, bool determinate,
   return cfg;
 }
 
+/// `threads` threads over `phases` barrier phases. In each phase a
+/// thread adds to x under L or M, alternating by thread and phase, then
+/// copies x to y or reads y into z without a lock.
+std::string barrierSource(int threads, int phases) {
+  std::string s = "int x, y, z;\nlock L, M;\ncobegin {\n";
+  for (int t = 0; t < threads; ++t) {
+    s += "  thread {";
+    for (int p = 0; p < phases; ++p) {
+      if (p > 0) s += " barrier;";
+      const std::string lock = (t + p) % 2 == 0 ? "L" : "M";
+      s += " lock(" + lock + "); x = x + " + std::to_string(t + 1) +
+           "; unlock(" + lock + ");";
+      s += (t + p) % 3 == 0 ? " y = x;"
+                            : " z = y + " + std::to_string(p) + ";";
+    }
+    s += " }\n";
+  }
+  return s + "}\nprint(x); print(y); print(z);\n";
+}
+
+/// A set/wait chain of `threads` threads: thread t waits for thread
+/// t - 1's event, adds to x under L or M by parity `rounds` times, sets
+/// its own event halfway, and updates y without a lock. Neighbours are
+/// ordered by their event; threads two apart are not.
+std::string eventChainSource(int threads, int rounds) {
+  std::string s = "int x, y;\nlock L, M;\nevent";
+  for (int t = 0; t < threads; ++t)
+    s += (t == 0 ? " e" : ", e") + std::to_string(t);
+  s += ";\ncobegin {\n";
+  for (int t = 0; t < threads; ++t) {
+    const std::string lock = t % 2 == 0 ? "L" : "M";
+    s += "  thread {";
+    if (t > 0) s += " wait(e" + std::to_string(t - 1) + ");";
+    for (int r = 0; r < rounds; ++r) {
+      if (r == rounds / 2) s += " set(e" + std::to_string(t) + ");";
+      s += " lock(" + lock + "); x = x + " + std::to_string(t + r + 1) +
+           "; unlock(" + lock + ");";
+    }
+    s += " y = y + x; }\n";
+  }
+  return s + "}\nprint(x); print(y);\n";
+}
+
 void writeFull(CorpusWriter& w) {
   const char* families[] = {"plain", "ptr", "array", "events", "atomics"};
   for (int f = 0; f < 5; ++f)
@@ -143,6 +190,22 @@ void writeFull(CorpusWriter& w) {
     cfg.determinate = false;
     w.addRandom("small_" + std::to_string(i) + ".cp", cfg, "small");
   }
+
+  // The ctest slice holds barrier_2x3 and events_3x2. Up to 12 thread
+  // phases, or 3 threads of events, one --explore takes under 0.1 s.
+  for (int threads : {2, 3, 4})
+    for (int phases : {3, 6})
+      if (threads != 2 || phases != 3)
+        w.add("barrier_" + std::to_string(threads) + "x" +
+                  std::to_string(phases) + ".cp",
+              barrierSource(threads, phases),
+              threads * phases <= 12 ? "small" : "");
+  for (int threads : {3, 4})
+    for (int rounds : {2, 4})
+      if (threads != 3 || rounds != 2)
+        w.add("events_" + std::to_string(threads) + "x" +
+                  std::to_string(rounds) + ".cp",
+              eventChainSource(threads, rounds), threads == 3 ? "small" : "");
 }
 
 }  // namespace
@@ -175,6 +238,8 @@ int main(int argc, char** argv) {
 
   w.add("lockregion_k2.cp", workload::lockRegionSource(3, 2), "small");
   w.add("lockregion_k16.cp", workload::lockRegionSource(3, 16));
+  w.add("barrier_2x3.cp", barrierSource(2, 3), "small");
+  w.add("events_3x2.cp", eventChainSource(3, 2), "small");
   if (full) {
     w.add("lockregion_k80.cp", workload::lockRegionSource(3, 80));
     w.add("lockregion_k160.cp", workload::lockRegionSource(3, 160),

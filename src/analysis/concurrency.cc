@@ -188,63 +188,101 @@ bool Mhp::pathsDiverge(pfg::ThreadPath pa, pfg::ThreadPath pb, Divergence* d,
   return false;
 }
 
-namespace {
-
-void addUnique(std::vector<SymbolId>& v, SymbolId s) {
-  if (std::find(v.begin(), v.end(), s) == v.end()) v.push_back(s);
-}
-
-/// One symbol's accessor in the per-symbol candidate list.
-struct SymNodeAccess {
-  NodeId node;
-  bool use = false;
-  bool def = false;
-};
-
-}  // namespace
-
 void computeConflictEdges(pfg::Graph& graph, const Mhp& mhp,
                           const AccessSites& sites) {
-  CSSAME_CHECK(sites.byNode.size() == graph.size(),
-               "access index does not match the graph");
-  graph.conflicts.clear();
+  pfg::ConflictRelation& ecf = graph.conflicts;
+  ecf = pfg::ConflictRelation{};
+  ecf.sources.reserve(sites.nodeDefs.size());
 
-  // Invert the shared access index: per alias class, the nodes touching
-  // it in node-id order. Only these nodes can ever be paired by an Ecf
-  // edge, so the sweep is bounded by Σ_v defs(v)·accessors(v) not N².
-  std::unordered_map<SymbolId, std::vector<SymNodeAccess>> bySym;
-  for (const pfg::Node& n : graph.nodes()) {
-    const AccessSites::NodeAccess& acc = sites.byNode[n.id.index()];
-    auto entry = [&](SymbolId v) -> SymNodeAccess& {
-      std::vector<SymNodeAccess>& list = bySym[v];
-      if (list.empty() || list.back().node != n.id)
-        list.push_back(SymNodeAccess{n.id, false, false});
-      return list.back();
-    };
-    for (SymbolId v : acc.uses) entry(v).use = true;
-    for (SymbolId v : acc.defs) entry(v).def = true;
-  }
+  // A class's runs are built when its first defining node comes up. The
+  // defining nodes of one class arrive in id order, so a cursor finds
+  // each one's own run.
+  struct ClassRuns {
+    bool built = false;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    std::uint32_t cursor = 0;
+  };
+  // Per run: the edges its members end, and the list of its class and
+  // context, once some defining node in the run asks for it.
+  struct RunInfo {
+    std::uint32_t runEdges = 0;
+    bool listBuilt = false;
+    std::uint32_t listBegin = 0;
+    std::uint32_t listEnd = 0;
+    std::size_t listEdges = 0;
+  };
+  std::vector<ClassRuns> classes(graph.program().symbols.size());
+  std::vector<RunInfo> runInfo;
 
-  // Ecf: def -> concurrent use (DU) or concurrent def (DD). The emission
-  // order replicates the all-pairs reference sweep exactly: defining
-  // nodes in id order, their defined symbols in statement order, and for
-  // each symbol its accessors in id order, DU before DD per accessor. A
-  // first sweep counts the edges, so the list is allocated once.
-  auto sweep = [&](auto&& emit) {
-    for (const pfg::Node& d : graph.nodes()) {
-      for (SymbolId v : sites.byNode[d.id.index()].defs) {
-        for (const SymNodeAccess& u : bySym.find(v)->second) {
-          if (!mhp.conflicting(d.id, u.node)) continue;
-          if (u.use) emit(pfg::ConflictEdge{d.id, u.node, v, false});
-          if (u.def) emit(pfg::ConflictEdge{d.id, u.node, v, true});
-        }
+  // Merges the class's def and use records, both in node-id order, into
+  // one accessor per node, and cuts a run wherever the context changes.
+  auto appendRuns = [&](SymbolId cls, ClassRuns& cr) {
+    const std::vector<AccessSites::Def>& defs = sites.defs.find(cls)->second;
+    const auto usesIt = sites.uses.find(cls);
+    const std::span<const AccessSites::Use> uses =
+        usesIt != sites.uses.end() ? std::span(usesIt->second)
+                                   : std::span<const AccessSites::Use>{};
+    cr.built = true;
+    cr.begin = cr.cursor = static_cast<std::uint32_t>(ecf.runs.size());
+    std::size_t i = 0, j = 0;
+    while (i < defs.size() || j < uses.size()) {
+      const NodeId node =
+          j == uses.size() || (i < defs.size() && defs[i].node < uses[j].node)
+              ? defs[i].node
+              : uses[j].node;
+      pfg::ConflictRelation::Accessor a{node, false, false};
+      for (; i < defs.size() && defs[i].node == node; ++i) a.def = true;
+      for (; j < uses.size() && uses[j].node == node; ++j) a.use = true;
+      const std::uint32_t ctx = graph.node(node).context;
+      const auto at = static_cast<std::uint32_t>(ecf.accessors.size());
+      if (ecf.runs.size() == cr.begin || ecf.runs.back().context != ctx) {
+        ecf.runs.push_back(pfg::ConflictRelation::Run{at, at, ctx});
+        runInfo.emplace_back();
       }
+      ecf.accessors.push_back(a);
+      ++ecf.runs.back().end;
+      runInfo.back().runEdges += (a.use ? 1 : 0) + (a.def ? 1 : 0);
+    }
+    cr.end = static_cast<std::uint32_t>(ecf.runs.size());
+  };
+
+  // Lists the class's runs whose context conflicts with that of run
+  // `own`, and hands the list to every run of the class in that context.
+  auto buildList = [&](const ClassRuns& cr, std::uint32_t own) {
+    const std::uint32_t ctx = ecf.runs[own].context;
+    const auto begin = static_cast<std::uint32_t>(ecf.listRuns.size());
+    std::size_t edges = 0;
+    for (std::uint32_t r = cr.begin; r < cr.end; ++r) {
+      if (mhp.contextRelation(ctx, ecf.runs[r].context) ==
+          Mhp::ContextRelation::Sequential)
+        continue;
+      ecf.listRuns.push_back(r);
+      edges += runInfo[r].runEdges;
+    }
+    const auto end = static_cast<std::uint32_t>(ecf.listRuns.size());
+    for (std::uint32_t r = cr.begin; r < cr.end; ++r) {
+      if (ecf.runs[r].context != ctx) continue;
+      runInfo[r].listBuilt = true;
+      runInfo[r].listBegin = begin;
+      runInfo[r].listEnd = end;
+      runInfo[r].listEdges = edges;
     }
   };
-  std::size_t edges = 0;
-  sweep([&](const pfg::ConflictEdge&) { ++edges; });
-  graph.conflicts.reserve(edges);
-  sweep([&](const pfg::ConflictEdge& e) { graph.conflicts.push_back(e); });
+
+  for (const AccessSites::NodeDef& nd : sites.nodeDefs) {
+    ClassRuns& cr = classes[nd.cls.index()];
+    if (!cr.built) appendRuns(nd.cls, cr);
+    while (cr.cursor + 1 < cr.end &&
+           !(nd.node < ecf.accessors[ecf.runs[cr.cursor + 1].begin].node))
+      ++cr.cursor;
+    if (!runInfo[cr.cursor].listBuilt) buildList(cr, cr.cursor);
+    const RunInfo& own = runInfo[cr.cursor];
+    if (own.listEdges == 0) continue;
+    ecf.sources.push_back(pfg::ConflictRelation::Source{
+        nd.node, nd.cls, own.listBegin, own.listEnd});
+    ecf.edgeCount += own.listEdges;
+  }
 }
 
 SyncEdges syncEdges(const pfg::Graph& graph, const Mhp& mhp) {
@@ -290,9 +328,33 @@ SyncEdges syncEdges(const pfg::Graph& graph, const Mhp& mhp) {
   return out;
 }
 
+namespace {
+
+/// The first record of `cls` at `node` in a node-ordered record map.
+template <typename Record>
+const Record* firstAt(
+    const std::unordered_map<SymbolId, std::vector<Record>>& records,
+    NodeId node, SymbolId cls) {
+  const auto it = records.find(cls);
+  if (it == records.end()) return nullptr;
+  const auto at = std::lower_bound(
+      it->second.begin(), it->second.end(), node,
+      [](const Record& r, NodeId n) { return r.node < n; });
+  return at != it->second.end() && at->node == node ? &*at : nullptr;
+}
+
+}  // namespace
+
+const AccessSites::Def* AccessSites::defAt(NodeId node, SymbolId cls) const {
+  return firstAt(defs, node, cls);
+}
+
+const AccessSites::Use* AccessSites::useAt(NodeId node, SymbolId cls) const {
+  return firstAt(uses, node, cls);
+}
+
 AccessSites collectAccessSites(const pfg::Graph& graph) {
   AccessSites sites;
-  sites.byNode.resize(graph.size());
   const ir::SymbolTable& syms = graph.program().symbols;
   const ir::AliasClasses& aliases = graph.aliases;
 
@@ -307,11 +369,11 @@ AccessSites collectAccessSites(const pfg::Graph& graph) {
       const bool viaDeref = sub.kind == ir::ExprKind::Deref;
       sites.uses[cls].push_back(AccessSites::Use{
           &sub, stmt, node, viaDeref ? SymbolId{} : sub.var, viaDeref});
-      addUnique(sites.byNode[node.index()].uses, cls);
     });
   };
 
   for (const pfg::Node& n : graph.nodes()) {
+    const std::size_t nodeDefsBegin = sites.nodeDefs.size();
     for (ir::Stmt* s : n.stmts) {
       if (s->expr) collectUses(*s->expr, s, n.id);
       // `a[i] = e` reads i; `*p = e` reads p. The address operand is a
@@ -322,7 +384,12 @@ AccessSites collectAccessSites(const pfg::Graph& graph) {
         const bool viaDeref = s->lhsKind == ir::LValueKind::Deref;
         sites.defs[def].push_back(AccessSites::Def{
             s, n.id, viaDeref ? SymbolId{} : s->lhs, viaDeref});
-        addUnique(sites.byNode[n.id.index()].defs, def);
+        if (std::none_of(sites.nodeDefs.begin() + nodeDefsBegin,
+                         sites.nodeDefs.end(),
+                         [&](const AccessSites::NodeDef& d) {
+                           return d.cls == def;
+                         }))
+          sites.nodeDefs.push_back(AccessSites::NodeDef{n.id, def});
       }
     }
     if (n.terminator != nullptr && n.terminator->expr)

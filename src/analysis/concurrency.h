@@ -39,6 +39,14 @@
 // The barrier refinement reads per-node phase counts: for every level of
 // a node's thread path, how many barriers of that arm dominate it and
 // how many reach it.
+//
+// Conflict edges (Ecf) are stored factored by context
+// (pfg::ConflictRelation). That relies on `conflicting` depending only on
+// the two nodes' contexts: a context never conflicts with itself (its
+// path is a prefix of itself), so a node never conflicts with itself
+// either, and one defining node's edges for a class are whole runs of
+// same-context accessors. contextRelation tells csan and TSO when a
+// run's context pair needs no per-pair refinement at all.
 #pragma once
 
 #include <optional>
@@ -68,8 +76,26 @@ class Mhp {
     return true;
   }
 
+  /// How MHP relates every node of context `ca` to every node of context
+  /// `cb` (pfg::Node::context), for consumers that take a context's nodes
+  /// together: pfg::ConflictRelation's runs.
+  enum class ContextRelation : std::uint8_t {
+    Sequential,  ///< no pair may happen in parallel or conflict
+    Parallel,    ///< every pair may happen in parallel
+    Refined,     ///< every pair conflicts; set/wait or barriers decide MHP
+  };
+  [[nodiscard]] ContextRelation contextRelation(std::uint32_t ca,
+                                                std::uint32_t cb) const {
+    const PairEntry& p = pairs_[std::size_t{ca} * contextCount_ + cb];
+    if (!p.concurrent) return ContextRelation::Sequential;
+    return p.refine == 0 ? ContextRelation::Parallel
+                         : ContextRelation::Refined;
+  }
+
   /// Conflict relation used for Ecf edges and π placement: thread
-  /// divergence WITHOUT the set/wait refinement. A definition in a thread
+  /// divergence WITHOUT the set/wait refinement. It depends on the two
+  /// contexts alone, which is what lets Ecf be stored factored by
+  /// context (see the header comment). A definition in a thread
   /// ordered *before* a use still reaches that use (the ordering makes
   /// the data flow deterministic, it does not remove it), so π arguments
   /// must be kept; dropping them would let constant propagation wrongly
@@ -182,9 +208,8 @@ class Mhp {
 
 /// Definition and use sites of shared storage at statement granularity;
 /// the CSSA π-placement consumes these (one π argument per concurrent
-/// definition site). `byNode` is the node-granularity view of the same
-/// walk — the shared access index the conflict-edge construction and the
-/// lockset engines reuse instead of re-walking statements.
+/// definition site), and the conflict-edge construction and the lockset
+/// engines reuse them instead of re-walking statements.
 ///
 /// Both maps are keyed by *alias-class representative* (graph.aliases).
 /// Under the identity partition the key is the accessed symbol itself and
@@ -209,24 +234,31 @@ struct AccessSites {
     SymbolId accessedSym{};
     bool viaDeref = false;  ///< `*p` load
   };
+  /// Per class, in walk order: nodes in id order, statements in order.
   std::unordered_map<SymbolId, std::vector<Def>> defs;
   std::unordered_map<SymbolId, std::vector<Use>> uses;
 
-  /// Alias classes each node defines / uses, first-occurrence statement
-  /// order, deduplicated. Indexed by NodeId.
-  struct NodeAccess {
-    std::vector<SymbolId> defs;
-    std::vector<SymbolId> uses;
+  /// Every (node, class) some statement of the node defines, once: nodes
+  /// in id order, each node's classes in first-occurrence statement
+  /// order. Ecf edges leave their defining nodes in this order.
+  struct NodeDef {
+    NodeId node;
+    SymbolId cls;
   };
-  std::vector<NodeAccess> byNode;
+  std::vector<NodeDef> nodeDefs;
+
+  /// The first def / use record of class `cls` at `node`, or nullptr.
+  /// A binary search: each class's records are in node-id order.
+  [[nodiscard]] const Def* defAt(NodeId node, SymbolId cls) const;
+  [[nodiscard]] const Use* useAt(NodeId node, SymbolId cls) const;
 };
 
-/// Populates graph.conflicts (Ecf) from the conflict relation. Conflict
+/// Builds graph.conflicts (Ecf), factored by context
+/// (pfg::ConflictRelation), in one pass over the access sites. Conflict
 /// edges run from every node defining a shared alias class to every
-/// concurrent node using (DU) or defining (DD) it; ConflictEdge::var
-/// carries the class representative. Only nodes touching the same class
-/// are ever paired (the access index bounds the sweep), and the emitted
-/// edge sequence is identical to the all-pairs definition.
+/// conflicting node using (DU) or defining (DD) it; ConflictEdge::var
+/// carries the class representative. The expanded edge sequence is
+/// identical to the all-pairs definition's.
 void computeConflictEdges(pfg::Graph& graph, const Mhp& mhp,
                           const AccessSites& sites);
 

@@ -200,9 +200,9 @@ MutexBodyId MutexStructures::wellFormedBodyContaining(NodeId node,
   return MutexBodyId{};
 }
 
-bool MutexStructures::shareLock(NodeId a, NodeId b) const {
-  const std::span<const SymbolId> la = locksAt(a);
-  const std::span<const SymbolId> lb = locksAt(b);
+bool MutexStructures::holdsAnyOf(NodeId node,
+                                 std::span<const SymbolId> lb) const {
+  const std::span<const SymbolId> la = locksAt(node);
   auto i = la.begin();
   auto j = lb.begin();
   while (i != la.end() && j != lb.end()) {

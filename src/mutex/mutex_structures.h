@@ -120,7 +120,13 @@ class MutexStructures {
   }
 
   /// True when some lock protects both nodes (their locksets intersect).
-  [[nodiscard]] bool shareLock(NodeId a, NodeId b) const;
+  [[nodiscard]] bool shareLock(NodeId a, NodeId b) const {
+    return holdsAnyOf(a, locksAt(b));
+  }
+
+  /// True when the node's lockset meets `locks` (ascending and distinct).
+  [[nodiscard]] bool holdsAnyOf(NodeId node,
+                                std::span<const SymbolId> locks) const;
 
  private:
   void buildIndex(std::size_t nodeCount);

@@ -27,10 +27,8 @@ CopyPropStats propagateCopies(driver::Compilation& comp) {
   // qualify. Conflict edges are keyed by alias-class representative.
   auto hasConcurrentDefs = [&](SymbolId v) {
     const SymbolId cls = graph.aliases.repOf(v);
-    if (!graph.aliases.classShared(cls, syms)) return false;
-    for (const pfg::ConflictEdge& e : graph.conflicts)
-      if (e.var == cls) return true;  // some def of v is concurrent
-    return false;
+    return graph.aliases.classShared(cls, syms) &&
+           graph.conflicts.involves(cls);
   };
 
   // Collect rewrites first (mutating VarRefs invalidates nothing

@@ -53,12 +53,12 @@ std::string toDot(const Graph& graph, std::span<const MutexEdge> emutex,
   for (const Node& n : graph.nodes())
     for (NodeId s : n.succs) edge(n.id, s, "");
 
-  for (const ConflictEdge& c : graph.conflicts) {
+  graph.conflicts.forEachEdge([&](const ConflictEdge& c) {
     std::string attrs = " [style=dashed, color=red, label=\"D" +
                         std::string(c.toIsDef ? "D:" : "U:") +
                         syms.nameOf(c.var) + "\"]";
     edge(c.from, c.to, attrs.c_str());
-  }
+  });
   for (const MutexEdge& m : emutex)
     edge(m.lockNode, m.unlockNode, " [style=dotted, dir=none, color=blue]");
   for (const DsyncEdge& d : edsync)

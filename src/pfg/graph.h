@@ -9,7 +9,9 @@
 //       Ecf    directed conflict edges between concurrent blocks that
 //              access the same shared variable, labelled def/use.
 //     Ecf is stored (`conflicts`) once analysis::computeConflictEdges has
-//     run. Esync is not: no analysis reads it (mutex bodies come from
+//     run, factored by thread context (ConflictRelation below): one
+//     record per run of same-context accessors, not one per edge. Esync
+//     is not stored: no analysis reads it (mutex bodies come from
 //     dominance), so analysis::syncEdges derives it for the DOT writer.
 //
 // The graph never changes once built, so its per-node lists are stored
@@ -97,6 +99,89 @@ struct ConflictEdge {
   bool toIsDef = false;  ///< DD edge when true, DU edge otherwise
 };
 
+/// Ecf, factored by thread context. Mhp::conflicting decides from the two
+/// nodes' thread contexts alone, so one defining node's edges for one
+/// alias class are whole *runs* of the class's accessor list: maximal
+/// stretches, in node-id order, of accessors that share one context. The
+/// relation stores
+///   - per class, its accessors in node-id order, cut into runs;
+///   - per (class, context), the list of the class's runs whose context
+///     conflicts with that context;
+///   - per (defining node, class) with at least one edge, a *source*
+///     naming the list that applies, in emission order;
+///   - the edge count.
+/// Expanding it (forEachEdge) yields the per-pair sequence: defining
+/// nodes in id order, each node's classes in statement order, then each
+/// concurrent accessor in id order, DU before DD. A run's members share
+/// one context pair with the source, so consumers that decide by context
+/// (csan, TSO) can work run by run (forEachRun).
+/// analysis::computeConflictEdges builds it.
+struct ConflictRelation {
+  /// One node accessing a class.
+  struct Accessor {
+    NodeId node;
+    bool use = false;  ///< the node reads the class: a DU edge's end
+    bool def = false;  ///< the node writes the class: a DD edge's end
+  };
+  /// A maximal stretch of one class's accessors sharing one context.
+  struct Run {
+    std::uint32_t begin = 0;  ///< accessors[begin, end)
+    std::uint32_t end = 0;
+    std::uint32_t context = 0;
+  };
+  /// One defining node's edges for one class: the runs listed in
+  /// listRuns[runsBegin, runsEnd), its context's list for the class.
+  struct Source {
+    NodeId from;
+    SymbolId var;
+    std::uint32_t runsBegin = 0;
+    std::uint32_t runsEnd = 0;
+  };
+
+  std::vector<Accessor> accessors;  ///< class by class
+  std::vector<Run> runs;            ///< class by class, in node-id order
+  std::vector<std::uint32_t> listRuns;  ///< run indices, list by list
+  std::vector<Source> sources;          ///< in emission order
+  std::size_t edgeCount = 0;
+
+  /// Number of edges the relation expands to.
+  [[nodiscard]] std::size_t size() const { return edgeCount; }
+  [[nodiscard]] bool empty() const { return edgeCount == 0; }
+
+  /// The accessors of run `r`.
+  [[nodiscard]] std::span<const Accessor> members(std::uint32_t r) const {
+    return std::span<const Accessor>(accessors)
+        .subspan(runs[r].begin, runs[r].end - runs[r].begin);
+  }
+
+  /// True when some edge carries class `cls`. Reads the sources only.
+  [[nodiscard]] bool involves(SymbolId cls) const {
+    for (const Source& s : sources)
+      if (s.var == cls) return true;
+    return false;
+  }
+
+  /// Calls fn(source, run index) for every run a source's edges go to,
+  /// in expansion order.
+  template <typename Fn>
+  void forEachRun(Fn&& fn) const {
+    for (const Source& s : sources)
+      for (std::uint32_t i = s.runsBegin; i < s.runsEnd; ++i)
+        fn(s, listRuns[i]);
+  }
+
+  /// Calls fn(const ConflictEdge&) for every edge, in expansion order.
+  template <typename Fn>
+  void forEachEdge(Fn&& fn) const {
+    forEachRun([&](const Source& s, std::uint32_t r) {
+      for (const Accessor& a : members(r)) {
+        if (a.use) fn(ConflictEdge{s.from, a.node, s.var, false});
+        if (a.def) fn(ConflictEdge{s.from, a.node, s.var, true});
+      }
+    });
+  }
+};
+
 /// An undirected mutex synchronization edge between a Lock and an Unlock
 /// node of the same lock variable in concurrent threads (Emutex).
 struct MutexEdge {
@@ -148,7 +233,7 @@ class Graph {
   NodeId entry;
   NodeId exit;
 
-  std::vector<ConflictEdge> conflicts;
+  ConflictRelation conflicts;
 
   /// May-alias partition the access index and SSA construction key on.
   /// Defaults to the identity (every symbol its own class; no deref

@@ -85,7 +85,7 @@ std::vector<std::string> verifyGraph(const Graph& graph) {
   if (exits != 1) problems.push_back("graph without unique exit");
 
   const ir::SymbolTable& syms = graph.program().symbols;
-  for (const ConflictEdge& e : graph.conflicts) {
+  graph.conflicts.forEachEdge([&](const ConflictEdge& e) {
     if (e.from == e.to)
       problems.push_back("conflict self-edge on node #" +
                          std::to_string(e.from.value()));
@@ -94,7 +94,7 @@ std::vector<std::string> verifyGraph(const Graph& graph) {
     if (!graph.aliases.classShared(e.var, syms))
       problems.push_back("conflict edge over non-shared variable '" +
                          syms.nameOf(e.var) + "'");
-  }
+  });
   return problems;
 }
 

@@ -1,9 +1,11 @@
 #include "src/sanalysis/csan.h"
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <vector>
 
 #include "src/dataflow/reach.h"
 #include "src/opt/lock_independence.h"
@@ -12,38 +14,6 @@
 namespace cssame::sanalysis {
 
 namespace {
-
-/// The access records conflict-edge endpoints refer to: the first def and
-/// the first use of each (node, alias class) in the compilation's cached
-/// access sites, indexed once per run.
-class SiteRecords {
- public:
-  explicit SiteRecords(const analysis::AccessSites& sites) {
-    for (const auto& [cls, defs] : sites.defs)
-      for (const auto& d : defs) defs_.emplace(key(d.node, cls), &d);
-    for (const auto& [cls, uses] : sites.uses)
-      for (const auto& u : uses) uses_.emplace(key(u.node, cls), &u);
-  }
-
-  [[nodiscard]] const analysis::AccessSites::Def* defAt(NodeId node,
-                                                        SymbolId cls) const {
-    auto it = defs_.find(key(node, cls));
-    return it == defs_.end() ? nullptr : it->second;
-  }
-  [[nodiscard]] const analysis::AccessSites::Use* useAt(NodeId node,
-                                                        SymbolId cls) const {
-    auto it = uses_.find(key(node, cls));
-    return it == uses_.end() ? nullptr : it->second;
-  }
-
- private:
-  static std::uint64_t key(NodeId node, SymbolId cls) {
-    return std::uint64_t{node.value()} << 32 | cls.value();
-  }
-
-  std::unordered_map<std::uint64_t, const analysis::AccessSites::Def*> defs_;
-  std::unordered_map<std::uint64_t, const analysis::AccessSites::Use*> uses_;
-};
 
 SourceLoc locOf(const ir::Stmt* stmt) {
   return stmt != nullptr ? stmt->loc : SourceLoc{};
@@ -98,13 +68,14 @@ class Csan {
                     " of this cobegin and may interleave");
   }
 
-  RaceSite makeSite(const SiteRecords& records, NodeId node, SymbolId cls,
-                    bool isDef) const {
+  /// The site a conflict-edge end refers to: the first def or use record
+  /// of the class at the node.
+  RaceSite makeSite(NodeId node, SymbolId cls, bool isDef) const {
     RaceSite s;
     s.node = node;
     s.isWrite = isDef;
     if (isDef) {
-      if (const auto* d = records.defAt(node, cls)) {
+      if (const auto* d = comp_.sites().defAt(node, cls)) {
         s.stmt = d->stmt;
         s.viaDeref = d->viaDeref;
         s.accessedSym = d->accessedSym;
@@ -112,7 +83,7 @@ class Csan {
           s.indexExpr = d->stmt->lhsAddr.get();
       }
     } else {
-      if (const auto* u = records.useAt(node, cls)) {
+      if (const auto* u = comp_.sites().useAt(node, cls)) {
         s.stmt = u->stmt;
         s.ref = u->ref;
         s.viaDeref = u->viaDeref;
@@ -149,19 +120,16 @@ class Csan {
   /// conflicting site pair that may happen in parallel with disjoint
   /// locksets.
   void checkRaces() {
-    const SiteRecords records(comp_.sites());
     std::set<std::tuple<SymbolId, NodeId, NodeId>> seen;
-    for (const pfg::ConflictEdge& e : graph_.conflicts) {
-      if (!comp_.mhp().mayHappenInParallel(e.from, e.to)) continue;
-      if (structures_.shareLock(e.from, e.to)) continue;
-      const RaceSite def = makeSite(records, e.from, e.var, true);
-      const RaceSite other = makeSite(records, e.to, e.var, e.toIsDef);
+    forEachUnprotectedConflict(comp_, [&](const pfg::ConflictEdge& e) {
+      const RaceSite def = makeSite(e.from, e.var, true);
+      const RaceSite other = makeSite(e.to, e.var, e.toIsDef);
       // Two *direct* accesses naming different members of one alias class
       // never touch the same cell — the class pairs them only because a
       // pointer elsewhere may touch both. No race between these two.
       if (!def.viaDeref && !other.viaDeref && def.accessedSym.valid() &&
           other.accessedSym.valid() && def.accessedSym != other.accessedSym)
-        continue;
+        return;
       // MayAliasRace: the pair races only if the accesses actually alias
       // — a pointer access, or array accesses with differing indices.
       // Plain same-symbol scalar pairs stay PotentialDataRace.
@@ -173,7 +141,7 @@ class Csan {
       // unordered pair keeps output readable without losing sites.
       const auto key = std::make_tuple(e.var, std::min(e.from, e.to),
                                        std::max(e.from, e.to));
-      if (!seen.insert(key).second) continue;
+      if (!seen.insert(key).second) return;
 
       RaceWitness w;
       w.var = e.var;
@@ -219,7 +187,7 @@ class Csan {
       notePts(d, other);
       noteMhp(d, e.from, e.to);
       report_.raceWitnesses.push_back(std::move(w));
-    }
+    });
   }
 
   /// The writes that may happen in parallel with another access of their
@@ -228,19 +196,37 @@ class Csan {
   /// `from` end, and the `to` end of a DD edge. Empty for a class no such
   /// edge touches. Conflict edges are computed without the set/wait
   /// refinement (they drive dataflow); accesses with a guaranteed
-  /// ordering cannot overlap, so their edges do not count here.
+  /// ordering cannot overlap, so their edges do not count here. A run
+  /// whose context pair needs no refinement counts whole, and its def
+  /// members need marking once.
   std::vector<DynBitset> concurrentWrites() const {
+    const pfg::ConflictRelation& ecf = graph_.conflicts;
     std::vector<DynBitset> writes(syms_.size());
-    for (const pfg::ConflictEdge& e : graph_.conflicts) {
-      DynBitset& w = writes[e.var.index()];
-      if (w.size() != 0 && w.test(e.from.index()) &&
-          (!e.toIsDef || w.test(e.to.index())))
-        continue;
-      if (!comp_.mhp().mayHappenInParallel(e.from, e.to)) continue;
-      if (w.size() == 0) w = DynBitset(graph_.nodes().size());
-      w.set(e.from.index());
-      if (e.toIsDef) w.set(e.to.index());
-    }
+    std::vector<bool> runMarked(ecf.runs.size(), false);
+    ecf.forEachRun([&](const pfg::ConflictRelation::Source& s,
+                       std::uint32_t r) {
+      DynBitset& w = writes[s.var.index()];
+      if (comp_.mhp().contextRelation(graph_.node(s.from).context,
+                                      ecf.runs[r].context) ==
+          analysis::Mhp::ContextRelation::Parallel) {
+        if (w.size() == 0) w = DynBitset(graph_.nodes().size());
+        w.set(s.from.index());
+        if (!runMarked[r])
+          for (const pfg::ConflictRelation::Accessor& a : ecf.members(r))
+            if (a.def) w.set(a.node.index());
+        runMarked[r] = true;
+        return;
+      }
+      for (const pfg::ConflictRelation::Accessor& a : ecf.members(r)) {
+        if (w.size() != 0 && w.test(s.from.index()) &&
+            (!a.def || w.test(a.node.index())))
+          continue;
+        if (!comp_.mhp().mayHappenInParallel(s.from, a.node)) continue;
+        if (w.size() == 0) w = DynBitset(graph_.nodes().size());
+        w.set(s.from.index());
+        if (a.def) w.set(a.node.index());
+      }
+    });
     return writes;
   }
 
@@ -451,6 +437,57 @@ class Csan {
 };
 
 }  // namespace
+
+void forEachUnprotectedConflict(
+    const driver::Compilation& comp,
+    const std::function<void(const pfg::ConflictEdge&)>& visit) {
+  const pfg::Graph& graph = comp.graph();
+  const pfg::ConflictRelation& ecf = graph.conflicts;
+  const analysis::Mhp& mhp = comp.mhp();
+  const mutex::MutexStructures& structures = comp.mutexes();
+  if (ecf.empty()) return;
+
+  // The locks every member of a run holds, ascending:
+  // common[commonBegin[r], commonBegin[r + 1]).
+  std::vector<std::uint32_t> commonBegin;
+  std::vector<SymbolId> common;
+  commonBegin.reserve(ecf.runs.size() + 1);
+  for (std::uint32_t r = 0; r < ecf.runs.size(); ++r) {
+    const std::size_t begin = common.size();
+    commonBegin.push_back(static_cast<std::uint32_t>(begin));
+    const std::span<const pfg::ConflictRelation::Accessor> members =
+        ecf.members(r);
+    const std::span<const SymbolId> first =
+        structures.locksAt(members.front().node);
+    common.insert(common.end(), first.begin(), first.end());
+    for (const pfg::ConflictRelation::Accessor& a : members.subspan(1)) {
+      const std::span<const SymbolId> locks = structures.locksAt(a.node);
+      common.erase(std::remove_if(common.begin() + begin, common.end(),
+                                  [&](SymbolId l) {
+                                    return !std::binary_search(
+                                        locks.begin(), locks.end(), l);
+                                  }),
+                   common.end());
+    }
+  }
+  commonBegin.push_back(static_cast<std::uint32_t>(common.size()));
+
+  ecf.forEachRun([&](const pfg::ConflictRelation::Source& s,
+                     std::uint32_t r) {
+    const std::span<const SymbolId> runLocks(common.data() + commonBegin[r],
+                                             common.data() + commonBegin[r + 1]);
+    if (structures.holdsAnyOf(s.from, runLocks)) return;
+    const bool whole =
+        mhp.contextRelation(graph.node(s.from).context, ecf.runs[r].context) ==
+        analysis::Mhp::ContextRelation::Parallel;
+    for (const pfg::ConflictRelation::Accessor& a : ecf.members(r)) {
+      if (!whole && !mhp.mayHappenInParallel(s.from, a.node)) continue;
+      if (structures.shareLock(s.from, a.node)) continue;
+      if (a.use) visit(pfg::ConflictEdge{s.from, a.node, s.var, false});
+      if (a.def) visit(pfg::ConflictEdge{s.from, a.node, s.var, true});
+    }
+  });
+}
 
 CsanReport runLockChecks(const driver::Compilation& comp, DiagEngine& diag) {
   Csan csan(comp, diag);

@@ -39,6 +39,7 @@
 //                reaching definitions mutual exclusion could not kill.
 #pragma once
 
+#include <functional>
 #include <set>
 #include <span>
 #include <vector>
@@ -112,6 +113,17 @@ struct CsanReport {
            redundantBodies + overwideBodies + unprotectedPiReads;
   }
 };
+
+/// Visits, in Ecf order (pfg::ConflictRelation), the conflict edges whose
+/// ends may happen in parallel and hold no common lock: csan's race
+/// candidates, and the accesses through which TSO's reorderings are
+/// observable. Works run by run: a run all of whose members hold some
+/// lock the definition holds is skipped whole, a run whose context pair
+/// carries no set/wait or barrier refinement needs no MHP query, and
+/// every other pair is checked edge by edge.
+void forEachUnprotectedConflict(
+    const driver::Compilation& comp,
+    const std::function<void(const pfg::ConflictEdge&)>& visit);
 
 /// Runs only the lock-discipline checks (races, inconsistent locking,
 /// deadlocks), in that order. The report's other counts stay 0.

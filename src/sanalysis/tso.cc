@@ -7,6 +7,7 @@
 
 #include "src/dataflow/reach.h"
 #include "src/ir/expr.h"
+#include "src/sanalysis/csan.h"
 
 namespace cssame::sanalysis {
 
@@ -17,17 +18,11 @@ namespace {
 const ir::Stmt* accessStmtAt(NodeId node, SymbolId var, bool isDef,
                              const analysis::AccessSites& sites) {
   if (isDef) {
-    auto it = sites.defs.find(var);
-    if (it != sites.defs.end())
-      for (const auto& d : it->second)
-        if (d.node == node) return d.stmt;
-  } else {
-    auto it = sites.uses.find(var);
-    if (it != sites.uses.end())
-      for (const auto& u : it->second)
-        if (u.node == node) return u.stmt;
+    const analysis::AccessSites::Def* d = sites.defAt(node, var);
+    return d != nullptr ? d->stmt : nullptr;
   }
-  return nullptr;
+  const analysis::AccessSites::Use* u = sites.useAt(node, var);
+  return u != nullptr ? u->stmt : nullptr;
 }
 
 SourceLoc locOf(const ir::Stmt* stmt) {
@@ -94,15 +89,13 @@ class Tso {
   /// endpoint that has such a partner, keeping one witness partner each:
   /// (node, var) → the remote access that can see the stale/early value.
   /// Built by the first isRacy call, so a program in which no load sees a
-  /// pending store and no fence drains one never sweeps its Ecf edges.
+  /// pending store and no fence drains one never walks its Ecf runs.
   void buildRacySites() {
-    for (const pfg::ConflictEdge& e : graph_.conflicts) {
-      if (!comp_.mhp().mayHappenInParallel(e.from, e.to)) continue;
-      if (comp_.mutexes().shareLock(e.from, e.to)) continue;
+    forEachUnprotectedConflict(comp_, [&](const pfg::ConflictEdge& e) {
       racy_.emplace(std::make_pair(e.from, e.var),
                     RemoteSite{e.to, e.toIsDef});
       racy_.emplace(std::make_pair(e.to, e.var), RemoteSite{e.from, true});
-    }
+    });
   }
 
   [[nodiscard]] bool isRacy(NodeId node, SymbolId var) {

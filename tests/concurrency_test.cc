@@ -2,6 +2,8 @@
 // computation (paper Definition 1: Ecf, Emutex, Edsync).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/analysis/concurrency.h"
 #include "src/parser/parser.h"
 #include "src/pfg/build.h"
@@ -21,6 +23,14 @@ struct Fixture {
         dom(graph, Dominators::Direction::Forward),
         mhp(graph, dom) {
     computeConflictEdges(graph, mhp, collectAccessSites(graph));
+  }
+
+  /// The expanded Ecf sequence.
+  std::vector<pfg::ConflictEdge> conflicts() const {
+    std::vector<pfg::ConflictEdge> out;
+    graph.conflicts.forEachEdge(
+        [&](const pfg::ConflictEdge& e) { out.push_back(e); });
+    return out;
   }
 
   NodeId nodeWithConst(long long v) {
@@ -154,7 +164,7 @@ TEST(ConflictEdges, DefUseAndDefDef) {
     }
   )");
   std::size_t du = 0, dd = 0;
-  for (const pfg::ConflictEdge& e : f.graph.conflicts) {
+  for (const pfg::ConflictEdge& e : f.conflicts()) {
     EXPECT_EQ(f.prog.symbols.nameOf(e.var), "a");
     if (e.toIsDef) ++dd;
     else ++du;
@@ -162,6 +172,28 @@ TEST(ConflictEdges, DefUseAndDefDef) {
   // DU: a=1 -> (b=a), a=2 -> (b=a). DD: a=1 <-> a=2 both directions.
   EXPECT_EQ(du, 2u);
   EXPECT_EQ(dd, 2u);
+}
+
+TEST(ConflictEdges, StoredOneRecordPerContextRun) {
+  // Each thread's accesses of `a` form one run; both of T0's definitions
+  // share the one list for T0's context, which names T1's run.
+  Fixture f(R"(
+    int a; lock L;
+    cobegin {
+      thread { lock(L); a = 1; unlock(L); lock(L); a = 2; unlock(L); }
+      thread { lock(L); a = a + 1; unlock(L); }
+    }
+  )");
+  const pfg::ConflictRelation& ecf = f.graph.conflicts;
+  EXPECT_EQ(ecf.size(), 6u);  // 2 x (DU + DD) from T0, 2 DD from T1
+  EXPECT_EQ(f.conflicts().size(), 6u);
+  ASSERT_EQ(ecf.runs.size(), 2u);
+  EXPECT_EQ(ecf.members(0).size(), 2u);
+  EXPECT_EQ(ecf.members(1).size(), 1u);
+  ASSERT_EQ(ecf.sources.size(), 3u);
+  EXPECT_EQ(ecf.sources[0].runsBegin, ecf.sources[1].runsBegin);
+  EXPECT_EQ(ecf.listRuns.size(), 2u);
+  EXPECT_TRUE(ecf.involves(f.prog.symbols.lookup("a")));
 }
 
 TEST(ConflictEdges, PrivateVariablesExcluded) {
@@ -187,8 +219,10 @@ TEST(ConflictEdges, ConditionUsesConflict) {
       thread { if (a > 0) { print(1); } }
     }
   )");
+  const std::vector<pfg::ConflictEdge> edges = f.conflicts();
   ASSERT_EQ(f.graph.conflicts.size(), 1u);
-  EXPECT_FALSE(f.graph.conflicts[0].toIsDef);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_FALSE(edges[0].toIsDef);
 }
 
 TEST(SyncEdges, MutexEdgesPairConcurrentLockUnlock) {

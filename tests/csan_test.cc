@@ -3,7 +3,10 @@
 // prints, and dynamic cross-validation of the race engine.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/driver/pipeline.h"
+#include "src/driver/runner.h"
 #include "src/interp/explore.h"
 #include "src/parser/parser.h"
 #include "src/sanalysis/csan.h"
@@ -361,6 +364,117 @@ TEST(Csan, LockedProgramRefutedByExplorer) {
       interp::exploreAllSchedules(p, {.detectRaces = true});
   ASSERT_TRUE(dyn.complete);
   EXPECT_FALSE(dyn.anyRace());
+}
+
+// --- per-run checks over the factored Ecf ------------------------------
+//
+// csan walks Ecf run by run (pfg::ConflictRelation): MHP is decided once
+// for a run whose context pair carries no refinement, and a run whose
+// members all hold a lock the definition holds is skipped whole. These
+// shapes need the per-pair fallback; the expected text is what the
+// per-edge sweep printed.
+
+const char* const kEventOrdered = R"(int x, y, r1, r2; event e;
+cobegin {
+  thread { x = 1; r1 = y; set(e); }
+  thread { wait(e); y = 2; x = 3; }
+  thread { y = 1; r2 = x; }
+}
+print(r1); print(r2);
+)";
+const char* const kBarrierSeparated = R"(int x, y, r1, r2;
+cobegin {
+  thread { x = 1; r1 = y; barrier; }
+  thread { barrier; y = 2; x = 3; }
+  thread { y = 1; r2 = x; barrier; }
+}
+print(r1); print(r2);
+)";
+const char* const kPartlyLockedRun = R"(int x, y, r1, r2; lock L;
+cobegin {
+  thread { lock(L); x = 1; r1 = y; unlock(L); }
+  thread { lock(L); y = 2; x = 2; unlock(L); y = 3; r2 = x; }
+}
+print(r1); print(r2);
+)";
+
+std::string csanText(const char* src) {
+  driver::RunOptions o;
+  o.doCsan = true;
+  return driver::runSource(src, "shape.cp", o).err;
+}
+
+TEST(CsanRuns, EventOrderedPairIsNotARace) {
+  // T1 runs after T0's set(e): T0's accesses race only with T2's.
+  EXPECT_EQ(csanText(kEventOrdered), R"txt(warning [potential-data-race] 3:12: potential data race on shared variable 'x': this write and a concurrent read share no common lock
+  note 3:12: write under lockset {}
+  note 5:19: concurrent read under lockset {}
+  note 2:1: the sites run in arms 0 and 2 of this cobegin and may interleave
+warning [potential-data-race] 4:21: potential data race on shared variable 'y': this write and a concurrent write share no common lock
+  note 4:21: write under lockset {}
+  note 5:12: concurrent write under lockset {}
+  note 2:1: the sites run in arms 1 and 2 of this cobegin and may interleave
+warning [potential-data-race] 4:28: potential data race on shared variable 'x': this write and a concurrent read share no common lock
+  note 4:28: write under lockset {}
+  note 5:19: concurrent read under lockset {}
+  note 2:1: the sites run in arms 1 and 2 of this cobegin and may interleave
+warning [potential-data-race] 5:12: potential data race on shared variable 'y': this write and a concurrent read share no common lock
+  note 5:12: write under lockset {}
+  note 3:19: concurrent read under lockset {}
+  note 2:1: the sites run in arms 2 and 0 of this cobegin and may interleave
+warning [unprotected-pi-read] 5:19: read of shared variable 'x' (under lockset {}) can observe a concurrent write mutual exclusion does not order
+  note 3:12: concurrent write under lockset {}
+  note 2:1: the sites run in arms 0 and 2 of this cobegin and may interleave
+warning [unprotected-pi-read] 3:19: read of shared variable 'y' (under lockset {}) can observe a concurrent write mutual exclusion does not order
+  note 5:12: concurrent write under lockset {}
+  note 2:1: the sites run in arms 2 and 0 of this cobegin and may interleave
+csan: 6 finding(s): 4 race(s), 0 inconsistent, 0 deadlock(s), 0 self-deadlock(s), 0 leak(s), 0 body lint(s), 2 unprotected pi read(s)
+)txt");
+}
+
+TEST(CsanRuns, BarrierSeparatedPairIsNotARace) {
+  // T1 accesses x and y only after the barrier, which T0 and T2 reach
+  // after their own accesses.
+  EXPECT_EQ(csanText(kBarrierSeparated), R"txt(warning [potential-data-race] 3:12: potential data race on shared variable 'x': this write and a concurrent read share no common lock
+  note 3:12: write under lockset {}
+  note 5:19: concurrent read under lockset {}
+  note 2:1: the sites run in arms 0 and 2 of this cobegin and may interleave
+warning [potential-data-race] 5:12: potential data race on shared variable 'y': this write and a concurrent read share no common lock
+  note 5:12: write under lockset {}
+  note 3:19: concurrent read under lockset {}
+  note 2:1: the sites run in arms 2 and 0 of this cobegin and may interleave
+warning [unprotected-pi-read] 5:19: read of shared variable 'x' (under lockset {}) can observe a concurrent write mutual exclusion does not order
+  note 3:12: concurrent write under lockset {}
+  note 2:1: the sites run in arms 0 and 2 of this cobegin and may interleave
+warning [unprotected-pi-read] 3:19: read of shared variable 'y' (under lockset {}) can observe a concurrent write mutual exclusion does not order
+  note 5:12: concurrent write under lockset {}
+  note 2:1: the sites run in arms 2 and 0 of this cobegin and may interleave
+csan: 4 finding(s): 2 race(s), 0 inconsistent, 0 deadlock(s), 0 self-deadlock(s), 0 leak(s), 0 body lint(s), 2 unprotected pi read(s)
+)txt");
+}
+
+TEST(CsanRuns, RunPartlySharingTheLockRacesWithTheRest) {
+  // T1's accesses of x form one run; only `r2 = x`, outside its L body,
+  // races with T0's `x = 1`, which holds L.
+  EXPECT_EQ(csanText(kPartlyLockedRun), R"txt(warning [potential-data-race] 3:21: potential data race on shared variable 'x': this write and a concurrent read share no common lock
+  note 3:21: write under lockset {L}
+  note 4:53: concurrent read under lockset {}
+  note 2:1: the sites run in arms 0 and 1 of this cobegin and may interleave
+warning [potential-data-race] 4:46: potential data race on shared variable 'y': this write and a concurrent read share no common lock
+  note 4:46: write under lockset {}
+  note 3:28: concurrent read under lockset {L}
+  note 2:1: the sites run in arms 1 and 0 of this cobegin and may interleave
+warning [inconsistent-locking] 4:21: writes to shared variable 'y' are not consistently protected by the same lock
+  note 4:21: write under lockset {L}
+  note 4:46: write under lockset {}
+warning [unprotected-pi-read] 4:53: read of shared variable 'x' (under lockset {}) can observe a concurrent write mutual exclusion does not order
+  note 3:21: concurrent write under lockset {L}
+  note 2:1: the sites run in arms 0 and 1 of this cobegin and may interleave
+warning [unprotected-pi-read] 3:28: read of shared variable 'y' (under lockset {L}) can observe a concurrent write mutual exclusion does not order
+  note 4:46: concurrent write under lockset {}
+  note 2:1: the sites run in arms 1 and 0 of this cobegin and may interleave
+csan: 5 finding(s): 2 race(s), 1 inconsistent, 0 deadlock(s), 0 self-deadlock(s), 0 leak(s), 0 body lint(s), 2 unprotected pi read(s)
+)txt");
 }
 
 }  // namespace

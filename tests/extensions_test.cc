@@ -42,8 +42,9 @@ TEST(Doall, IterationsAreConcurrent) {
   driver::Compilation c = driver::analyze(prog, {.warnings = false});
   // The two iterations' writes to `a` conflict.
   bool found = false;
-  for (const pfg::ConflictEdge& e : c.graph().conflicts)
+  c.graph().conflicts.forEachEdge([&](const pfg::ConflictEdge& e) {
     found |= c.program().symbols.nameOf(e.var) == "a";
+  });
   EXPECT_TRUE(found);
 }
 
@@ -53,8 +54,9 @@ TEST(Doall, PrivateIndexNoConflicts) {
     doall i = 0, 3 { lock(L); s = s + i; unlock(L); }
   )");
   driver::Compilation c = driver::analyze(prog, {.warnings = false});
-  for (const pfg::ConflictEdge& e : c.graph().conflicts)
+  c.graph().conflicts.forEachEdge([&](const pfg::ConflictEdge& e) {
     EXPECT_EQ(c.program().symbols.nameOf(e.var), "s");
+  });
 }
 
 TEST(Doall, WorksWithCssameReduction) {

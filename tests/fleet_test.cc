@@ -202,17 +202,43 @@ TEST(FleetSupervision, RestartStormConverges) {
   ScratchDir dir("storm");
   service::Fleet fleet(quickOptions(3, dir.path.string()));
   ASSERT_TRUE(fleet.waitAllLive(10000));
+  // Every round kills each slot's worker. A slot whose killed worker is
+  // not yet noticed still reads Live with the old pid, and killing that
+  // pid again would not land, so each kill waits (bounded) for a live
+  // worker in the slot that has not been killed yet.
+  std::set<pid_t> killed;
+  const auto killSlot = [&](unsigned s) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    do {
+      const pid_t victim = fleet.slotPid(s);
+      if (fleet.slotState(s) == service::SlotState::Live && victim > 0 &&
+          !killed.contains(victim) && ::kill(victim, SIGKILL) == 0) {
+        killed.insert(victim);
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    } while (std::chrono::steady_clock::now() < deadline);
+    return false;
+  };
   for (int round = 0; round < 3; ++round) {
-    for (unsigned s = 0; s < fleet.workerCount(); ++s) {
-      const pid_t pid = fleet.slotPid(s);
-      if (pid > 0) ::kill(pid, SIGKILL);
-    }
+    for (unsigned s = 0; s < fleet.workerCount(); ++s)
+      ASSERT_TRUE(killSlot(s)) << "round " << round << ", slot " << s;
     // Clients keep getting answers throughout the massacre.
     service::Json resp = parseOk(
         fleet.handlePayload(makeRequest(makeSource(100 + round), round)));
     ASSERT_TRUE(resp.getBool("ok", false)) << round;
     ASSERT_TRUE(fleet.waitAllLive(10000)) << round;
   }
+  EXPECT_EQ(killed.size(), 9u);
+  // Supervision: every killed worker is reaped and replaced.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((fleet.counters().workerDeaths.value() < 9 ||
+          fleet.counters().restarts.value() < 9) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(fleet.waitAllLive(10000));
   EXPECT_GE(fleet.counters().workerDeaths.value(), 9u);
   EXPECT_GE(fleet.counters().restarts.value(), 9u);
 }

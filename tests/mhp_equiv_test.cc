@@ -365,6 +365,20 @@ void checkEquivalence(ir::Program prog, const std::string& label,
                 ref.mayHappenInParallel(a.id, b.id))
           << "mayHappenInParallel(" << a.id.value() << "," << b.id.value()
           << ")";
+      // The context-pair answer Ecf's factoring and csan's and TSO's
+      // per-run checks rely on: the nodes conflict exactly when their
+      // contexts are not Sequential (so a node never conflicts with
+      // itself), and a Parallel pair may happen in parallel.
+      const Mhp::ContextRelation rel =
+          mhp.contextRelation(a.context, b.context);
+      ASSERT_EQ(rel != Mhp::ContextRelation::Sequential,
+                ref.conflicting(a.id, b.id))
+          << "contextRelation(" << a.id.value() << "," << b.id.value()
+          << ")";
+      ASSERT_TRUE(rel != Mhp::ContextRelation::Parallel ||
+                  ref.mayHappenInParallel(a.id, b.id))
+          << "contextRelation(" << a.id.value() << "," << b.id.value()
+          << ")";
       const auto dNew = mhp.divergenceOf(a.id, b.id);
       const auto dRef = ref.divergenceOf(a.id, b.id);
       ASSERT_EQ(dNew.has_value(), dRef.has_value())
@@ -382,9 +396,13 @@ void checkEquivalence(ir::Program prog, const std::string& label,
   const SyncEdges sync = syncEdges(graph, mhp);
   const RefEdges expect = refComputeEdges(graph, ref);
 
+  std::vector<pfg::ConflictEdge> conflicts;
+  graph.conflicts.forEachEdge(
+      [&](const pfg::ConflictEdge& e) { conflicts.push_back(e); });
   ASSERT_EQ(graph.conflicts.size(), expect.conflicts.size());
+  ASSERT_EQ(conflicts.size(), expect.conflicts.size());
   for (std::size_t i = 0; i < expect.conflicts.size(); ++i)
-    ASSERT_EQ(keyOf(graph.conflicts[i]), keyOf(expect.conflicts[i]))
+    ASSERT_EQ(keyOf(conflicts[i]), keyOf(expect.conflicts[i]))
         << "conflict edge " << i;
 
   ASSERT_EQ(sync.mutex.size(), expect.mutexEdges.size());

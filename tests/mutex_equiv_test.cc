@@ -423,7 +423,10 @@ void checkEquivalence(ir::Program prog, const std::string& label,
                 delimiters(ref, ref.wellFormedBodyContaining(n.id, l)))
           << "body of lock " << l.value() << " at node " << n.id.value();
   }
-  for (const pfg::ConflictEdge& e : graph.conflicts) {
+  std::vector<pfg::ConflictEdge> edges;
+  graph.conflicts.forEachEdge(
+      [&](const pfg::ConflictEdge& e) { edges.push_back(e); });
+  for (const pfg::ConflictEdge& e : edges) {
     const std::set<SymbolId> a = refLockset(e.from, ref);
     const std::set<SymbolId> b = refLockset(e.to, ref);
     const bool common = std::any_of(a.begin(), a.end(), [&](SymbolId l) {

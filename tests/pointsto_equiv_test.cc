@@ -724,10 +724,11 @@ std::string renderPointsTo(const sanalysis::PointsToResult& pt,
 
 std::string renderEdges(const pfg::Graph& graph, const ir::Program& prog) {
   std::string out;
-  for (const pfg::ConflictEdge& e : graph.conflicts)
+  graph.conflicts.forEachEdge([&](const pfg::ConflictEdge& e) {
     out += "ecf " + std::to_string(e.from.index()) + " -> " +
            std::to_string(e.to.index()) + " var " +
            prog.symbols.nameOf(e.var) + (e.toIsDef ? " DD" : " DU") + "\n";
+  });
   return out;
 }
 

@@ -370,10 +370,11 @@ std::string buildAndRender(ir::Program& prog, bool explicitIdentity) {
 
   std::string out = cssa::printForm(graph, form);
   out += "--- edges ---\n";
-  for (const pfg::ConflictEdge& e : graph.conflicts)
+  graph.conflicts.forEachEdge([&](const pfg::ConflictEdge& e) {
     out += "ecf " + std::to_string(e.from.index()) + " -> " +
            std::to_string(e.to.index()) + " var " +
            prog.symbols.nameOf(e.var) + (e.toIsDef ? " DD" : " DU") + "\n";
+  });
   return out;
 }
 

@@ -520,5 +520,97 @@ TEST(TsoRunner, SeededTsoRunIsDeterministic) {
   EXPECT_EQ(a.code, b.code);
 }
 
+// --- per-run checks over the factored Ecf ------------------------------
+//
+// The racy-site index walks Ecf run by run, as csan does; the witness
+// partner of each racy access is still the first unprotected concurrent
+// one in Ecf order. The expected text is what the per-edge sweep
+// printed.
+
+const char* const kEventOrdered = R"(int x, y, r1, r2; event e;
+cobegin {
+  thread { x = 1; r1 = y; set(e); }
+  thread { wait(e); y = 2; x = 3; }
+  thread { y = 1; r2 = x; }
+}
+print(r1); print(r2);
+)";
+const char* const kBarrierSeparated = R"(int x, y, r1, r2;
+cobegin {
+  thread { x = 1; r1 = y; barrier; }
+  thread { barrier; y = 2; x = 3; }
+  thread { y = 1; r2 = x; barrier; }
+}
+print(r1); print(r2);
+)";
+const char* const kPartlyLockedRun = R"(int x, y, r1, r2; lock L;
+cobegin {
+  thread { lock(L); x = 1; r1 = y; unlock(L); }
+  thread { lock(L); y = 2; x = 2; unlock(L); y = 3; r2 = x; }
+}
+print(r1); print(r2);
+)";
+
+std::string tsoText(const char* src) {
+  driver::RunOptions o;
+  o.doTso = true;
+  return driver::runSource(src, "shape.cp", o).err;
+}
+
+TEST(TsoRuns, EventOrderedPartnerIsSkipped) {
+  // T0's read of y is observable through T2's write, not through T1's,
+  // which runs after set(e).
+  EXPECT_EQ(tsoText(kEventOrdered), R"txt(warning [mutual-exclusion-not-justified-under-tso] 3:19: under TSO this read of shared variable 'y' may complete while the thread's earlier store to 'x' is still buffered; the store/load pair cannot justify mutual exclusion
+  note 3:12: plain store to 'x' issued here, with no fence, atomic access or lock before the read
+  note 5:19: a concurrent thread reads 'x' here and can miss the buffered value
+  note 5:12: a concurrent thread writes 'y' here, making the early read observable
+  note 2:1: the threads run in arms 0 and 2 of this cobegin and may interleave
+  note insert 'fence;' between the store and the read, or make the protocol accesses atomic_store/atomic_load
+warning [mutual-exclusion-not-justified-under-tso] 5:19: under TSO this read of shared variable 'x' may complete while the thread's earlier store to 'y' is still buffered; the store/load pair cannot justify mutual exclusion
+  note 5:12: plain store to 'y' issued here, with no fence, atomic access or lock before the read
+  note 4:21: a concurrent thread writes 'y' here and can miss the buffered value
+  note 3:12: a concurrent thread writes 'x' here, making the early read observable
+  note 2:1: the threads run in arms 2 and 0 of this cobegin and may interleave
+  note insert 'fence;' between the store and the read, or make the protocol accesses atomic_store/atomic_load
+tso: 2 finding(s): 2 reorderable store/load pair(s), 0 redundant fence(s)
+)txt");
+}
+
+TEST(TsoRuns, BarrierSeparatedPartnerIsSkipped) {
+  EXPECT_EQ(tsoText(kBarrierSeparated), R"txt(warning [mutual-exclusion-not-justified-under-tso] 3:19: under TSO this read of shared variable 'y' may complete while the thread's earlier store to 'x' is still buffered; the store/load pair cannot justify mutual exclusion
+  note 3:12: plain store to 'x' issued here, with no fence, atomic access or lock before the read
+  note 5:19: a concurrent thread reads 'x' here and can miss the buffered value
+  note 5:12: a concurrent thread writes 'y' here, making the early read observable
+  note 2:1: the threads run in arms 0 and 2 of this cobegin and may interleave
+  note insert 'fence;' between the store and the read, or make the protocol accesses atomic_store/atomic_load
+warning [mutual-exclusion-not-justified-under-tso] 5:19: under TSO this read of shared variable 'x' may complete while the thread's earlier store to 'y' is still buffered; the store/load pair cannot justify mutual exclusion
+  note 5:12: plain store to 'y' issued here, with no fence, atomic access or lock before the read
+  note 3:19: a concurrent thread reads 'y' here and can miss the buffered value
+  note 3:12: a concurrent thread writes 'x' here, making the early read observable
+  note 2:1: the threads run in arms 2 and 0 of this cobegin and may interleave
+  note insert 'fence;' between the store and the read, or make the protocol accesses atomic_store/atomic_load
+tso: 2 finding(s): 2 reorderable store/load pair(s), 0 redundant fence(s)
+)txt");
+}
+
+TEST(TsoRuns, LockedMembersOfARunAreSkipped) {
+  // T1's `y = 2` and `x = 2` hold L, as T0's accesses do, so T0's
+  // store to x is observable only through T1's unlocked `r2 = x`.
+  EXPECT_EQ(tsoText(kPartlyLockedRun), R"txt(warning [mutual-exclusion-not-justified-under-tso] 3:28: under TSO this read of shared variable 'y' may complete while the thread's earlier store to 'x' is still buffered; the store/load pair cannot justify mutual exclusion
+  note 3:21: plain store to 'x' issued here, with no fence, atomic access or lock before the read
+  note 4:53: a concurrent thread reads 'x' here and can miss the buffered value
+  note 4:46: a concurrent thread writes 'y' here, making the early read observable
+  note 2:1: the threads run in arms 0 and 1 of this cobegin and may interleave
+  note insert 'fence;' between the store and the read, or make the protocol accesses atomic_store/atomic_load
+warning [mutual-exclusion-not-justified-under-tso] 4:53: under TSO this read of shared variable 'x' may complete while the thread's earlier store to 'y' is still buffered; the store/load pair cannot justify mutual exclusion
+  note 4:46: plain store to 'y' issued here, with no fence, atomic access or lock before the read
+  note 3:28: a concurrent thread reads 'y' here and can miss the buffered value
+  note 3:21: a concurrent thread writes 'x' here, making the early read observable
+  note 2:1: the threads run in arms 1 and 0 of this cobegin and may interleave
+  note insert 'fence;' between the store and the read, or make the protocol accesses atomic_store/atomic_load
+tso: 2 finding(s): 2 reorderable store/load pair(s), 0 redundant fence(s)
+)txt");
+}
+
 }  // namespace
 }  // namespace cssame::sanalysis
